@@ -7,6 +7,8 @@ indexing in the reference notation ``fpm(i)``; the zero-indexed item access
 
 from __future__ import annotations
 
+import math
+
 # Contour point counts for which quadrature rules are supported.
 ALLOWED_CONTOUR_POINTS = (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
 
@@ -112,13 +114,14 @@ def validate_params(fpm: FeastParams) -> int:
 def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
     """Validate problem size, subspace size and search interval.
 
-    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax).
+    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax, or
+    either bound NaN or infinite).
     """
     if n <= 0:
         return 202
     if m0 > n or m0 <= 0:
         return 201
-    if emin >= emax:
+    if not (math.isfinite(emin) and math.isfinite(emax)) or emin >= emax:
         return 200
     return 0
 
@@ -137,7 +140,7 @@ def info_description(info: int) -> str:
     fixed = {
         202: "Problem with size of the system N (N<=0)",
         201: "Problem with size of subspace M0 (M0>N or M0<=0)",
-        200: "Problem with Emin,Emax (Emin>=Emax)",
+        200: "Problem with Emin,Emax (Emin>=Emax or not finite)",
         4: "Only the subspace has been returned using fpm(14)=1",
         3: "Size of the subspace M0 is too small (M0<=M)",
         2: "No Convergence (#iteration loops>fpm(4))",

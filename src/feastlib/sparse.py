@@ -1,12 +1,19 @@
 """CSR drivers: UPLO-aware compressed sparse row storage, an internal
-complex sparse direct solver (minimum-degree ordering, one symbolic analysis
-per sparsity pattern, numeric refactorization per shift), a
-diagonal-preconditioned BiCGStab alternative, and feast_scsr / feast_hcsr.
+complex sparse direct solver, a diagonal-preconditioned BiCGStab
+alternative, and feast_scsr / feast_hcsr.
+
+The direct solver orders the union pattern of A and B by minimum degree and
+runs one symbolic analysis on it.  The numeric LU then factorizes all
+contour shifts in one batch, and each triangular sweep solves every shift's
+system for the common right-hand side at once.  Each Python-level step thus
+does the work of all shifts, and every shift gets bitwise the factor and
+solution it would get alone.
 """
 
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +21,7 @@ import numpy as np
 from ._driver import SingularMatrixError, SolverOptions, run_rci
 from .kernel import HermitianRci, SymmetricRci
 from .params import feastinit
+from .quadrature import build_contour, gauss_legendre
 
 _UPLOS = ("F", "L", "U")
 
@@ -249,30 +257,40 @@ class _SparseSymbolic:
 
 
 class _SparseFactor:
-    """Numeric LU of one shifted matrix on a shared symbolic analysis."""
+    """Numeric LU of shifted matrices on a shared symbolic analysis.
+
+    ``data`` is one shifted data vector of shape (nnz,) or a stack of shape
+    (ne, nnz), one row per shift.  Each elimination step carries every shift
+    at once: the work vector, the L and U values and the diagonal have a
+    trailing shift axis of length ne.  The arithmetic is elementwise along
+    that axis, so each shift's factor is bitwise the one it gets alone.
+    """
 
     def __init__(self, symbolic: _SparseSymbolic, data: np.ndarray):
         self.sym = symbolic
         n = symbolic.n
-        w = np.zeros(n, dtype=data.dtype)
-        diag = np.empty(n, dtype=data.dtype)
+        src = np.ascontiguousarray(np.atleast_2d(data).T)  # (nnz, ne)
+        self.ne = src.shape[1]
+        w = np.zeros((n, self.ne), dtype=src.dtype)
+        diag = np.empty((n, self.ne), dtype=src.dtype)
         lvals = []
         uvals = []
         lrows, urows = symbolic.lrows, symbolic.urows
         for j in range(n):
-            w[symbolic.col_rows[j]] = data[symbolic.col_src[j]]
-            uv = np.empty(len(urows[j]), dtype=data.dtype)
-            for t, k in enumerate(urows[j].tolist()):
-                ujk = w[k]
-                uv[t] = ujk
-                if ujk != 0:
-                    w[lrows[k]] -= ujk * lvals[k]
+            w[symbolic.col_rows[j]] = src[symbolic.col_src[j]]
+            # Left-looking: row k of w is final once its own update is
+            # applied, so U's column is read off after the loop.  A zero
+            # multiplier is not skipped; it subtracts exact zeros.
+            for k in urows[j].tolist():
+                w[lrows[k]] -= w[k] * lvals[k]
             d = w[j]
-            if d == 0 or not np.isfinite(d):
-                raise SingularMatrixError(f"zero pivot at sparse column {j}")
+            bad = (d == 0) | ~np.isfinite(d)
+            if bad.any():
+                raise SingularMatrixError(
+                    f"zero pivot at sparse column {j} (shift {int(np.argmax(bad))})")
             diag[j] = d
             lvals.append(w[lrows[j]] / d)
-            uvals.append(uv)
+            uvals.append(w[urows[j]])
             w[symbolic.col_rows[j]] = 0
             w[lrows[j]] = 0
             w[urows[j]] = 0
@@ -281,32 +299,58 @@ class _SparseFactor:
         self.lvals = lvals
         self.uvals = uvals
 
-    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def sweep(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Solve every shift's system, or with ``adjoint`` its conjugate
+        transpose, for the (n, m) block ``b``.
+
+        Returns y of shape (n, ne, m) in permuted row order; ``pick`` reads
+        one shift's solution out of it.
+        """
         sym = self.sym
         n = sym.n
-        single = b.ndim == 1
-        y = np.array(b[:, np.newaxis] if single else b, copy=True,
-                     dtype=np.result_type(self.diag.dtype, b.dtype))
-        y = y[sym.perm]
+        dtype = np.result_type(self.diag.dtype, b.dtype)
         lrows, urows = sym.lrows, sym.urows
+        lvals, uvals = self.lvals, self.uvals
         if not adjoint:
+            y = np.empty((n, self.ne, b.shape[1]), dtype=dtype)
+            y[:] = b[sym.perm][:, np.newaxis]
             for j in range(n):
                 if lrows[j].size:
-                    y[lrows[j]] -= self.lvals[j][:, np.newaxis] * y[j]
+                    y[lrows[j]] -= lvals[j][:, :, np.newaxis] * y[j]
+            diag = self.diag[:, :, np.newaxis]
             for j in range(n - 1, -1, -1):
-                y[j] /= self.diag[j]
+                y[j] /= diag[j]
                 if urows[j].size:
-                    y[urows[j]] -= self.uvals[j][:, np.newaxis] * y[j]
-        else:
-            for j in range(n):
-                if urows[j].size:
-                    y[j] -= self.uvals[j].conj() @ y[urows[j]]
-                y[j] /= self.diag[j].conjugate()
-            for j in range(n - 1, -1, -1):
-                if lrows[j].size:
-                    y[j] -= self.lvals[j].conj() @ y[lrows[j]]
-        out = np.empty_like(y)
-        out[sym.perm] = y
+                    y[urows[j]] -= uvals[j][:, :, np.newaxis] * y[j]
+            return y
+        # Row j of each shift is a vector-matrix product.  Stored shift-major,
+        # each shift's operands are contiguous, as for one shift, so the
+        # stacked product (ne, 1, k) @ (ne, k, m) rounds as it does alone.
+        y = np.empty((self.ne, n, b.shape[1]), dtype=dtype)
+        y[:] = b[sym.perm]
+        diag = self.diag.conj()[:, :, np.newaxis]
+        for j in range(n):
+            if urows[j].size:
+                u = np.conjugate(uvals[j].T, order="C")[:, np.newaxis]
+                y[:, j] -= (u @ y[:, urows[j]])[:, 0]
+            y[:, j] /= diag[j]
+        for j in range(n - 1, -1, -1):
+            if lrows[j].size:
+                lv = np.conjugate(lvals[j].T, order="C")[:, np.newaxis]
+                y[:, j] -= (lv @ y[:, lrows[j]])[:, 0]
+        return y.transpose(1, 0, 2)
+
+    def pick(self, y: np.ndarray, shift: int) -> np.ndarray:
+        """Shift ``shift``'s (n, m) solution, in original row order, from
+        the output of ``sweep``."""
+        return y[self.sym.iperm, shift]
+
+    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
+        if self.ne != 1:
+            raise ValueError("solve needs a one-shift factor; use sweep and pick")
+        single = b.ndim == 1
+        out = self.pick(self.sweep(b[:, np.newaxis] if single else b, adjoint), 0)
         return out[:, 0] if single else out
 
 
@@ -428,7 +472,19 @@ class _IterativeFactor:
 
 
 class _SparseOps:
-    def __init__(self, a_full, b_full, solver, iter_tol):
+    """Backend ops of the CSR drivers.
+
+    With the direct solver, the first ``factorize`` of a contour shift
+    factorizes all ``shifts`` in one batch and every call returns a
+    (batch, shift index) handle; a shift off the contour gets a batch of
+    one.  Per solve direction, the batched solution of the last right-hand
+    side is kept with that right-hand side: a request with an equal one is
+    served from it, any other runs a new batched sweep.  The solution is
+    dropped after as many requests as there are shifts, so that it is not
+    held through the rest of the refinement loop.
+    """
+
+    def __init__(self, a_full, b_full, solver, iter_tol, shifts):
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.solver = solver
         self.iter_tol = iter_tol
@@ -436,20 +492,50 @@ class _SparseOps:
         if solver == "direct":
             self.symbolic = _SparseSymbolic(
                 self.pattern.n, self.pattern.indptr, self.pattern.indices)
+        self._shifts = [complex(z) for z in shifts]
+        self._batch = None
+        # adjoint flag -> [factor, right-hand side, sweep output, requests served]
+        self._solutions = {False: None, True: None}
+        self._lock = threading.Lock()
         self._a0 = (np.asarray(a_full.ia - 1), np.asarray(a_full.ja - 1), a_full.values)
         self._b0 = None if b_full is None else (
             np.asarray(b_full.ia - 1), np.asarray(b_full.ja - 1), b_full.values)
 
+    def _factor(self, shifts):
+        return _SparseFactor(
+            self.symbolic, np.stack([self.pattern.shifted_data(z) for z in shifts]))
+
     def factorize(self, z):
-        if self.solver == "direct":
-            return _SparseFactor(self.symbolic, self.pattern.shifted_data(z))
-        return _IterativeFactor(self.pattern, z, self.iter_tol)
+        if self.solver != "direct":
+            return _IterativeFactor(self.pattern, z, self.iter_tol)
+        if z not in self._shifts:
+            return self._factor([z]), 0
+        with self._lock:
+            if self._batch is None:
+                self._batch = self._factor(self._shifts)
+        return self._batch, self._shifts.index(z)
+
+    def _solve(self, factor, rhs, adjoint):
+        if self.solver != "direct":
+            return factor.solve(rhs, adjoint=adjoint)
+        batch, shift = factor
+        with self._lock:
+            held = self._solutions[adjoint]
+            if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
+                # Drop the old buffer before the sweep allocates the new one.
+                held = self._solutions[adjoint] = None
+                y = batch.sweep(rhs, adjoint)
+                held = self._solutions[adjoint] = [batch, rhs.copy(), y, 0]
+            held[3] += 1
+            if held[3] == batch.ne:
+                self._solutions[adjoint] = None
+            return batch.pick(held[2], shift)
 
     def solve(self, factor, rhs):
-        return factor.solve(rhs)
+        return self._solve(factor, rhs, adjoint=False)
 
     def solve_adjoint(self, factor, rhs):
-        return factor.solve(rhs, adjoint=True)
+        return self._solve(factor, rhs, adjoint=True)
 
     def multiply_a(self, x):
         ip, ind, dat = self._a0
@@ -496,7 +582,8 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
         if x0 is None:
             raise ValueError("fpm(5)=1 requires an initial subspace x0")
         kernel.x[:, :] = np.asarray(x0)[:, :m0]
-    ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol)
+    contour = build_contour(gauss_legendre(fpm.slot(2)), kernel.emin, kernel.emax)
+    ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol, contour.z)
     return run_rci(kernel, ops, options)
 
 

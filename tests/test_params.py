@@ -1,7 +1,21 @@
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from feastlib import FeastParams, check_problem, feastinit, validate_params
+from feastlib import (
+    CsrMatrix,
+    FeastParams,
+    RciTask,
+    SymmetricRci,
+    check_problem,
+    feast_hb,
+    feast_scsr,
+    feast_sy,
+    feastinit,
+    validate_params,
+)
 from feastlib.params import info_classification, info_description
 
 
@@ -104,6 +118,26 @@ def test_check_problem_precedence():
     assert check_problem(3, 5, 5.0, -5.0) == 201
     assert check_problem(3, 0, 5.0, -5.0) == 201
     assert check_problem(3, 2, 1.0, 1.0) == 200
+
+
+@pytest.mark.parametrize("emin, emax", [
+    (np.nan, 5.0), (-5.0, np.nan), (-5.0, np.inf), (-np.inf, 5.0), (-np.inf, np.inf),
+])
+def test_non_finite_interval_is_info_200(emin, emax):
+    hello = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    hello_band = np.array([[2.0, 2.0], [-1.0, 0.0]], dtype=complex)  # uplo='L'
+    assert check_problem(2, 2, emin, emax) == 200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rci = SymmetricRci(2, 2, emin, emax)
+        assert rci.step() == RciTask.DONE
+        infos = [
+            rci.result.info,
+            feast_sy(hello, emin, emax, 2).info,
+            feast_scsr(CsrMatrix.from_dense(hello), emin, emax, 2).info,
+            feast_hb(hello_band, 1, emin, emax, 2, uplo="L").info,
+        ]
+    assert infos == [200, 200, 200, 200]
 
 
 def test_params_bad_constructor():

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,11 @@ from feastlib import (
     feast_sy,
     feastinit,
 )
-from feastlib.sparse import _SparseFactor, _SparseSymbolic, _ShiftedPattern
+from feastlib._driver import SingularMatrixError
+from feastlib.quadrature import build_contour, gauss_legendre
+from feastlib.sparse import _ShiftedPattern, _SparseFactor, _SparseOps, _SparseSymbolic
 
-from conftest import gap_interval, random_symmetric
+from conftest import gap_interval, random_hermitian, random_symmetric
 
 # 4x4 tridiagonal reference pattern in full and lower-triangle CSR form.
 _FULL_IA = [1, 3, 6, 9, 11]
@@ -132,6 +137,120 @@ def test_sparse_lu_solves_match_dense(rng):
     assert np.abs(shifted @ x - rhs).max() <= 1e-10
     xa = factor.solve(rhs, adjoint=True)
     assert np.abs(shifted.conj().T @ xa - rhs).max() <= 1e-10
+
+
+def _banded_csr(n, rng, hermitian, width=3):
+    a = random_hermitian(n, rng) if hermitian else random_symmetric(n, rng)
+    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= width
+    return CsrMatrix.from_dense(np.where(mask, a, 0))
+
+
+def _reference_lu(sym, data):
+    """One-shift left-looking LU, column by column, as a plain loop."""
+    n = sym.n
+    w = np.zeros(n, dtype=data.dtype)
+    diag = np.empty(n, dtype=data.dtype)
+    lvals, uvals = [], []
+    for j in range(n):
+        w[sym.col_rows[j]] = data[sym.col_src[j]]
+        uv = np.empty(len(sym.urows[j]), dtype=data.dtype)
+        for t, k in enumerate(sym.urows[j].tolist()):
+            uv[t] = w[k]
+            w[sym.lrows[k]] -= w[k] * lvals[k]
+        diag[j] = w[j]
+        lvals.append(w[sym.lrows[j]] / w[j])
+        uvals.append(uv)
+        w[:] = 0
+    return diag, lvals, uvals
+
+
+def _reference_solve(sym, lu, b, adjoint):
+    diag, lvals, uvals = lu
+    y = b[sym.perm].astype(complex)
+    n = sym.n
+    if not adjoint:
+        for j in range(n):
+            y[sym.lrows[j]] -= lvals[j][:, np.newaxis] * y[j]
+        for j in range(n - 1, -1, -1):
+            y[j] /= diag[j]
+            y[sym.urows[j]] -= uvals[j][:, np.newaxis] * y[j]
+    else:
+        for j in range(n):
+            y[j] -= uvals[j].conj() @ y[sym.urows[j]]
+            y[j] /= diag[j].conjugate()
+        for j in range(n - 1, -1, -1):
+            y[j] -= lvals[j].conj() @ y[sym.lrows[j]]
+    out = np.empty_like(y)
+    out[sym.perm] = y
+    return out
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_batched_factor_matches_one_shift_factors(rng, hermitian):
+    n = 40
+    pattern = _ShiftedPattern(_banded_csr(n, rng, hermitian), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    shifts = build_contour(gauss_legendre(4), -1.0, 2.0).z
+    stack = np.stack([pattern.shifted_data(complex(z)) for z in shifts])
+    batch = _SparseFactor(sym, stack)
+    rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    y = batch.sweep(rhs)
+    y_adj = batch.sweep(rhs, adjoint=True)
+    for e in range(len(shifts)):
+        diag, lvals, uvals = lu = _reference_lu(sym, stack[e])
+        assert batch.diag[:, e].tobytes() == diag.tobytes()
+        assert all(batch.lvals[j][:, e].tobytes() == lvals[j].tobytes() for j in range(n))
+        assert all(batch.uvals[j][:, e].tobytes() == uvals[j].tobytes() for j in range(n))
+        assert batch.pick(y, e).tobytes() == _reference_solve(sym, lu, rhs, False).tobytes()
+        x_adj = _reference_solve(sym, lu, rhs, True)
+        assert np.abs(batch.pick(y_adj, e) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
+
+
+def test_batched_factor_raises_on_one_singular_shift(rng):
+    pattern = _ShiftedPattern(_banded_csr(20, rng, hermitian=False), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    shifts = build_contour(gauss_legendre(4), -1.0, 2.0).z
+    stack = np.stack([pattern.shifted_data(complex(z)) for z in shifts])
+    # The first eliminated column's diagonal entry is its first pivot.
+    first = int(sym.perm[0])
+    stack[2, np.flatnonzero((pattern.rows == first) & (pattern.cols == first))] = 0
+    with pytest.raises(SingularMatrixError, match="shift 2"):
+        _SparseFactor(sym, stack)
+    _SparseFactor(sym, np.delete(stack, 2, axis=0))
+
+
+def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
+    n = 30
+    a = _banded_csr(n, rng, hermitian=True)
+    shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
+    ops = _SparseOps(a.expand_full(), None, "direct", 1e-3, shifts)
+    # Concurrent first factorizations must build one shared batch.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ops.factorize, complex(z)) for z in shifts]
+            handles = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(h[0] is handles[0][0] for h in handles)
+    assert [h[1] for h in handles] == list(range(len(shifts)))
+
+    r0 = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    r1 = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    for method, adjoint in ((ops.solve, False), (ops.solve_adjoint, True)):
+        # Shift 1 gets another RHS between two requests of shift 0.
+        for e, rhs in ((0, r0), (1, r1), (0, r0), (1, r0)):
+            got = method(handles[e], rhs)
+            one = _SparseFactor(ops.symbolic, ops.pattern.shifted_data(complex(shifts[e])))
+            want = one.solve(rhs, adjoint=adjoint)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            if not adjoint:
+                assert got.tobytes() == want.tobytes()
+    off = ops.factorize(0.5 + 2j)  # off the contour: a batch of one
+    assert off[0].ne == 1
+    want = _SparseFactor(ops.symbolic, ops.pattern.shifted_data(0.5 + 2j)).solve(r0)
+    assert ops.solve(off, r0).tobytes() == want.tobytes()
 
 
 def test_helloworld_csr():
@@ -288,6 +407,24 @@ def test_parallel_contour_identical_results(rng):
     r8 = feast_scsr(acsr, emin, emax, 24, options=SolverOptions(parallel_contour=8))
     assert r1.e.tobytes() == r8.e.tobytes()
     assert r1.x.tobytes() == r8.x.tobytes()
+
+
+def test_parallel_contour_identical_results_hermitian_generalized(rng):
+    n = 40
+    a = _banded_csr(n, rng, hermitian=True, width=2)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2
+    b = CsrMatrix.from_dense(np.where(mask, g @ g.conj().T + n * np.eye(n), 0))
+    import scipy.linalg as sla
+
+    ev = sla.eigh(a.to_dense(), b.to_dense(), eigvals_only=True)
+    emin, emax = gap_interval(ev, 8, 17)
+    r1 = feast_hcsr(a, emin, emax, 16, b=b, options=SolverOptions(parallel_contour=1))
+    r2 = feast_hcsr(a, emin, emax, 16, b=b, options=SolverOptions(parallel_contour=2))
+    assert r1.info == 0
+    assert r1.m == 10
+    assert r1.e.tobytes() == r2.e.tobytes()
+    assert r1.x.tobytes() == r2.x.tobytes()
 
 
 def test_different_patterns_for_a_and_b(rng):
