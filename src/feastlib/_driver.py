@@ -1,11 +1,13 @@
-"""Shared task loop for the predefined drivers.
+"""Driver skeleton shared by the dense, banded and CSR drivers.
 
-Each backend supplies an ops object (factorize / solve / solve_adjoint /
-multiply_a / multiply_b) and this module pumps the reverse-communication
-kernel to completion, caching factorizations per shift.  The optional
-contour-parallel mode pre-factorizes all shifts concurrently; because every
-solve and the accumulation order are unchanged, results are bit-identical to
-the serial mode.
+A predefined driver is ``setup`` (kernel, argument checks, full-storage
+operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
+solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
+reverse-communication kernel to completion against it, caching
+factorizations per shift.  The optional contour-parallel mode
+pre-factorizes all shifts concurrently; because every solve and the
+accumulation order are unchanged, results are bit-identical to the serial
+mode.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .kernel import RciTask
-from .quadrature import build_contour, gauss_legendre
+import numpy as np
+
+from .kernel import HermitianRci, RciTask, SymmetricRci
+
+UPLOS = ("F", "L", "U")
 
 
 class SingularMatrixError(Exception):
@@ -26,7 +31,10 @@ class SolverOptions:
     """Driver-level knobs shared by all backends.
 
     seed: deterministic start-vector stream.
-    parallel_contour: worker count for concurrent shift factorization.
+    parallel_contour: worker count for concurrent shift factorization.  It
+        helps the dense backend, whose rank-1 LU updates are large numpy
+        operations that release the GIL; it does nothing for the CSR direct
+        backend, which factorizes all shifts in one batch anyway.
     solver: 'direct' or 'iterative' (sparse backend only).
     iter_tol: relative residual target of the iterative inner solver.
     block_size: columns per multiply request (None = full subspace).
@@ -39,28 +47,82 @@ class SolverOptions:
     block_size: int | None = None
 
 
+def setup(family, hermitian, dtype, n, generalized, emin, emax, m0, fpm, options,
+          x0, *, checks, operands, finite):
+    """Kernel of one driver call, its options, and its operands A and B.
+
+    The kernel is named ``{S,D,C,Z}FEAST_<family>{EV,GV}``, single precision
+    for a float32/complex64 input ``dtype``.  ``checks`` holds the driver's
+    (info code, failing condition callable) pairs in order; the first that
+    fails aborts the kernel.  Once these and the kernel's own checks pass,
+    ``operands(scalar type)`` gives the full-storage (A, B), B None for a
+    standard problem, and a NaN or infinite entry aborts with the code in
+    ``finite``.  The operands are (None, None) when the kernel is done.
+    """
+    options = options or SolverOptions()
+    single = np.dtype(dtype) in (np.dtype(np.float32), np.dtype(np.complex64))
+    precision = ("C" if single else "Z") if hermitian else ("S" if single else "D")
+    kernel = (HermitianRci if hermitian else SymmetricRci)(
+        n, m0, emin, emax, fpm, seed=options.seed, block_size=options.block_size,
+        dtype=np.float32 if single else np.float64,
+        routine_name=f"{precision}FEAST_{family}{'GV' if generalized else 'EV'}")
+    for code, failed in checks:
+        if failed():
+            kernel.abort(code)
+            return kernel, options, (None, None)
+    if kernel.done:
+        return kernel, options, (None, None)
+    full = operands(kernel.x.dtype)
+    for code, op in zip(finite, full):
+        # A CsrMatrix operand is checked by its stored values.
+        if op is not None and not np.isfinite(getattr(op, "values", op)).all():
+            kernel.abort(code)
+            return kernel, options, (None, None)
+    if kernel.fpm.slot(5) == 1:
+        if x0 is None:
+            raise ValueError("fpm(5)=1 requires an initial subspace x0")
+        kernel.x[:, :] = np.asarray(x0)[:, :m0]
+    return kernel, options, full
+
+
+class _Ops:
+    """Backend protocol of ``run_rci``.  A backend keeps the full-storage
+    operands as ``a`` and ``b`` (None: B is the identity) and adds
+    ``factorize(z)`` of z*B - A, ``_solve(factor, rhs, adjoint)`` and
+    ``_multiply(matrix, x)``."""
+
+    def __init__(self, a, b, cdtype=None):
+        self.a = a
+        self.b = b
+        self.cdtype = cdtype
+
+    def solve(self, factor, rhs):
+        return self._solve(factor, rhs, False)
+
+    def solve_adjoint(self, factor, rhs):
+        return self._solve(factor, rhs, True)
+
+    def multiply_a(self, x):
+        return self._multiply(self.a, x)
+
+    def multiply_b(self, x):
+        if self.b is None:
+            return x.copy()
+        return self._multiply(self.b, x)
+
+
 def run_rci(kernel, ops, options: SolverOptions | None = None):
-    """Drive a kernel to completion against a backend ops object."""
+    """Drive a kernel to completion against a backend ops object.  Adjoint
+    solves use the direct factor, so FACTORIZE_ADJOINT needs no action."""
     options = options or SolverOptions()
     factors = {}
-    try:
-        if options.parallel_contour > 1 and not kernel.done:
-            contour = build_contour(
-                gauss_legendre(kernel.fpm.slot(2)), kernel.emin, kernel.emax
-            )
-            with ThreadPoolExecutor(max_workers=options.parallel_contour) as pool:
-                futures = {complex(z): pool.submit(ops.factorize, complex(z))
-                           for z in contour.z}
-                factors = {z: f.result() for z, f in futures.items()}
-    except (SingularMatrixError, ArithmeticError):
-        kernel.abort(-2)
-        return kernel.result
-    except MemoryError:
-        kernel.abort(-1)
-        return kernel.result
-
     current = None
     try:
+        if options.parallel_contour > 1 and not kernel.done:
+            with ThreadPoolExecutor(max_workers=options.parallel_contour) as pool:
+                futures = {complex(z): pool.submit(ops.factorize, complex(z))
+                           for z in kernel.contour.z}
+                factors = {z: f.result() for z, f in futures.items()}
         task = kernel.step()
         while task != RciTask.DONE:
             if task == RciTask.FACTORIZE:
@@ -68,10 +130,6 @@ def run_rci(kernel, ops, options: SolverOptions | None = None):
                 if z not in factors:
                     factors[z] = ops.factorize(z)
                 current = factors[z]
-            elif task == RciTask.FACTORIZE_ADJOINT:
-                # Never requested: all predefined backends serve adjoint
-                # solves from the direct factorization.
-                raise AssertionError("unexpected FACTORIZE_ADJOINT from kernel")
             elif task == RciTask.SOLVE:
                 m0 = kernel.m0
                 kernel.work2[:, :m0] = ops.solve(current, kernel.work2[:, :m0])

@@ -6,11 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._driver import SingularMatrixError, SolverOptions, run_rci
-from .kernel import HermitianRci, SymmetricRci
-from .params import feastinit
-
-_UPLOS = ("F", "L", "U")
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
 
 
 def band_required_rows(kl: int, uplo: str) -> int:
@@ -18,32 +14,30 @@ def band_required_rows(kl: int, uplo: str) -> int:
     return 2 * kl + 1 if uplo.upper() == "F" else kl + 1
 
 
-def expand_band(ab: np.ndarray, kl: int, uplo: str, hermitian: bool) -> np.ndarray:
-    """Normalize band storage to the full-band layout: a (2*kl+1, n) array
-    whose row kl+s holds the s-th subdiagonal (s<0: superdiagonal), i.e.
-    entry A[j+s, j] sits at [kl+s, j].  Unused corner slots are never read.
+def expand_band(ab: np.ndarray, kl: int, uplo: str, hermitian: bool,
+                width: int | None = None) -> np.ndarray:
+    """Normalize band storage to the full-band layout: a (2*w+1, n) array
+    whose row w+s holds the s-th subdiagonal (s<0: superdiagonal), i.e.
+    entry A[j+s, j] sits at [w+s, j], where the bandwidth w is ``width``
+    (at least kl; default kl).  Unused slots are zero and never read.
     """
     ab = np.asarray(ab)
     n = ab.shape[1]
     uplo = uplo.upper()
-    fb = np.zeros((2 * kl + 1, n), dtype=ab.dtype)
-    if uplo == "F":
-        fb[kl, :] = ab[kl, :]
-        for d in range(1, kl + 1):
-            fb[kl - d, d:n] = ab[kl - d, d:n]
-            fb[kl + d, : n - d] = ab[kl + d, : n - d]
-    elif uplo == "L":
-        fb[kl, :] = ab[0, :]
-        for d in range(1, kl + 1):
+    w = kl if width is None else width
+    fb = np.zeros((2 * w + 1, n), dtype=ab.dtype)
+    fb[w, :] = ab[0 if uplo == "L" else kl, :]
+    for d in range(1, kl + 1):
+        if uplo == "F":
+            sup, sub = ab[kl - d, d:n], ab[kl + d, : n - d]
+        elif uplo == "L":
             sub = ab[d, : n - d]
-            fb[kl + d, : n - d] = sub
-            fb[kl - d, d:n] = sub.conj() if hermitian else sub
-    else:
-        fb[kl, :] = ab[kl, :]
-        for d in range(1, kl + 1):
+            sup = sub.conj() if hermitian else sub
+        else:
             sup = ab[kl - d, d:n]
-            fb[kl - d, d:n] = sup
-            fb[kl + d, : n - d] = sup.conj() if hermitian else sup
+            sub = sup.conj() if hermitian else sup
+        fb[w - d, d:n] = sup
+        fb[w + d, : n - d] = sub
     return fb
 
 
@@ -146,95 +140,51 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
-class _BandedOps:
-    def __init__(self, fa, fb_mass, kl, cdtype):
-        self.fa = fa          # full-band A at combined bandwidth
-        self.fb = fb_mass     # full-band B or None (identity)
-        self.kl = kl
-        self.cdtype = cdtype
+class _BandedOps(_Ops):
+    """Ops on full-band A and B (expand_band layout) of one bandwidth."""
 
     def factorize(self, z):
-        n = self.fa.shape[1]
-        shifted = np.zeros((2 * self.kl + 1, n), dtype=self.cdtype)
-        shifted -= self.fa
-        if self.fb is None:
-            shifted[self.kl, :] += z
+        kl = (self.a.shape[0] - 1) // 2
+        shifted = np.zeros(self.a.shape, dtype=self.cdtype)
+        shifted -= self.a
+        if self.b is None:
+            shifted[kl, :] += z
         else:
-            shifted += z * self.fb
-        return band_lu_factor(shifted, self.kl)
+            shifted += z * self.b
+        return band_lu_factor(shifted, kl)
 
-    def solve(self, factor, rhs):
-        return band_lu_solve(factor, rhs)
+    def _solve(self, factor, rhs, adjoint):
+        return band_lu_solve(factor, rhs, adjoint)
 
-    def solve_adjoint(self, factor, rhs):
-        return band_lu_solve(factor, rhs, adjoint=True)
-
-    def multiply_a(self, x):
-        return band_matvec(self.fa, x)
-
-    def multiply_b(self, x):
-        if self.fb is None:
-            return x.copy()
-        return band_matvec(self.fb, x)
-
-
-def _pad_band(fb: np.ndarray, kl_from: int, kl_to: int) -> np.ndarray:
-    if kl_from == kl_to:
-        return fb
-    n = fb.shape[1]
-    out = np.zeros((2 * kl_to + 1, n), dtype=fb.dtype)
-    out[kl_to - kl_from:kl_to + kl_from + 1, :] = fb
-    return out
+    _multiply = staticmethod(band_matvec)
 
 
 def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermitian):
-    options = options or SolverOptions()
-    fpm = fpm if fpm is not None else feastinit()
     uplo = (uplo or "F").upper()
     a = np.asarray(a)
+    b = None if b is None else np.asarray(b)
     n = a.shape[1] if a.ndim == 2 else 0
 
-    kernel_cls = HermitianRci if hermitian else SymmetricRci
-    extra = {"adjoint_capable": True} if hermitian else {}
-    rdtype = np.float32 if a.dtype in (np.float32, np.complex64) else np.float64
-    scalar = (np.complex64 if rdtype == np.float32 else np.complex128) if hermitian else rdtype
-    t = ("C" if rdtype == np.float32 else "Z") if hermitian else ("S" if rdtype == np.float32 else "D")
-    routine = f"{t}FEAST_{'HB' if hermitian else 'SB'}{'GV' if b is not None else 'EV'}"
-    kernel = kernel_cls(n, m0, emin, emax, fpm, seed=options.seed,
-                        block_size=options.block_size, dtype=scalar,
-                        routine_name=routine, **extra)
-    if uplo not in _UPLOS:
-        kernel.abort(-101)
-        return kernel.result
-    if not 0 <= kla <= max(n - 1, 0):
-        kernel.abort(-103)
-        return kernel.result
-    if a.ndim != 2 or a.shape[0] < band_required_rows(kla, uplo):
-        kernel.abort(-105)
-        return kernel.result
-    if b is not None:
-        b = np.asarray(b)
-        if klb is None or not 0 <= klb <= max(n - 1, 0):
-            kernel.abort(-106)
-            return kernel.result
-        if b.ndim != 2 or b.shape[1] != n or b.shape[0] < band_required_rows(klb, uplo):
-            kernel.abort(-108)
-            return kernel.result
+    def operands(dtype):
+        # Both operands share the wider bandwidth, as the shifted matrix does.
+        kl = max(kla, klb if b is not None else 0)
+        return [None if m is None else
+                expand_band(m, k, uplo, hermitian, kl).astype(dtype, copy=False)
+                for m, k in ((a, kla), (b, klb))]
+
+    kernel, options, (fa, fb) = setup(
+        "HB" if hermitian else "SB", hermitian, a.dtype, n, b is not None,
+        emin, emax, m0, fpm, options, x0,
+        checks=((-101, lambda: uplo not in UPLOS),
+                (-103, lambda: not 0 <= kla <= max(n - 1, 0)),
+                (-105, lambda: a.ndim != 2 or a.shape[0] < band_required_rows(kla, uplo)),
+                (-106, lambda: b is not None and (klb is None or not 0 <= klb <= max(n - 1, 0))),
+                (-108, lambda: b is not None and (b.ndim != 2 or b.shape[1] != n
+                                                  or b.shape[0] < band_required_rows(klb, uplo)))),
+        operands=operands, finite=(-104, -107))
     if kernel.done:
         return kernel.result
-
-    cdtype = np.complex64 if rdtype == np.float32 else np.complex128
-    kl = max(kla, klb if b is not None else 0)
-    fa = _pad_band(expand_band(a, kla, uplo, hermitian).astype(scalar, copy=False), kla, kl)
-    fb_mass = None
-    if b is not None:
-        fb_mass = _pad_band(expand_band(b, klb, uplo, hermitian).astype(scalar, copy=False), klb, kl)
-    if fpm.slot(5) == 1:
-        if x0 is None:
-            raise ValueError("fpm(5)=1 requires an initial subspace x0")
-        kernel.x[:, :] = np.asarray(x0)[:, :m0]
-    ops = _BandedOps(fa, fb_mass, kl, cdtype)
-    return run_rci(kernel, ops, options)
+    return run_rci(kernel, _BandedOps(fa, fb, kernel._cdtype), options)
 
 
 def feast_sb(a, kla, emin, emax, m0, *, uplo="F", b=None, klb=None,

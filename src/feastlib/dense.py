@@ -5,11 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._driver import SingularMatrixError, SolverOptions, run_rci
-from .kernel import HermitianRci, SymmetricRci
-from .params import feastinit
-
-_UPLOS = ("F", "L", "U")
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
 
 
 def expand_uplo(a: np.ndarray, uplo: str, hermitian: bool) -> np.ndarray:
@@ -88,79 +84,37 @@ def lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return x[:, 0] if squeeze else x
 
 
-class _DenseOps:
-    def __init__(self, a_full, b_full, cdtype):
-        self.a = a_full
-        self.b = b_full
-        self.cdtype = cdtype
-
+class _DenseOps(_Ops):
     def factorize(self, z):
-        n = self.a.shape[0]
         if self.b is None:
-            shifted = z * np.eye(n, dtype=self.cdtype) - self.a
+            shifted = z * np.eye(self.a.shape[0], dtype=self.cdtype) - self.a
         else:
             shifted = z * self.b.astype(self.cdtype) - self.a
         return lu_factor(shifted)
 
-    def solve(self, factor, rhs):
-        return lu_solve(factor, rhs)
+    def _solve(self, factor, rhs, adjoint):
+        return lu_solve(factor, rhs, adjoint)
 
-    def solve_adjoint(self, factor, rhs):
-        return lu_solve(factor, rhs, adjoint=True)
-
-    def multiply_a(self, x):
-        return self.a @ x
-
-    def multiply_b(self, x):
-        if self.b is None:
-            return x.copy()
-        return self.b @ x
+    _multiply = staticmethod(np.matmul)
 
 
 def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
-    options = options or SolverOptions()
-    fpm = fpm if fpm is not None else feastinit()
     uplo = (uplo or "F").upper()
     a = np.asarray(a)
-    n = a.shape[0]
-
-    kernel_cls = HermitianRci if hermitian else SymmetricRci
-    extra = {"adjoint_capable": True} if hermitian else {}
-    rdtype = np.float32 if a.dtype in (np.float32, np.complex64) else np.float64
-    scalar = (np.complex64 if rdtype == np.float32 else np.complex128) if hermitian else rdtype
-    routine = _routine_name(hermitian, rdtype, b is not None)
-    kernel = kernel_cls(n, m0, emin, emax, fpm, seed=options.seed,
-                        block_size=options.block_size, dtype=scalar,
-                        routine_name=routine, **extra)
-    if uplo not in _UPLOS:
-        kernel.abort(-101)
-        return kernel.result
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        kernel.abort(-104)
-        return kernel.result
-    if b is not None:
-        b = np.asarray(b)
-        if b.shape != a.shape:
-            kernel.abort(-106)
-            return kernel.result
+    b = None if b is None else np.asarray(b)
+    kernel, options, (a_full, b_full) = setup(
+        "HE" if hermitian else "SY", hermitian, a.dtype, a.shape[0], b is not None,
+        emin, emax, m0, fpm, options, x0,
+        checks=((-101, lambda: uplo not in UPLOS),
+                (-104, lambda: a.ndim != 2 or a.shape[0] != a.shape[1]),
+                (-106, lambda: b is not None and b.shape != a.shape)),
+        operands=lambda dtype: [None if m is None else
+                                expand_uplo(m, uplo, hermitian).astype(dtype, copy=False)
+                                for m in (a, b)],
+        finite=(-103, -105))
     if kernel.done:
         return kernel.result
-
-    cdtype = np.complex64 if rdtype == np.float32 else np.complex128
-    a_full = expand_uplo(a, uplo, hermitian).astype(scalar, copy=False)
-    b_full = None if b is None else expand_uplo(b, uplo, hermitian).astype(scalar, copy=False)
-    if fpm.slot(5) == 1:
-        if x0 is None:
-            raise ValueError("fpm(5)=1 requires an initial subspace x0")
-        kernel.x[:, :] = np.asarray(x0)[:, :m0]
-    ops = _DenseOps(a_full, b_full, cdtype)
-    return run_rci(kernel, ops, options)
-
-
-def _routine_name(hermitian, rdtype, generalized):
-    t = ("C" if rdtype == np.float32 else "Z") if hermitian else ("S" if rdtype == np.float32 else "D")
-    kind = "HE" if hermitian else "SY"
-    return f"{t}FEAST_{kind}{'GV' if generalized else 'EV'}"
+    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype), options)
 
 
 def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._driver import UPLOS
 from .params import FeastParams, feastinit
 from .sparse import CsrMatrix
 
@@ -160,7 +161,6 @@ def coo_to_csr(coo: CooMatrix, uplo="F") -> CsrMatrix:
 
 _PROBLEMS = ("s", "g")
 _PRECISIONS = ("s", "d", "c", "z")
-_UPLOS = ("F", "L", "U")
 
 
 def parse_config(text: str) -> DriverConfig:
@@ -188,8 +188,8 @@ def parse_config(text: str) -> DriverConfig:
         bad(f"precision must be one of {_PRECISIONS}, got {toks[0]!r}", lineno)
     lineno, toks = entries[2]
     cfg.uplo = toks[0].upper()
-    if cfg.uplo not in _UPLOS:
-        bad(f"UPLO must be one of {_UPLOS}, got {toks[0]!r}", lineno)
+    if cfg.uplo not in UPLOS:
+        bad(f"UPLO must be one of {UPLOS}, got {toks[0]!r}", lineno)
     lineno, toks = entries[3]
     cfg.emin = _parse_float(toks[0], lineno)
     lineno, toks = entries[4]

@@ -105,23 +105,19 @@ def random_uniform(seed: int, offset: int, count: int) -> np.ndarray:
 # --- small pure helpers used by the engine ---------------------------------
 
 
-def accumulate_subspace(q, work2, weight, radius, theta, variant) -> None:
+def accumulate_subspace(q, work2, weight, radius, theta, hermitian=False) -> None:
     """Add one quadrature point's contribution to the accumulated subspace.
 
-    variant 'symmetric':          q -= (w/2) * Re{ r * exp(i theta) * work2 }
-    variant 'hermitian-direct':   q -= (w/4) * r * exp(+i theta) * work2
-    variant 'hermitian-adjoint':  q -= (w/4) * r * exp(-i theta) * work2
+    symmetric:  q -= (w/2) * Re{ r * exp(i theta) * work2 }
+    hermitian:  q -= (w/4) * r * exp(i theta) * work2, called with +theta
+                for the direct solve and -theta for the adjoint solve.
     """
     if q.shape != work2.shape:
         raise ValueError(f"shape mismatch: {q.shape} vs {work2.shape}")
-    if variant == "symmetric":
-        q -= (weight / 2.0) * (radius * np.exp(1j * theta) * work2).real
-    elif variant == "hermitian-direct":
+    if hermitian:
         q -= (weight / 4.0) * radius * np.exp(1j * theta) * work2
-    elif variant == "hermitian-adjoint":
-        q -= (weight / 4.0) * radius * np.exp(-1j * theta) * work2
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        q -= (weight / 2.0) * (radius * np.exp(1j * theta) * work2).real
 
 
 def trace_error(trace_cur: float, trace_prev: float, emin: float, emax: float) -> float:
@@ -129,22 +125,13 @@ def trace_error(trace_cur: float, trace_prev: float, emin: float, emax: float) -
     return abs(trace_cur - trace_prev) / max(abs(emin), abs(emax))
 
 
-def residual(a_apply, b_apply, lam: float, x_col: np.ndarray, emin: float, emax: float) -> float:
-    """Relative residual ||A x - lam B x||_1 / ||max(|emin|,|emax|) B x||_1.
+def residual(ax, bx, lam, scale):
+    """Relative residuals ||A x - lam B x||_1 / ||scale * B x||_1 per column.
 
-    ``b_apply`` may be None for standard problems (B treated as identity).
-    A zero denominator yields +inf, which marks the pair as spurious.
+    ``ax`` and ``bx`` hold A x and B x (x itself for B = I) for the columns
+    x, ``lam`` their eigenvalues, ``scale`` is max(|emin|, |emax|).  A zero
+    denominator yields +inf, which marks the pair as spurious.
     """
-    ax = a_apply(x_col)
-    bx = b_apply(x_col) if b_apply is not None else x_col
-    scale = max(abs(emin), abs(emax))
-    den = np.abs(scale * bx).sum()
-    if den == 0.0:
-        return np.inf
-    return float(np.abs(ax - lam * bx).sum() / den)
-
-
-def _column_residuals(ax, bx, lam, scale):
     num = np.abs(ax - lam[np.newaxis, :] * bx).sum(axis=0)
     den = np.abs(scale * bx).sum(axis=0)
     out = np.full(lam.shape, np.inf)
@@ -183,7 +170,8 @@ def filter_sort_flag(evalues, x, res, emin, emax) -> int:
 class _RciKernel:
     """Shared machinery of the symmetric/Hermitian reverse-communication
     engines.  One instance drives one solve; instances are independent and
-    may be moved between threads but not shared."""
+    may be moved between threads but not shared.  ``contour`` holds the
+    solve's quadrature contour, None when the input checks failed."""
 
     hermitian = False
 
@@ -205,17 +193,15 @@ class _RciKernel:
         self.m = 0
         self._done = False
         self._gen = None
+        self.contour = None
 
-        scalar = np.dtype(dtype) if dtype is not None else self._default_dtype()
-        self._single = scalar in (np.dtype(np.float32), np.dtype(np.complex64))
-        if self.hermitian:
-            self._cdtype = np.dtype(np.complex64) if self._single else np.dtype(np.complex128)
-            self._rdtype = np.dtype(np.float32) if self._single else np.dtype(np.float64)
-            work_dtype = self._cdtype
-        else:
-            self._rdtype = scalar
-            self._cdtype = np.dtype(np.complex64) if self._single else np.dtype(np.complex128)
-            work_dtype = self._rdtype
+        # ``dtype`` only selects the precision: float32 or complex64 means
+        # single, anything else (and None) double.
+        self._single = dtype is not None and np.dtype(dtype) in (
+            np.dtype(np.float32), np.dtype(np.complex64))
+        self._rdtype = np.dtype(np.float32 if self._single else np.float64)
+        self._cdtype = np.dtype(np.complex64 if self._single else np.complex128)
+        work_dtype = self._cdtype if self.hermitian else self._rdtype
         self.routine_name = routine_name or self._default_routine_name()
 
         info = check_problem(self.n, self.m0, self.emin, self.emax)
@@ -243,6 +229,7 @@ class _RciKernel:
             self._done = True
             self._make_empty_arrays(work_dtype)
             return
+        self.contour = build_contour(gauss_legendre(self.fpm.slot(2)), self.emin, self.emax)
         self._gen = self._run()
 
     def _make_empty_arrays(self, work_dtype):
@@ -253,9 +240,6 @@ class _RciKernel:
         self.e = np.zeros(m0, dtype=self._rdtype)
         self.res = np.zeros(m0, dtype=self._rdtype)
         self.aq = self.bq = np.zeros((m0, m0), dtype=work_dtype)
-
-    def _default_dtype(self):
-        return np.dtype(np.complex128) if self.hermitian else np.dtype(np.float64)
 
     def _default_routine_name(self):
         if self.hermitian:
@@ -323,14 +307,16 @@ class _RciKernel:
             start += cols
 
     def _accumulate(self, weight, radius, theta, adjoint=False):
-        raise NotImplementedError
+        m0 = self.m0
+        accumulate_subspace(self.q[:, :m0], self.work2[:, :m0], weight, radius,
+                            -theta if adjoint else theta, self.hermitian)
 
     def _run(self):
         fpm = self.fpm
         emin, emax = self.emin, self.emax
         tol = self._tolerance()
         max_loop = fpm.slot(4)
-        contour = build_contour(gauss_legendre(fpm.slot(2)), emin, emax)
+        contour = self.contour
         scale = max(abs(emin), abs(emax))
         verbose = fpm.slot(1) == 1
         if verbose:
@@ -411,7 +397,7 @@ class _RciKernel:
             self.x[:, :m0] = (self.q[:, :m0] @ phi).astype(self.x.dtype, copy=False)
             ax = self._aprod[:, :m0] @ phi
             bx = self.work1[:, :m0] @ phi
-            res = _column_residuals(ax, bx, lam, scale)
+            res = residual(ax, bx, lam, scale)
             self.res[:m0] = res
             inside = (lam >= emin) & (lam <= emax)
             m = int(inside.sum())
@@ -497,11 +483,6 @@ class SymmetricRci(_RciKernel):
         raw = random_uniform(self.seed, 0, self.n * self._m0_init)
         self.y[:, :] = raw.reshape((self.n, self._m0_init), order="F").astype(self._rdtype)
 
-    def _accumulate(self, weight, radius, theta, adjoint=False):
-        m0 = self.m0
-        accumulate_subspace(self.q[:, :m0], self.work2[:, :m0],
-                            weight, radius, theta, "symmetric")
-
 
 class HermitianRci(_RciKernel):
     """Reverse-communication engine for complex Hermitian pencils.
@@ -515,7 +496,6 @@ class HermitianRci(_RciKernel):
 
     def __init__(self, n, m0, emin, emax, fpm=None, *, adjoint_capable=True, **kwargs):
         self.adjoint_capable = bool(adjoint_capable)
-        kwargs.setdefault("dtype", np.complex128)
         super().__init__(n, m0, emin, emax, fpm, **kwargs)
 
     def _fill_random_y(self):
@@ -523,9 +503,3 @@ class HermitianRci(_RciKernel):
         raw = random_uniform(self.seed, 0, 2 * nm)
         vals = raw[:nm] + 1j * raw[nm:]
         self.y[:, :] = vals.reshape((self.n, self._m0_init), order="F").astype(self._cdtype)
-
-    def _accumulate(self, weight, radius, theta, adjoint=False):
-        m0 = self.m0
-        variant = "hermitian-adjoint" if adjoint else "hermitian-direct"
-        accumulate_subspace(self.q[:, :m0], self.work2[:, :m0],
-                            weight, radius, theta, variant)

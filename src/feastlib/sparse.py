@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._driver import SingularMatrixError, SolverOptions, run_rci
-from .kernel import HermitianRci, SymmetricRci
-from .params import feastinit
-from .quadrature import build_contour, gauss_legendre
-
-_UPLOS = ("F", "L", "U")
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
 
 
 @dataclass
@@ -48,7 +43,7 @@ class CsrMatrix:
         self.values = np.asarray(self.values)
         self.uplo = self.uplo.upper()
         n, ia, ja = self.n, self.ia, self.ja
-        if self.uplo not in _UPLOS:
+        if self.uplo not in UPLOS:
             raise ValueError(f"invalid uplo {self.uplo!r}")
         if ia.shape != (n + 1,) or ia[0] != 1:
             raise ValueError("ia must have n+1 entries starting at 1")
@@ -100,7 +95,8 @@ class CsrMatrix:
     def from_dense(cls, a, uplo="F", tol=0.0) -> "CsrMatrix":
         a = np.asarray(a)
         n = a.shape[0]
-        mask = np.abs(a) > tol
+        # Written so that a NaN entry is kept, not dropped as zero.
+        mask = ~(np.abs(a) <= tol)
         if uplo.upper() == "L":
             mask &= np.tril(np.ones_like(mask))
         elif uplo.upper() == "U":
@@ -143,22 +139,11 @@ class CsrMatrix:
 
 
 def csr_matvec(m: CsrMatrix, x: np.ndarray) -> np.ndarray:
-    """Multiply by a CSR matrix, expanding uplo='L'/'U' storage implicitly
+    """Multiply by a CSR matrix, expanding uplo='L'/'U' storage first
     (off-diagonal entries also applied transposed, conjugated when complex).
     """
-    x = np.asarray(x)
-    rows = np.repeat(np.arange(m.n), np.diff(m.ia))
-    cols = m.ja - 1
-    vals = m.values
-    single = x.ndim == 1
-    xb = x[:, np.newaxis] if single else x
-    y = np.zeros((m.n, xb.shape[1]), dtype=np.result_type(vals.dtype, x.dtype))
-    np.add.at(y, rows, vals[:, np.newaxis] * xb[cols])
-    if m.uplo != "F":
-        off = rows != cols
-        refl = vals[off].conj() if np.iscomplexobj(vals) else vals[off]
-        np.add.at(y, cols[off], refl[:, np.newaxis] * xb[rows[off]])
-    return y[:, 0] if single else y
+    full = m.expand_full()
+    return _csr_block_matvec(full.ia - 1, full.ja - 1, full.values, np.asarray(x))
 
 
 def _csr_block_matvec(indptr, indices, data, x):
@@ -439,21 +424,22 @@ class _IterativeFactor:
     def __init__(self, pattern: _ShiftedPattern, z: complex, tol: float):
         self.pattern = pattern
         self.tol = tol
-        self.data = pattern.shifted_data(z)
         # (z*B - A)^H equals conj(z)*B - A for Hermitian/symmetric A, B.
-        self.data_adj = pattern.shifted_data(complex(z).conjugate())
-        diag_mask = pattern.rows == pattern.cols
-        diag = np.zeros(pattern.n, dtype=self.data.dtype)
-        diag[pattern.rows[diag_mask]] = self.data[diag_mask]
-        diag[diag == 0] = 1.0
-        self.diag = diag
-        diag_a = np.zeros(pattern.n, dtype=self.data.dtype)
-        diag_a[pattern.rows[diag_mask]] = self.data_adj[diag_mask]
-        diag_a[diag_a == 0] = 1.0
-        self.diag_adj = diag_a
+        self.systems = {adjoint: self._system(pattern.shifted_data(shift))
+                        for adjoint, shift in ((False, z), (True, complex(z).conjugate()))}
 
-    def _solve_with(self, data, diag, rhs):
+    def _system(self, data):
+        """Shifted data and its diagonal preconditioner (zeros read as 1)."""
         p = self.pattern
+        on_diag = p.rows == p.cols
+        diag = np.zeros(p.n, dtype=data.dtype)
+        diag[p.rows[on_diag]] = data[on_diag]
+        diag[diag == 0] = 1.0
+        return data, diag
+
+    def solve(self, rhs, adjoint=False):
+        p = self.pattern
+        data, diag = self.systems[adjoint]
         maxiter = max(8 * p.n, 200)
         out = np.empty_like(rhs)
         for k in range(rhs.shape[1]):
@@ -462,16 +448,11 @@ class _IterativeFactor:
                 diag, rhs[:, k].astype(data.dtype), self.tol, maxiter)
         return out
 
-    def solve(self, rhs, adjoint=False):
-        if adjoint:
-            return self._solve_with(self.data_adj, self.diag_adj, rhs)
-        return self._solve_with(self.data, self.diag, rhs)
-
 
 # --- driver glue ---------------------------------------------------------------
 
 
-class _SparseOps:
+class _SparseOps(_Ops):
     """Backend ops of the CSR drivers.
 
     With the direct solver, the first ``factorize`` of a contour shift
@@ -485,6 +466,7 @@ class _SparseOps:
     """
 
     def __init__(self, a_full, b_full, solver, iter_tol, shifts):
+        super().__init__(a_full, b_full)
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.solver = solver
         self.iter_tol = iter_tol
@@ -497,9 +479,6 @@ class _SparseOps:
         # adjoint flag -> [factor, right-hand side, sweep output, requests served]
         self._solutions = {False: None, True: None}
         self._lock = threading.Lock()
-        self._a0 = (np.asarray(a_full.ia - 1), np.asarray(a_full.ja - 1), a_full.values)
-        self._b0 = None if b_full is None else (
-            np.asarray(b_full.ia - 1), np.asarray(b_full.ja - 1), b_full.values)
 
     def _factor(self, shifts):
         return _SparseFactor(
@@ -531,59 +510,31 @@ class _SparseOps:
                 self._solutions[adjoint] = None
             return batch.pick(held[2], shift)
 
-    def solve(self, factor, rhs):
-        return self._solve(factor, rhs, adjoint=False)
+    _multiply = staticmethod(csr_matvec)
 
-    def solve_adjoint(self, factor, rhs):
-        return self._solve(factor, rhs, adjoint=True)
 
-    def multiply_a(self, x):
-        ip, ind, dat = self._a0
-        return _csr_block_matvec(ip, ind, dat, x)
-
-    def multiply_b(self, x):
-        if self._b0 is None:
-            return x.copy()
-        ip, ind, dat = self._b0
-        return _csr_block_matvec(ip, ind, dat, x)
+def _full_csr(m: CsrMatrix, dtype) -> CsrMatrix:
+    """uplo='F' form of ``m`` with values of type ``dtype``."""
+    full = m.expand_full()
+    if full.values.dtype == dtype:
+        return full
+    return CsrMatrix(full.n, full.ia, full.ja, full.values.astype(dtype), "F")
 
 
 def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
-    options = options or SolverOptions()
-    fpm = fpm if fpm is not None else feastinit()
     if not isinstance(a, CsrMatrix):
         raise TypeError("a must be a CsrMatrix")
     if b is not None and not isinstance(b, CsrMatrix):
         raise TypeError("b must be a CsrMatrix")
-    n = a.n
-
-    kernel_cls = HermitianRci if hermitian else SymmetricRci
-    extra = {"adjoint_capable": True} if hermitian else {}
-    rdtype = np.float32 if a.values.dtype in (np.float32, np.complex64) else np.float64
-    scalar = (np.complex64 if rdtype == np.float32 else np.complex128) if hermitian else rdtype
-    t = ("C" if rdtype == np.float32 else "Z") if hermitian else ("S" if rdtype == np.float32 else "D")
-    routine = f"{t}FEAST_{'HCSR' if hermitian else 'SCSR'}{'GV' if b is not None else 'EV'}"
-    kernel = kernel_cls(n, m0, emin, emax, fpm, seed=options.seed,
-                        block_size=options.block_size, dtype=scalar,
-                        routine_name=routine, **extra)
-    if b is not None and b.n != n:
-        kernel.abort(-106)
-        return kernel.result
+    kernel, options, (a_full, b_full) = setup(
+        "HCSR" if hermitian else "SCSR", hermitian, a.values.dtype, a.n, b is not None,
+        emin, emax, m0, fpm, options, x0,
+        checks=((-106, lambda: b is not None and b.n != a.n),),
+        operands=lambda dtype: [None if m is None else _full_csr(m, dtype) for m in (a, b)],
+        finite=(-103, -106))
     if kernel.done:
         return kernel.result
-
-    a_full = a.expand_full()
-    b_full = None if b is None else b.expand_full()
-    if a_full.values.dtype != scalar:
-        a_full = CsrMatrix(n, a_full.ia, a_full.ja, a_full.values.astype(scalar), "F")
-    if b_full is not None and b_full.values.dtype != scalar:
-        b_full = CsrMatrix(n, b_full.ia, b_full.ja, b_full.values.astype(scalar), "F")
-    if fpm.slot(5) == 1:
-        if x0 is None:
-            raise ValueError("fpm(5)=1 requires an initial subspace x0")
-        kernel.x[:, :] = np.asarray(x0)[:, :m0]
-    contour = build_contour(gauss_legendre(fpm.slot(2)), kernel.emin, kernel.emax)
-    ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol, contour.z)
+    ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol, kernel.contour.z)
     return run_rci(kernel, ops, options)
 
 

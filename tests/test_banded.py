@@ -69,6 +69,17 @@ def test_band_storage_layout_from_reference_pattern():
     assert np.array_equal(_dense_from_full_band(fb), a)
 
 
+@pytest.mark.parametrize("uplo", ["F", "L", "U"])
+def test_expand_band_into_a_wider_band(rng, uplo):
+    a = _random_band(7, 2, rng, complex_=True)
+    fb = expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True)
+    wide = expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True, width=4)
+    assert wide.shape == (9, 7)
+    assert np.array_equal(wide[2:7], fb)
+    assert not wide[:2].any() and not wide[7:].any()
+    assert np.array_equal(_dense_from_full_band(wide), a)
+
+
 def test_banded_spectrum_matches_dense_expansion(rng):
     a = 2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
     ab = _to_band_storage(a, 1, "F")

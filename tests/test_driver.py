@@ -1,0 +1,121 @@
+"""The driver skeleton shared by the six predefined drivers: routine names,
+non-finite operand codes, and the kernel-owned contour."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from feastlib import (
+    CsrMatrix,
+    SolverOptions,
+    feast_hb,
+    feast_hcsr,
+    feast_he,
+    feast_sb,
+    feast_scsr,
+    feast_sy,
+    feastinit,
+)
+
+HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
+
+
+def _call(driver, a, b=None, **kwargs):
+    """Run one of the six drivers on full 2x2 matrices ``a`` and ``b``."""
+    if driver in (feast_sy, feast_he):
+        return driver(a, -5.0, 5.0, 2, b=b, **kwargs)
+    if driver in (feast_sb, feast_hb):
+        band = lambda m: np.array([[0, m[0, 1]], [m[0, 0], m[1, 1]], [m[1, 0], 0]], dtype=m.dtype)
+        extra = {} if b is None else {"b": band(b), "klb": 1}
+        return driver(band(a), 1, -5.0, 5.0, 2, **extra, **kwargs)
+    csr = CsrMatrix.from_dense
+    return driver(csr(a), -5.0, 5.0, 2, b=None if b is None else csr(b), **kwargs)
+
+
+# Driver, its name stem, the real/complex input type, and the info codes
+# for a non-finite A and B (the FEAST argument positions of A and B).
+DRIVERS = [
+    (feast_sy, "SY", np.float64, -103, -105),
+    (feast_he, "HE", np.complex128, -103, -105),
+    (feast_sb, "SB", np.float64, -104, -107),
+    (feast_hb, "HB", np.complex128, -104, -107),
+    (feast_scsr, "SCSR", np.float64, -103, -106),
+    (feast_hcsr, "HCSR", np.complex128, -103, -106),
+]
+DRIVER_IDS = [d[1] for d in DRIVERS]
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("single", [False, True], ids=["double", "single"])
+@pytest.mark.parametrize("generalized", [False, True], ids=["EV", "GV"])
+def test_routine_name_in_header(capsys, driver, stem, dtype, code_a, code_b, single,
+                                generalized):
+    if single:
+        dtype = np.complex64 if dtype == np.complex128 else np.float32
+    fpm = feastinit()
+    fpm.set_slot(1, 1)
+    b = 2.0 * np.eye(2, dtype=dtype) if generalized else None
+    result = _call(driver, HELLO.astype(dtype), b, fpm=fpm)
+    assert result.info == 0
+    if dtype in (np.float32, np.float64):
+        letter = "S" if single else "D"
+    else:
+        letter = "C" if single else "Z"
+    routine = f"Routine {letter}FEAST_{stem}{'GV' if generalized else 'EV'}"
+    assert routine in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("operand", ["A", "B"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_nonfinite_operand_returns_argument_code(driver, stem, dtype, code_a, code_b,
+                                                 operand, bad):
+    a = HELLO.astype(dtype)
+    b = np.eye(2, dtype=dtype)
+    (a if operand == "A" else b)[1, 0] = (a if operand == "A" else b)[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _call(driver, a, b)
+    assert result.info == (code_a if operand == "A" else code_b)
+    assert result.m == 0 and result.loop == 0
+
+
+def test_nonfinite_entry_outside_referenced_triangle_is_ignored():
+    a = HELLO.copy()
+    a[0, 1] = np.nan  # upper triangle, never read for uplo='L'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = feast_sy(a, -5.0, 5.0, 2, uplo="L")
+    assert result.info == 0
+    assert np.allclose(result.e[:2], [1.0, 3.0])
+
+
+def test_argument_codes_take_precedence_over_nonfinite_values():
+    a = HELLO.copy()
+    a[0, 0] = np.nan
+    assert feast_sy(a, -5.0, 5.0, 2, uplo="X").info == -101
+    # The kernel's own checks run before the operands are read.
+    assert feast_sy(a, -5.0, 5.0, 3).info == 201
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_factorized_shifts_are_the_kernel_contour(monkeypatch, workers):
+    import feastlib.dense
+
+    original = feastlib.dense.run_rci
+    seen = []
+    contour = []
+
+    def recording(kernel, ops, options):
+        factorize = ops.factorize
+        ops.factorize = lambda z: seen.append(z) or factorize(z)
+        contour.extend(complex(z) for z in kernel.contour.z)
+        return original(kernel, ops, options)
+
+    monkeypatch.setattr(feastlib.dense, "run_rci", recording)
+    result = feast_sy(HELLO, -5.0, 5.0, 2, options=SolverOptions(parallel_contour=workers))
+    assert result.info == 0
+    assert len(contour) == feastinit().slot(2)
+    assert sorted(seen, key=abs) == sorted(contour, key=abs)
+    assert set(seen) == set(contour)

@@ -105,6 +105,16 @@ def test_from_coo_sums_duplicates():
     assert m.values.tolist() == [2.0, 5.0]
 
 
+
+def test_from_dense_keeps_nonfinite_entries():
+    a = np.array([[2.0, np.nan, 0.0], [np.nan, np.inf, 1e-3], [0.0, 1e-3, 1.0]])
+    m = CsrMatrix.from_dense(a, tol=1e-2)
+    assert m.ja.tolist() == [1, 2, 1, 2, 3]
+    assert np.array_equal(m.to_dense(), np.where(np.abs(a) <= 1e-2, 0.0, a), equal_nan=True)
+    lower = CsrMatrix.from_dense(a, "L")
+    assert lower.nnz == 5
+    assert np.isnan(lower.values[1])
+
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_from_coo_permutation_invariant(r):
