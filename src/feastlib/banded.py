@@ -173,7 +173,7 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
                 for m, k in ((a, kla), (b, klb))]
 
     kernel, options, (fa, fb) = setup(
-        "HB" if hermitian else "SB", hermitian, a.dtype, n, b is not None,
+        "HB" if hermitian else "SB", hermitian, (a.dtype, None if b is None else b.dtype), n,
         emin, emax, m0, fpm, options, x0,
         checks=((-101, lambda: uplo not in UPLOS),
                 (-103, lambda: not 0 <= kla <= max(n - 1, 0)),

@@ -527,7 +527,8 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
     if b is not None and not isinstance(b, CsrMatrix):
         raise TypeError("b must be a CsrMatrix")
     kernel, options, (a_full, b_full) = setup(
-        "HCSR" if hermitian else "SCSR", hermitian, a.values.dtype, a.n, b is not None,
+        "HCSR" if hermitian else "SCSR", hermitian,
+        (a.values.dtype, None if b is None else b.values.dtype), a.n,
         emin, emax, m0, fpm, options, x0,
         checks=((-106, lambda: b is not None and b.n != a.n),),
         operands=lambda dtype: [None if m is None else _full_csr(m, dtype) for m in (a, b)],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from feastlib import SolverOptions, feast_he, feast_sy, feastinit
-from feastlib.dense import expand_uplo, lu_factor, lu_solve
+from feastlib import SingularMatrixError, SolverOptions, feast_he, feast_sy, feastinit
+from feastlib.dense import NB, expand_uplo, lu_factor, lu_solve
 from feastlib.quadrature import build_contour, gauss_legendre
 
 from conftest import gap_interval, random_hermitian, random_symmetric
@@ -16,6 +16,60 @@ def test_lu_solve_random_complex(rng):
         b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
         x = lu_solve(lu_factor(a), b)
         assert np.abs(a @ x - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
+
+
+def _unblocked_lu_factor(a):
+    """Reference: the column-by-column LU with one rank-1 update per step."""
+    lu = np.array(a, copy=True)
+    n = lu.shape[0]
+    piv = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if lu[p, k] == 0:
+            raise SingularMatrixError(f"zero pivot at column {k}")
+        piv[k] = p
+        if p != k:
+            lu[[k, p], :] = lu[[p, k], :]
+        if k + 1 < n:
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, piv
+
+
+BLOCK_EDGE_SIZES = (1, NB - 1, NB, NB + 1, 2 * NB + 3)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_blocked_lu_matches_unblocked_reference(rng, n, complex_):
+    a = rng.normal(size=(n, n))
+    if complex_:
+        a = a + 1j * rng.normal(size=(n, n))
+    lu, piv = lu_factor(a)
+    ref_lu, ref_piv = _unblocked_lu_factor(a)
+    assert np.array_equal(piv, ref_piv)
+    assert np.abs(lu - ref_lu).max() <= 1e-12 * np.abs(ref_lu).max()
+
+    b = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    for adjoint, op in ((False, a), (True, a.conj().T)):
+        x = lu_solve((lu, piv), b, adjoint=adjoint)
+        scale = np.abs(op).max() * np.abs(x).max() * n
+        assert np.abs(op @ x - b).max() <= 1e-12 * scale
+        x0 = lu_solve((lu, piv), b[:, 0], adjoint=adjoint)
+        assert x0.shape == (n,)
+        assert np.abs(x0 - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("column", [0, NB - 1, NB + 1, 2 * NB + 2])
+def test_blocked_lu_zero_column_names_the_reference_column(rng, column):
+    n = 2 * NB + 3
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a[:, column] = 0
+    with pytest.raises(SingularMatrixError) as ref:
+        _unblocked_lu_factor(a)
+    with pytest.raises(SingularMatrixError) as blocked:
+        lu_factor(a)
+    assert str(blocked.value) == str(ref.value) == f"zero pivot at column {column}"
 
 
 def test_adjoint_solve_matches_fresh_adjoint_factorization(rng):

@@ -119,3 +119,69 @@ def test_factorized_shifts_are_the_kernel_contour(monkeypatch, workers):
     assert len(contour) == feastinit().slot(2)
     assert sorted(seen, key=abs) == sorted(contour, key=abs)
     assert set(seen) == set(contour)
+
+
+COMPLEX_HELLO = np.array([[2.0, -1.0 + 1.0j], [-1.0 - 1.0j, 2.0]])
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("operand", ["A", "B"])
+def test_complex_operand_of_real_driver_returns_argument_code(driver, stem, dtype, code_a,
+                                                              code_b, operand):
+    a = COMPLEX_HELLO if operand == "A" else HELLO.astype(dtype)
+    b = np.eye(2, dtype=complex) if operand == "B" else np.eye(2, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _call(driver, a, b)
+    if dtype == np.complex128:
+        # The Hermitian drivers take complex operands as they are.
+        assert result.info == 0
+        expected = [2.0 - np.sqrt(2.0), 2.0 + np.sqrt(2.0)] if operand == "A" else [1.0, 3.0]
+        assert np.allclose(result.e[:2], expected)
+    else:
+        assert result.info == (code_a if operand == "A" else code_b)
+        assert result.m == 0 and result.loop == 0
+
+
+WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", WARM_DRIVERS,
+                         ids=[d[1] for d in WARM_DRIVERS])
+@pytest.mark.parametrize("x0", [
+    np.ones((3, 2)),                      # N+1 rows
+    np.ones((2, 1)),                      # fewer than M0 columns
+    np.ones(2),                           # not 2-D
+    np.ones((1, 2, 2)),                   # not 2-D
+    np.full((2, 2), np.nan),
+    np.array([[1.0, 0.0], [0.0, np.inf]]),
+    np.array([["a", "b"], ["c", "d"]]),   # not numbers
+], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings"])
+def test_invalid_x0_returns_fpm5_code(driver, stem, dtype, code_a, code_b, x0):
+    fpm = feastinit()
+    fpm.set_slot(5, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _call(driver, HELLO.astype(dtype), fpm=fpm, x0=x0)
+    assert result.info == 105
+    assert result.m == 0 and result.loop == 0
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", WARM_DRIVERS,
+                         ids=[d[1] for d in WARM_DRIVERS])
+def test_x0_columns_past_m0_are_ignored(driver, stem, dtype, code_a, code_b):
+    fpm = feastinit()
+    fpm.set_slot(5, 1)
+    x0 = np.array([[1.0, 1.0, np.nan], [1.0, -1.0, np.nan]])
+    result = _call(driver, HELLO.astype(dtype), fpm=fpm, x0=x0)
+    assert result.info == 0
+    assert np.allclose(result.e[:2], [1.0, 3.0])
+
+
+def test_complex_x0_of_real_driver_returns_fpm5_code():
+    fpm = feastinit()
+    fpm.set_slot(5, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = feast_sy(HELLO, -5.0, 5.0, 2, fpm=fpm, x0=np.eye(2) * (1 + 1j))
+    assert result.info == 105
