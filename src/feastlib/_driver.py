@@ -12,6 +12,7 @@ mode.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -35,8 +36,10 @@ class SolverOptions:
         helps the dense backend, whose blocked LU runs its updates as BLAS
         matrix products that release the GIL (n=400, 2 cores, one BLAS
         thread: 0.30 s with 1 worker, 0.26 s with 2); it does nothing for
-        the CSR direct backend, which factorizes all shifts in one batch
-        anyway.
+        the CSR direct and banded backends, which factorize the contour
+        shifts in batches anyway.  Workers and BLAS threads share the
+        cores: use one BLAS thread with workers (with two on 2 cores, the
+        same dense problem took 0.38 s with 1 worker and 0.62 s with 2).
     solver: 'direct' or 'iterative' (sparse backend only).
     iter_tol: relative residual target of the iterative inner solver.
     block_size: columns per multiply request (None = full subspace).
@@ -106,13 +109,37 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
 class _Ops:
     """Backend protocol of ``run_rci``.  A backend keeps the full-storage
     operands as ``a`` and ``b`` (None: B is the identity) and adds
-    ``factorize(z)`` of z*B - A, ``_solve(factor, rhs, adjoint)`` and
-    ``_multiply(matrix, x)``."""
+    ``_solve(factor, rhs, adjoint)``, ``_multiply(matrix, x)`` and either
+    its own ``factorize(z)`` of z*B - A or ``_factor(shifts)``.
 
-    def __init__(self, a, b, cdtype=None):
+    With ``_factor``, the first ``factorize`` of a contour shift factorizes
+    all ``shifts`` under a lock (concurrent callers wait for it), in
+    batches of ``_batch_size()`` shifts, one ``_factor`` call per batch;
+    every call returns a (batch, shift index) handle, and a shift off the
+    contour gets a batch of one.
+    """
+
+    def __init__(self, a, b, cdtype=None, shifts=()):
         self.a = a
         self.b = b
         self.cdtype = cdtype
+        self._shifts = [complex(z) for z in shifts]
+        self._batches = None
+        self._lock = threading.Lock()
+
+    def _batch_size(self):
+        return len(self._shifts)
+
+    def factorize(self, z):
+        if z not in self._shifts:
+            return self._factor([z]), 0
+        g = self._batch_size()
+        with self._lock:
+            if self._batches is None:
+                self._batches = [self._factor(self._shifts[i:i + g])
+                                 for i in range(0, len(self._shifts), g)]
+        i = self._shifts.index(z)
+        return self._batches[i // g], i % g
 
     def solve(self, factor, rhs):
         return self._solve(factor, rhs, False)

@@ -1,8 +1,10 @@
-"""Banded drivers: LAPACK-style band storage, band LU with partial pivoting
-(kl extra fill rows), band multiplies, and the feast_sb / feast_hb entry
-points."""
+"""Banded drivers: LAPACK-style band storage, shift-batched band LU with
+partial pivoting (kl extra fill rows), band multiplies, and the feast_sb /
+feast_hb entry points."""
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -59,49 +61,86 @@ def band_matvec(fb: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+# numpy advises huge pages (madvise MADV_HUGEPAGE) for an array of this many
+# bytes or more; the pivot-fill rows of such a batch become resident even
+# where no shift pivots, while in a smaller array they are never touched.
+HUGE_PAGE_BYTES = 1 << 22
+
+
+def _band_lu_batch(ab: np.ndarray, kl: int) -> np.ndarray:
+    """LU with partial pivoting, in place, of the g band matrices of the
+    (3*kl+1, g, n) array ``ab``: shift s holds its matrix in expand_band
+    layout in ``ab[kl:, s]`` and zeros in the kl pivot-fill rows above.
+    Returns the (g, n) pivot rows.
+
+    Pivots are chosen per shift and the rare row interchanges done per
+    shift; the rank-1 update of each column is one operation over every
+    shift.  Each shift's arithmetic is that of the one-shift LU, so its
+    factor is bitwise the one it gets alone, up to the sign of exact zeros
+    (a zero multiplier is not skipped).
+    """
+    _, g, n = ab.shape
+    kv = 2 * kl
+    step = ab.itemsize
+    every = np.arange(g)
+    ipiv = np.tile(np.arange(n), (g, 1))
+    ju = np.zeros(g, dtype=np.intp)  # per shift: last column U's rows reach so far
+    for j in range(n):
+        km = min(kl, n - 1 - j)
+        col = ab[kv:kv + km + 1, :, j]
+        jp = np.argmax(np.abs(col), axis=0)
+        zero = col[jp, every] == 0
+        if zero.any():
+            raise SingularMatrixError(
+                f"zero pivot at band column {j} (shift {int(np.argmax(zero))})")
+        ipiv[:, j] += jp
+        np.maximum(ju, np.minimum(j + kl + jp, n - 1), out=ju)
+        for s in np.flatnonzero(jp):
+            cols = np.arange(j, ju[s] + 1)
+            hi = kv + jp[s] + j - cols
+            lo = kv + j - cols
+            ab[hi, s, cols], ab[lo, s, cols] = ab[lo, s, cols], ab[hi, s, cols]
+        if km > 0:
+            col[1:] /= col[0]
+            # window[t, u, s] = A_s[j + t, j + 1 + u] for u < max(ju) - j:
+            # row t = 0 is U's row j, rows 1..km take the rank-1 update.
+            window = np.ndarray((km + 1, int(ju.max()) - j, g), ab.dtype, ab,
+                                ((kv - 1) * g * n + j + 1) * step,
+                                (g * n * step, (1 - g * n) * step, n * step))
+            window[1:] -= col[1:, np.newaxis] * window[0]
+    return ipiv
+
+
 def band_lu_factor(fb: np.ndarray, kl: int):
     """LU with partial pivoting of a band matrix in expand_band layout.
 
-    Pivoting fills up to kl extra superdiagonals; the working array carries
-    2*kl superdiagonal rows in total.  Returns (ab, ipiv, kl).
+    The factor is a one-shift batch: the handle ``((ab, ipiv, kl), 0)``
+    that band_lu_solve takes.  Pivoting fills up to kl extra
+    superdiagonals, kept in kl rows above the band.
     """
     n = fb.shape[1]
-    ku = kl
-    kv = kl + ku
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(fb.dtype, np.complex64))
-    ab[kl:, :] = fb
-    ipiv = np.arange(n)
-    ju = 0
-    for j in range(n):
-        km = min(kl, n - 1 - j)
-        jp = int(np.argmax(np.abs(ab[kv:kv + km + 1, j])))
-        piv_val = ab[kv + jp, j]
-        if piv_val == 0:
-            raise SingularMatrixError(f"zero pivot at band column {j}")
-        ipiv[j] = j + jp
-        ju = max(ju, min(j + ku + jp, n - 1))
-        if jp != 0:
-            cols = np.arange(j, ju + 1)
-            hi = kv + jp + j - cols
-            lo = kv + j - cols
-            tmp = ab[hi, cols].copy()
-            ab[hi, cols] = ab[lo, cols]
-            ab[lo, cols] = tmp
-        if km > 0:
-            ab[kv + 1:kv + 1 + km, j] /= ab[kv, j]
-            lcol = ab[kv + 1:kv + 1 + km, j]
-            for c in range(j + 1, ju + 1):
-                ujc = ab[kv + j - c, c]
-                if ujc != 0:
-                    ab[kv + j - c + 1:kv + j - c + 1 + km, c] -= lcol * ujc
-    return ab, ipiv, kl
+    ab = np.zeros((3 * kl + 1, 1, n), dtype=np.result_type(fb.dtype, np.complex64))
+    ab[kl:, 0] = fb
+    return (ab, _band_lu_batch(ab, kl), kl), 0
 
 
 def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Solve A x = b (or A^H x = b) from a band_lu_factor result."""
-    ab, ipiv, kl = factor
-    n = ab.shape[1]
+    """Solve A x = b (or A^H x = b) for shift s of a factored batch; the
+    factor is the handle ``((ab, ipiv, kl), s)``.
+
+    U is read only to the bandwidth its pivots produced, ku = kl plus the
+    largest pivot offset: without pivoting its upper kl rows are zeros.
+    """
+    (ab, ipiv, kl), s = factor
+    _, g, n = ab.shape
     kv = 2 * kl
+    piv = ipiv[s]
+    ku = kl + int((piv - np.arange(n)).max())
+    band = ab[:, s]
+    step = ab.itemsize
+    # urow[j, t] = U[j, j + t]; entries past column n - 1 are never read.
+    urow = np.ndarray((n, ku + 1), ab.dtype, ab, (kv * g * n + s * n) * step,
+                      (step, (1 - g * n) * step))
     x = np.array(b, copy=True)
     if x.ndim == 1:
         x = x[:, np.newaxis]
@@ -111,51 +150,59 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     if not adjoint:
         if kl > 0:
             for j in range(n - 1):
-                p = ipiv[j]
+                p = piv[j]
                 if p != j:
                     x[[j, p]] = x[[p, j]]
                 km = min(kl, n - 1 - j)
-                if km:
-                    x[j + 1:j + 1 + km] -= ab[kv + 1:kv + 1 + km, j][:, np.newaxis] * x[j]
+                x[j + 1:j + 1 + km] -= band[kv + 1:kv + 1 + km, j][:, np.newaxis] * x[j]
         for j in range(n - 1, -1, -1):
-            x[j] /= ab[kv, j]
-            lm = min(kv, j)
-            if lm:
-                x[j - lm:j] -= ab[kv - lm:kv, j][:, np.newaxis] * x[j]
+            k = min(ku, n - 1 - j)
+            if k:
+                x[j] -= urow[j, 1:1 + k] @ x[j + 1:j + 1 + k]
+            x[j] /= urow[j, 0]
     else:
         # (LU)^H: forward through U^H, then L^H with interchanges in reverse.
         for j in range(n):
-            lm = min(kv, j)
+            lm = min(ku, j)
             if lm:
-                x[j] -= ab[kv - lm:kv, j].conj() @ x[j - lm:j]
-            x[j] /= ab[kv, j].conjugate()
+                x[j] -= band[kv - lm:kv, j].conj() @ x[j - lm:j]
+            x[j] /= band[kv, j].conjugate()
         if kl > 0:
             for j in range(n - 2, -1, -1):
                 km = min(kl, n - 1 - j)
-                if km:
-                    x[j] -= ab[kv + 1:kv + 1 + km, j].conj() @ x[j + 1:j + 1 + km]
-                p = ipiv[j]
+                x[j] -= band[kv + 1:kv + 1 + km, j].conj() @ x[j + 1:j + 1 + km]
+                p = piv[j]
                 if p != j:
                     x[[j, p]] = x[[p, j]]
     return x[:, 0] if squeeze else x
 
 
 class _BandedOps(_Ops):
-    """Ops on full-band A and B (expand_band layout) of one bandwidth."""
+    """Ops on full-band A and B (expand_band layout) of one bandwidth.
 
-    def factorize(self, z):
+    The contour shifts are factorized in batches of as many shifts as keep
+    one batch array under HUGE_PAGE_BYTES (at least one).
+    """
+
+    def _batch_size(self):
         kl = (self.a.shape[0] - 1) // 2
-        shifted = np.zeros(self.a.shape, dtype=self.cdtype)
-        shifted -= self.a
-        if self.b is None:
-            shifted[kl, :] += z
-        else:
-            shifted += z * self.b
-        return band_lu_factor(shifted, kl)
+        per_shift = (3 * kl + 1) * self.a.shape[1] * np.dtype(self.cdtype).itemsize
+        return max(1, (HUGE_PAGE_BYTES - 1) // per_shift)
 
-    def _solve(self, factor, rhs, adjoint):
-        return band_lu_solve(factor, rhs, adjoint)
+    def _factor(self, shifts):
+        rows, n = self.a.shape
+        kl = (rows - 1) // 2
+        ab = np.zeros((3 * kl + 1, len(shifts), n), dtype=self.cdtype)
+        for s, z in enumerate(shifts):
+            shifted = ab[kl:, s]
+            shifted -= self.a
+            if self.b is None:
+                shifted[kl] += z
+            else:
+                shifted += z * self.b
+        return ab, _band_lu_batch(ab, kl), kl
 
+    _solve = staticmethod(band_lu_solve)
     _multiply = staticmethod(band_matvec)
 
 
@@ -164,6 +211,10 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
     a = np.asarray(a)
     b = None if b is None else np.asarray(b)
     n = a.shape[1] if a.ndim == 2 else 0
+
+    def bandwidth_ok(k):
+        # numbers.Integral covers Python and numpy integers, not None or floats.
+        return isinstance(k, numbers.Integral) and 0 <= k <= max(n - 1, 0)
 
     def operands(dtype):
         # Both operands share the wider bandwidth, as the shifted matrix does.
@@ -176,15 +227,15 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
         "HB" if hermitian else "SB", hermitian, (a.dtype, None if b is None else b.dtype), n,
         emin, emax, m0, fpm, options, x0,
         checks=((-101, lambda: uplo not in UPLOS),
-                (-103, lambda: not 0 <= kla <= max(n - 1, 0)),
+                (-103, lambda: not bandwidth_ok(kla)),
                 (-105, lambda: a.ndim != 2 or a.shape[0] < band_required_rows(kla, uplo)),
-                (-106, lambda: b is not None and (klb is None or not 0 <= klb <= max(n - 1, 0))),
+                (-106, lambda: b is not None and not bandwidth_ok(klb)),
                 (-108, lambda: b is not None and (b.ndim != 2 or b.shape[1] != n
                                                   or b.shape[0] < band_required_rows(klb, uplo)))),
         operands=operands, finite=(-104, -107))
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _BandedOps(fa, fb, kernel._cdtype), options)
+    return run_rci(kernel, _BandedOps(fa, fb, kernel._cdtype, kernel.contour.z), options)
 
 
 def feast_sb(a, kla, emin, emax, m0, *, uplo="F", b=None, klb=None,

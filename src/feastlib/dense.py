@@ -139,7 +139,7 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
     b = None if b is None else np.asarray(b)
     kernel, options, (a_full, b_full) = setup(
         "HE" if hermitian else "SY", hermitian, (a.dtype, None if b is None else b.dtype),
-        a.shape[0], emin, emax, m0, fpm, options, x0,
+        a.shape[0] if a.ndim == 2 else 0, emin, emax, m0, fpm, options, x0,
         checks=((-101, lambda: uplo not in UPLOS),
                 (-104, lambda: a.ndim != 2 or a.shape[0] != a.shape[1]),
                 (-106, lambda: b is not None and b.shape != a.shape)),

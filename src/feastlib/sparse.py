@@ -13,7 +13,6 @@ solution it would get alone.
 from __future__ import annotations
 
 import heapq
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -455,18 +454,16 @@ class _IterativeFactor:
 class _SparseOps(_Ops):
     """Backend ops of the CSR drivers.
 
-    With the direct solver, the first ``factorize`` of a contour shift
-    factorizes all ``shifts`` in one batch and every call returns a
-    (batch, shift index) handle; a shift off the contour gets a batch of
-    one.  Per solve direction, the batched solution of the last right-hand
-    side is kept with that right-hand side: a request with an equal one is
-    served from it, any other runs a new batched sweep.  The solution is
-    dropped after as many requests as there are shifts, so that it is not
-    held through the rest of the refinement loop.
+    With the direct solver, all contour ``shifts`` are factorized in one
+    batch (see ``_Ops``).  Per solve direction, the batched solution of the
+    last right-hand side is kept with that right-hand side: a request with
+    an equal one is served from it, any other runs a new batched sweep.
+    The solution is dropped after as many requests as there are shifts, so
+    that it is not held through the rest of the refinement loop.
     """
 
     def __init__(self, a_full, b_full, solver, iter_tol, shifts):
-        super().__init__(a_full, b_full)
+        super().__init__(a_full, b_full, shifts=shifts)
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.solver = solver
         self.iter_tol = iter_tol
@@ -474,11 +471,8 @@ class _SparseOps(_Ops):
         if solver == "direct":
             self.symbolic = _SparseSymbolic(
                 self.pattern.n, self.pattern.indptr, self.pattern.indices)
-        self._shifts = [complex(z) for z in shifts]
-        self._batch = None
         # adjoint flag -> [factor, right-hand side, sweep output, requests served]
         self._solutions = {False: None, True: None}
-        self._lock = threading.Lock()
 
     def _factor(self, shifts):
         return _SparseFactor(
@@ -487,12 +481,7 @@ class _SparseOps(_Ops):
     def factorize(self, z):
         if self.solver != "direct":
             return _IterativeFactor(self.pattern, z, self.iter_tol)
-        if z not in self._shifts:
-            return self._factor([z]), 0
-        with self._lock:
-            if self._batch is None:
-                self._batch = self._factor(self._shifts)
-        return self._batch, self._shifts.index(z)
+        return super().factorize(z)
 
     def _solve(self, factor, rhs, adjoint):
         if self.solver != "direct":

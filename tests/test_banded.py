@@ -1,13 +1,21 @@
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from feastlib import feast_hb, feast_sb, feast_sy
+from feastlib import SingularMatrixError, SolverOptions, feast_hb, feast_sb, feast_sy
 from feastlib.banded import (
+    HUGE_PAGE_BYTES,
+    _BandedOps,
     band_lu_factor,
     band_lu_solve,
     band_matvec,
     expand_band,
 )
+from feastlib.quadrature import build_contour, gauss_legendre
 
 from conftest import gap_interval
 
@@ -201,3 +209,232 @@ def test_banded_argument_errors():
     assert feast_sb(np.zeros((2, 4)), 1, 0.0, 1.0, 2).info == -105  # needs 3 rows
     assert feast_sb(ab, 1, 0.0, 1.0, 2, b=np.zeros((3, 4)), klb=None).info == -106
     assert feast_sb(ab, 1, 0.0, 1.0, 2, b=np.zeros((2, 4)), klb=1).info == -108
+
+
+def test_bandwidth_must_be_an_integer():
+    ab = np.zeros((3, 4))
+    b = np.eye(4)[:1].repeat(3, axis=0)
+    for driver, dtype in ((feast_sb, float), (feast_hb, complex)):
+        a = ab.astype(dtype)
+        for kla in (1.0, None, "1"):
+            assert driver(a, kla, 0.0, 1.0, 2).info == -103
+        for klb in (1.0, None, "1"):
+            assert driver(a, 1, 0.0, 1.0, 2, b=b.astype(dtype), klb=klb).info == -106
+        # numpy integers are bandwidths too.
+        assert driver(a, np.int64(1), 0.0, 1.0, 2).info == driver(a, 1, 0.0, 1.0, 2).info != -103
+
+
+# --- shift-batched band LU ------------------------------------------------------
+
+
+def _column_band_lu_factor(fb, kl):
+    """The one-shift, column-by-column band LU the batch replaced: row
+    kv + i - j of the (3*kl+1, n) result holds A[i, j], kv = 2*kl."""
+    n = fb.shape[1]
+    kv = 2 * kl
+    ab = np.zeros((3 * kl + 1, n), dtype=np.result_type(fb.dtype, np.complex64))
+    ab[kl:, :] = fb
+    ipiv = np.arange(n)
+    ju = 0
+    for j in range(n):
+        km = min(kl, n - 1 - j)
+        jp = int(np.argmax(np.abs(ab[kv:kv + km + 1, j])))
+        if ab[kv + jp, j] == 0:
+            raise SingularMatrixError(f"zero pivot at band column {j}")
+        ipiv[j] = j + jp
+        ju = max(ju, min(j + kl + jp, n - 1))
+        if jp != 0:
+            cols = np.arange(j, ju + 1)
+            hi, lo = kv + jp + j - cols, kv + j - cols
+            ab[hi, cols], ab[lo, cols] = ab[lo, cols], ab[hi, cols]
+        if km > 0:
+            ab[kv + 1:kv + 1 + km, j] /= ab[kv, j]
+            for c in range(j + 1, ju + 1):
+                ujc = ab[kv + j - c, c]
+                if ujc != 0:
+                    ab[kv + j - c + 1:kv + j - c + 1 + km, c] -= ab[kv + 1:kv + 1 + km, j] * ujc
+    return ab, ipiv
+
+
+def _column_band_lu_solve(ab, ipiv, kl, b, adjoint):
+    """Solve with a _column_band_lu_factor result, reading U to 2*kl."""
+    n = ab.shape[1]
+    kv = 2 * kl
+    x = np.array(b, dtype=ab.dtype)
+    if not adjoint:
+        for j in range(n - 1):
+            x[[j, ipiv[j]]] = x[[ipiv[j], j]]
+            km = min(kl, n - 1 - j)
+            x[j + 1:j + 1 + km] -= ab[kv + 1:kv + 1 + km, j][:, np.newaxis] * x[j]
+        for j in range(n - 1, -1, -1):
+            x[j] /= ab[kv, j]
+            lm = min(kv, j)
+            x[j - lm:j] -= ab[kv - lm:kv, j][:, np.newaxis] * x[j]
+    else:
+        for j in range(n):
+            lm = min(kv, j)
+            x[j] -= ab[kv - lm:kv, j].conj() @ x[j - lm:j]
+            x[j] /= ab[kv, j].conjugate()
+        for j in range(n - 2, -1, -1):
+            km = min(kl, n - 1 - j)
+            x[j] -= ab[kv + 1:kv + 1 + km, j].conj() @ x[j + 1:j + 1 + km]
+            x[[j, ipiv[j]]] = x[[ipiv[j], j]]
+    return x
+
+
+def _dominant_band(n, kl, rng, complex_):
+    """Hermitian band matrix with diagonal 10 and off-diagonal row sums
+    below 1: a shift z pivots only when z comes close to 10."""
+    a = _random_band(n, kl, rng, complex_)
+    np.fill_diagonal(a, 0)
+    a *= 0.9 / max(np.abs(a).sum(axis=1).max(), 1e-300)
+    np.fill_diagonal(a, 10.0)
+    return expand_band(_to_band_storage(a, kl, "F"), kl, "F", complex_)
+
+
+def _check_batch_against_reference(ops, shifts, rng):
+    kl = (ops.a.shape[0] - 1) // 2
+    n = ops.a.shape[1]
+    batch = ops._factor(shifts)
+    ab, ipiv, _ = batch
+    assert ab.shape == (3 * kl + 1, len(shifts), n)
+    rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    for s, z in enumerate(shifts):
+        if ops.b is None:
+            shifted = -ops.a.astype(complex)
+            shifted[kl] += z
+        else:
+            shifted = z * ops.b - ops.a
+        want_ab, want_ipiv = _column_band_lu_factor(shifted, kl)
+        # Equal values, bitwise apart from the sign of exact zeros.
+        assert np.array_equal(ab[:, s], want_ab)
+        assert np.array_equal(ipiv[s], want_ipiv)
+        for adjoint in (False, True):
+            want = _column_band_lu_solve(want_ab, want_ipiv, kl, rhs, adjoint)
+            got = band_lu_solve((batch, s), rhs, adjoint)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    return batch
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_batched_band_lu_matches_column_reference(rng, complex_, g):
+    n, kl = 40, 3
+    fa = _random_band(n, kl, rng, complex_)
+    fb = _random_band(n, 1, rng) + 4 * np.eye(n)
+    shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
+    for b in (None, expand_band(_to_band_storage(fb, 1, "F"), 1, "F", False, kl)):
+        ops = _BandedOps(expand_band(_to_band_storage(fa, kl, "F"), kl, "F", complex_),
+                         b, np.complex128, shifts)
+        _, ipiv, _ = _check_batch_against_reference(ops, shifts, rng)
+        assert (ipiv != np.arange(n)).any()  # random bands pivot
+
+
+def test_one_pivoting_shift_in_a_batch(rng):
+    n, kl = 30, 2
+    ops = _BandedOps(_dominant_band(n, kl, rng, True), None, np.complex128, ())
+    shifts = [0.5j, 10.0 + 1e-3j, 2.0 + 0.5j]
+    ab, ipiv, _ = _check_batch_against_reference(ops, shifts, rng)
+    moved = ipiv != np.arange(n)
+    assert moved[1].any() and not moved[0].any() and not moved[2].any()
+    # Only the pivoting shift fills rows above the band and widens U.
+    assert ab[:kl, 1].any() and not ab[:kl, 0].any() and not ab[:kl, 2].any()
+    assert (ipiv[1] - np.arange(n)).max() > 0
+
+
+def test_zero_pivot_in_a_batch_names_shift_and_column(rng):
+    n, kl = 12, 2
+    fa = _dominant_band(n, kl, rng, False)
+    fa[:, 4] = 0
+    fa[kl, 4] = 3.0  # column 4 of z - A is zero at z = 3 only
+    ops = _BandedOps(fa, None, np.complex128, [1j, 3.0, 2j])  # one batch
+    with pytest.raises(SingularMatrixError, match=r"band column 4 \(shift 1\)"):
+        ops.factorize(1j)
+    ops._factor([1j, 2j])  # the other shifts factorize
+
+
+def test_singular_pencil_returns_minus_two():
+    # A = diag(2, 0, 2, 2), B = diag(1, 0, 1, 1): column 1 of z*B - A is zero
+    # at every shift.
+    a = np.zeros((3, 4))
+    a[1] = [2.0, 0.0, 2.0, 2.0]
+    b = np.array([[1.0, 0.0, 1.0, 1.0]])
+    assert feast_sb(a, 1, 0.0, 5.0, 3, b=b, klb=0).info == -2
+    assert feast_hb(a.astype(complex), 1, 0.0, 5.0, 3, b=b.astype(complex), klb=0).info == -2
+
+
+def test_generalized_banded_parallel_contour_is_bitwise(rng):
+    n, kl = 40, 3
+    fa = _random_band(n, kl, rng, True)
+    fb = 0.5 * _random_band(n, 1, rng, True) + 4 * np.eye(n)
+    for driver, a, b in ((feast_hb, fa, fb), (feast_sb, fa.real, fb.real)):
+        emin, emax = gap_interval(sla.eigh(a, b, eigvals_only=True), 10, 20)
+        ab, bb = _to_band_storage(a, kl, "L"), _to_band_storage(b, 1, "L")
+        runs = [driver(ab, kl, emin, emax, 16, uplo="L", b=bb, klb=1,
+                       options=SolverOptions(parallel_contour=w)) for w in (1, 2)]
+        assert runs[0].info == 0
+        for name in ("e", "x", "res"):
+            assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes()
+
+
+def _wide_band_ops(n=900, kl=31):
+    """Ops of a 2-D Laplacian-like pencil at the band-herm-gen benchmark's
+    size (n=900, kl=31), with the 8 contour shifts of [0, 1]."""
+    fa = np.zeros((2 * kl + 1, n), dtype=complex)
+    fa[kl] = 4.0
+    fa[kl - 1, 1:] = fa[kl + 1, :-1] = -1.0
+    fa[0, kl:] = fa[-1, :-kl] = -1.0
+    fb = np.zeros_like(fa)
+    fb[kl] = 1.0
+    shifts = build_contour(gauss_legendre(8), 0.0, 1.0).z
+    return _BandedOps(fa, fb, np.complex128, shifts), [complex(z) for z in shifts]
+
+
+def test_concurrent_factorize_shares_the_batches():
+    ops, shifts = _wide_band_ops()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ops.factorize, z) for z in shifts]
+            handles = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ops._batches) == 3
+    for i, (batch, s) in enumerate(handles):
+        assert batch is ops._batches[i // 3] and s == i % 3
+    off = ops.factorize(0.5 + 2j)  # off the contour: a batch of one
+    assert off[1] == 0 and off[0][0].shape[1] == 1
+
+
+def test_batches_stay_under_the_huge_page_threshold():
+    """No array the batched factorization allocates, kept or temporary,
+    reaches numpy's huge-page threshold at n=900, kl=31 and 8 shifts."""
+    ops, shifts = _wide_band_ops()
+    n, kl = 900, 31
+    banded = sys.modules[_BandedOps.__module__].__file__
+    largest = 0
+    last = 0
+
+    def tracer(frame, event, arg):
+        # Memory growth since the previous line of the banded module bounds
+        # any one allocation made on that line.
+        nonlocal largest, last
+        if frame.f_code.co_filename == banded:
+            current, peak = tracemalloc.get_traced_memory()
+            largest = max(largest, peak - last)
+            tracemalloc.reset_peak()
+            last = current
+            return tracer
+        return None
+
+    tracemalloc.start()
+    sys.settrace(tracer)
+    try:
+        ops.factorize(shifts[0])
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert [batch[0].shape[1] for batch in ops._batches] == [3, 3, 2]
+    assert all(batch[0].nbytes < HUGE_PAGE_BYTES for batch in ops._batches)
+    assert 3 * (3 * kl + 1) * n * 16 < largest < HUGE_PAGE_BYTES

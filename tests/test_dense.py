@@ -202,6 +202,12 @@ def test_argument_errors():
     assert feast_sy(HELLO, -5.0, 5.0, 2, b=np.eye(3)).info == -106
 
 
+def test_scalar_matrix_returns_shape_code():
+    assert feast_sy(np.float64(1.0), -5.0, 5.0, 1).info == -104
+    assert feast_he(np.complex128(1.0), -5.0, 5.0, 1).info == -104
+    assert feast_sy(1.0, -5.0, 5.0, 1).info == -104
+
+
 def test_parallel_contour_bitwise_identical(rng):
     a = random_symmetric(24, rng)
     ev = np.linalg.eigvalsh(a)
