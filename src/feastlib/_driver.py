@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import HermitianRci, RciTask, SymmetricRci
+from .params import SYMMETRY_ULPS
 
 UPLOS = ("F", "L", "U")
 
@@ -53,7 +54,7 @@ class SolverOptions:
 
 
 def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
-          checks, operands, finite):
+          checks, operands, finite, asymmetry):
     """Kernel of one driver call, its options, and its operands A and B.
 
     ``dtypes`` holds the element types of the A and B given (None for no B).
@@ -64,7 +65,12 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     operand of a real symmetric driver aborts with its code in ``finite``;
     then ``operands(scalar type)`` gives the full-storage (A, B), B None for
     a standard problem, and a NaN or infinite entry aborts with the code in
-    ``finite``.  With fpm(5)=1, an ``x0`` that is not an N x (>= M0) array
+    ``finite``.  So does an operand given in full storage (uplo='F') that is
+    not symmetric (Hermitian for a Hermitian driver): ``asymmetry(i, op)``
+    gives the largest |M[j, k] - M[k, j]| (M[k, j] conjugated for a
+    Hermitian driver) of operand i, 0 for one given as a triangle, and it
+    may not exceed SYMMETRY_ULPS machine epsilons of the kernel's precision
+    times max |M|.  With fpm(5)=1, an ``x0`` that is not an N x (>= M0) array
     of the kernel's kind (real or complex), finite in its first M0 columns,
     aborts with 105.  The operands are (None, None) when the kernel is done.
     """
@@ -88,9 +94,16 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
                 kernel.abort(code)
                 return kernel, options, (None, None)
     full = operands(kernel.x.dtype)
-    for code, op in zip(finite, full):
+    for i, (code, op) in enumerate(zip(finite, full)):
+        if op is None:
+            continue
         # A CsrMatrix operand is checked by its stored values.
-        if op is not None and not np.isfinite(getattr(op, "values", op)).all():
+        values = getattr(op, "values", op)
+        if not np.isfinite(values).all():
+            kernel.abort(code)
+            return kernel, options, (None, None)
+        skew = asymmetry(i, op)
+        if skew and skew > SYMMETRY_ULPS * np.finfo(kernel.x.dtype).eps * np.abs(values).max():
             kernel.abort(code)
             return kernel, options, (None, None)
     if kernel.fpm.slot(5) == 1:

@@ -8,6 +8,11 @@ import numpy as np
 from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
 
 
+def asymmetry(a: np.ndarray, hermitian: bool) -> float:
+    """Largest |a[j, k] - a[k, j]| (a[k, j] conjugated when hermitian)."""
+    return float(np.abs(a - (a.conj().T if hermitian else a.T)).max(initial=0))
+
+
 def expand_uplo(a: np.ndarray, uplo: str, hermitian: bool) -> np.ndarray:
     """Materialize the full symmetric/Hermitian matrix from its stored part.
 
@@ -146,7 +151,8 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
         operands=lambda dtype: [None if m is None else
                                 expand_uplo(m, uplo, hermitian).astype(dtype, copy=False)
                                 for m in (a, b)],
-        finite=(-103, -105))
+        finite=(-103, -105),
+        asymmetry=lambda i, m: asymmetry(m, hermitian) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
     return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype), options)

@@ -17,6 +17,12 @@ ALLOWED_CONTOUR_POINTS = (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
 MAX_TOL_EXP_DOUBLE = 16
 MAX_TOL_EXP_SINGLE = 8
 
+# A matrix given in full storage may differ from its (conjugate) transpose
+# by this many machine epsilons of its largest entry, the rounding of a
+# symmetric product; a larger difference is an argument error, not a
+# problem to solve as its symmetric part.
+SYMMETRY_ULPS = 4
+
 _DEFAULTS = {1: 0, 2: 8, 3: 12, 4: 20, 5: 0, 6: 0, 7: 5, 14: 0}
 
 
@@ -156,5 +162,9 @@ def info_description(info: int) -> str:
     if 100 < info < 200:
         return f"Problem with {info - 100}-th value of the input FEAST parameter (fpm({info - 100}))"
     if -200 < info < -100:
-        return f"Problem with the {-info - 100}-th argument of the FEAST interface"
+        return (f"Problem with the {-info - 100}-th argument of the FEAST interface (for a "
+                "matrix: its shape, a NaN or infinite entry, a complex matrix given to a "
+                "real driver, or in full storage, uplo='F', a matrix that is not "
+                f"symmetric/Hermitian to within {SYMMETRY_ULPS} machine epsilons of its "
+                "largest entry)")
     return f"Unknown return code {info}"

@@ -510,6 +510,21 @@ def _full_csr(m: CsrMatrix, dtype) -> CsrMatrix:
     return CsrMatrix(full.n, full.ia, full.ja, full.values.astype(dtype), "F")
 
 
+def csr_asymmetry(m: CsrMatrix, hermitian: bool) -> float:
+    """Largest |M[i, j] - M[j, i]| (M[j, i] conjugated when hermitian) of a
+    CSR matrix, an absent entry counting as zero: each stored entry is
+    looked up at its mirror position among the sorted row-major keys."""
+    if m.nnz == 0:
+        return 0.0
+    rows = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.ia))
+    cols = m.ja - 1
+    keys = rows * m.n + cols
+    mirror = cols * m.n + rows
+    at = np.minimum(np.searchsorted(keys, mirror), m.nnz - 1)
+    partner = np.where(keys[at] == mirror, m.values[at], 0)
+    return float(np.abs(m.values - (partner.conj() if hermitian else partner)).max())
+
+
 def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
     if not isinstance(a, CsrMatrix):
         raise TypeError("a must be a CsrMatrix")
@@ -521,7 +536,8 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
         emin, emax, m0, fpm, options, x0,
         checks=((-106, lambda: b is not None and b.n != a.n),),
         operands=lambda dtype: [None if m is None else _full_csr(m, dtype) for m in (a, b)],
-        finite=(-103, -106))
+        finite=(-103, -106),
+        asymmetry=lambda i, m: csr_asymmetry(m, hermitian) if (a, b)[i].uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
     ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol, kernel.contour.z)

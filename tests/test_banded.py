@@ -9,6 +9,7 @@ import scipy.linalg as sla
 from feastlib import SingularMatrixError, SolverOptions, feast_hb, feast_sb, feast_sy
 from feastlib.banded import (
     HUGE_PAGE_BYTES,
+    KB,
     _BandedOps,
     band_lu_factor,
     band_lu_solve,
@@ -438,3 +439,91 @@ def test_batches_stay_under_the_huge_page_threshold():
     assert [batch[0].shape[1] for batch in ops._batches] == [3, 3, 2]
     assert all(batch[0].nbytes < HUGE_PAGE_BYTES for batch in ops._batches)
     assert 3 * (3 * kl + 1) * n * 16 < largest < HUGE_PAGE_BYTES
+
+
+# --- panel-blocked band solves ---------------------------------------------------
+
+
+def _check_solves(fb, kl, rng):
+    """band_lu_solve against the row-loop reference (_column_band_lu_solve),
+    direct and adjoint, for one right-hand side and for a block of 5.  The
+    blocked solve sums in another order, so the tolerance is set by the
+    precision: 1e-12 relative in complex128, 1e-5 in complex64."""
+    rtol = 1e-12 if fb.dtype == np.complex128 else 1e-5
+    n = fb.shape[1]
+    factor = band_lu_factor(fb, kl)
+    want_ab, want_ipiv = _column_band_lu_factor(fb, kl)
+    for shape in ((n,), (n, 5)):
+        b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(fb.dtype)
+        for adjoint in (False, True):
+            want = _column_band_lu_solve(want_ab, want_ipiv, kl, b.reshape(n, -1), adjoint)
+            got = band_lu_solve(factor, b, adjoint)
+            assert got.shape == b.shape and got.dtype == fb.dtype
+            assert np.abs(got.reshape(n, -1) - want).max() <= rtol * np.abs(want).max()
+    return factor
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+@pytest.mark.parametrize("n, kl", [(5, 2), (2 * KB + 5, 3), (40, 0), (20, 19), (3 * KB, 31)],
+                         ids=["n<kb", "n%kb!=0", "kl=0", "kl=n-1", "kl>kb"])
+def test_blocked_solve_matches_row_loops(rng, dtype, n, kl):
+    a = _random_band(n, kl, rng, True) + np.eye(n)
+    fb = expand_band(_to_band_storage(a, kl, "F"), kl, "F", True).astype(dtype)
+    factor = _check_solves(fb, kl, rng)
+    (_, ipiv, moved), _ = factor
+    # Random bands pivot in most panels, which then solve with the window
+    # transforms kept at factor time.
+    assert sorted(moved[0]) == sorted({j - j % KB for j in np.flatnonzero(ipiv[0] != np.arange(n))})
+    assert kl == 0 or moved[0]
+
+
+def test_blocked_solve_with_pivots_inside_and_on_panel_boundaries(rng):
+    n, kl = 4 * KB + 3, 4
+    fb = _dominant_band(n, kl, rng, True)
+    # A zero diagonal forces an interchange: inside a panel, in the last
+    # column of a panel (with a row of the next panel) and in the first.
+    inside, last, first = KB + 5, 2 * KB - 1, 3 * KB
+    fb[kl, [inside, last, first]] = 0
+    (_, ipiv, moved), _ = _check_solves(fb, kl, rng)
+    pivoted = np.flatnonzero(ipiv[0] != np.arange(n))
+    assert {inside, last, first} <= set(pivoted)
+    assert ipiv[0, last] >= 2 * KB
+    assert sorted(moved[0]) == [KB, 3 * KB]
+
+
+def test_blocked_solve_at_a_shift_near_an_eigenvalue(rng):
+    n, kl = 60, 5
+    a = _random_band(n, kl, rng, True)
+    lam = np.linalg.eigvalsh(a)[30]
+    fb = -expand_band(_to_band_storage(a, kl, "F"), kl, "F", True)
+    fb[kl] += lam + 1e-6 * (1 + 1j)  # condition number about 1e7
+    assert np.linalg.cond(_dense_from_full_band(fb)) > 1e6
+    _check_solves(fb, kl, rng)
+
+
+def test_band_factor_and_solve_memory():
+    """At n=900, kl=31 and 8 shifts (the band-herm-gen sizes), the factors
+    keep per shift what one shift's slice of the (3*kl+1, g, n) band array
+    and its pivot row take, plus at most 1% for the window transforms of
+    the panels that interchange rows (one shift here, 3 panels); blocks
+    stored for every panel would double it.  One solve of m0=30 columns
+    allocates less than one shift's band bytes at its peak."""
+    ops, shifts = _wide_band_ops()
+    n, kl = 900, 31
+    band = (3 * kl + 1) * n * 16
+    rhs = np.ones((n, 30), dtype=complex)
+    tracemalloc.start()
+    try:
+        ops.factorize(shifts[0])
+        kept = tracemalloc.get_traced_memory()[0]
+        peaks = []
+        for adjoint in (False, True):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            band_lu_solve(ops.factorize(shifts[-1]), rhs, adjoint)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert sum(len(moved) for batch in ops._batches for moved in batch[2]) == 3
+    assert kept / len(shifts) <= 1.01 * (band + n * 8)
+    assert max(peaks) < band

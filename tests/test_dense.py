@@ -187,12 +187,14 @@ def test_hermitian_random_against_oracle(rng):
 
 
 def test_singular_shift_reports_solver_error():
-    # A (non-symmetric) matrix whose complex eigenvalue coincides with the
-    # first contour point makes z*I - A exactly singular.
+    # With an indefinite B, a symmetric pencil can have a complex eigenvalue:
+    # z*B - A is exactly singular at z = x + iy for A = [[x, y], [y, -x]],
+    # B = diag(1, -1).  Put it on the first contour point.  (A non-symmetric
+    # A with uplo='F' now returns -103 before any solve.)
     contour = build_contour(gauss_legendre(8), -5.0, 5.0)
     z = contour.z[0]
-    a = np.array([[z.real, -z.imag], [z.imag, z.real]])
-    r = feast_sy(a, -5.0, 5.0, 2)
+    a = np.array([[z.real, z.imag], [z.imag, -z.real]])
+    r = feast_sy(a, -5.0, 5.0, 2, b=np.diag([1.0, -1.0]))
     assert r.info == -2
 
 

@@ -16,6 +16,7 @@ from feastlib import (
     feast_scsr,
     feast_sy,
     feastinit,
+    info_description,
 )
 
 HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -141,6 +142,76 @@ def test_complex_operand_of_real_driver_returns_argument_code(driver, stem, dtyp
     else:
         assert result.info == (code_a if operand == "A" else code_b)
         assert result.m == 0 and result.loop == 0
+
+
+def _call_probe(driver, a, b=None, uplo="F"):
+    """Run a driver on the n=40 probe: full matrices ``a``/``b`` of
+    bandwidth 5, interval [0.5, 10.5], m0=20."""
+    n, kl = a.shape[0], 5
+
+    def band(m):
+        if uplo != "F":
+            m = np.tril(m) if uplo == "L" else np.triu(m)
+        ab = np.zeros((2 * kl + 1, n), dtype=m.dtype)
+        for d in range(-kl, kl + 1):
+            j = np.arange(max(0, -d), min(n, n - d))
+            ab[kl + d, j] = m[j + d, j]
+        return ab if uplo == "F" else ab[kl:] if uplo == "L" else ab[:kl + 1]
+
+    if driver in (feast_sy, feast_he):
+        return driver(a, 0.5, 10.5, 20, b=b, uplo=uplo)
+    if driver in (feast_sb, feast_hb):
+        extra = {} if b is None else {"b": band(b), "klb": kl}
+        return driver(band(a), kl, 0.5, 10.5, 20, uplo=uplo, **extra)
+    csr = lambda m: CsrMatrix.from_dense(m, uplo)
+    return driver(csr(a), 0.5, 10.5, 20, b=None if b is None else csr(b))
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("operand", ["A", "B"])
+def test_nonsymmetric_full_operand_returns_argument_code(driver, stem, dtype, code_a,
+                                                         code_b, operand):
+    # A = diag(1..40) plus one entry above the diagonal has 10 eigenvalues
+    # in [0.5, 10.5]; solved as its symmetric part it gave info=0 and m=8.
+    a = np.diag(np.arange(1.0, 41.0)).astype(dtype)
+    b = np.eye(40, dtype=dtype)
+    (a if operand == "A" else b)[0, 5] = 3.0 if operand == "A" else 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _call_probe(driver, a, b)
+        assert result.info == (code_a if operand == "A" else code_b)
+        assert result.m == 0 and result.loop == 0
+        assert "not symmetric/Hermitian" in info_description(result.info)
+        # Given as one triangle, the same array is a symmetric matrix.
+        for uplo in ("L", "U"):
+            assert _call_probe(driver, a, b, uplo).info == 0
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b",
+                         [d for d in DRIVERS if d[2] == np.complex128], ids=["HE", "HB", "HCSR"])
+@pytest.mark.parametrize("flaw", ["complex symmetric", "complex diagonal"])
+def test_non_hermitian_full_operand_returns_argument_code(driver, stem, dtype, code_a,
+                                                          code_b, flaw):
+    a = np.diag(np.arange(1.0, 41.0)).astype(complex)
+    if flaw == "complex symmetric":
+        a[0, 5] = a[5, 0] = 1j
+    else:
+        a[3, 3] += 1j
+    assert _call_probe(driver, a).info == code_a
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("single", [False, True], ids=["double", "single"])
+def test_symmetry_tolerance_is_four_epsilons_of_the_largest_entry(driver, stem, dtype, code_a,
+                                                                  code_b, single):
+    if single:
+        dtype = np.complex64 if dtype == np.complex128 else np.float32
+    eps = np.finfo(dtype).eps
+    for gap, info in ((3.0, 0), (6.0, code_a)):
+        a = np.diag(np.arange(1.0, 41.0)).astype(dtype)  # max |A| = 40
+        a[0, 5] = 1.0
+        a[5, 0] = 1.0 + gap * eps * 40.0
+        assert _call_probe(driver, a).info == info
 
 
 WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
