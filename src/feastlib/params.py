@@ -164,7 +164,8 @@ def info_description(info: int) -> str:
     if -200 < info < -100:
         return (f"Problem with the {-info - 100}-th argument of the FEAST interface (for a "
                 "matrix: its shape, a NaN or infinite entry, a complex matrix given to a "
-                "real driver, or in full storage, uplo='F', a matrix that is not "
+                "real driver, a CSR driver's operand that is not a CsrMatrix, or in full "
+                "storage, uplo='F', a matrix that is not "
                 f"symmetric/Hermitian to within {SYMMETRY_ULPS} machine epsilons of its "
                 "largest entry)")
     return f"Unknown return code {info}"

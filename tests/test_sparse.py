@@ -13,10 +13,19 @@ from feastlib import (
     feast_scsr,
     feast_sy,
     feastinit,
+    info_description,
 )
 from feastlib._driver import SingularMatrixError
 from feastlib.quadrature import build_contour, gauss_legendre
-from feastlib.sparse import _ShiftedPattern, _SparseFactor, _SparseOps, _SparseSymbolic
+from feastlib import sparse
+from feastlib.sparse import (
+    LEAF,
+    _row_classes,
+    _ShiftedPattern,
+    _SparseFactor,
+    _SparseOps,
+    _SparseSymbolic,
+)
 
 from conftest import gap_interval, random_hermitian, random_symmetric
 
@@ -155,43 +164,9 @@ def _banded_csr(n, rng, hermitian, width=3):
     return CsrMatrix.from_dense(np.where(mask, a, 0))
 
 
-def _reference_lu(sym, data):
-    """One-shift left-looking LU, column by column, as a plain loop."""
-    n = sym.n
-    w = np.zeros(n, dtype=data.dtype)
-    diag = np.empty(n, dtype=data.dtype)
-    lvals, uvals = [], []
-    for j in range(n):
-        w[sym.col_rows[j]] = data[sym.col_src[j]]
-        uv = np.empty(len(sym.urows[j]), dtype=data.dtype)
-        for t, k in enumerate(sym.urows[j].tolist()):
-            uv[t] = w[k]
-            w[sym.lrows[k]] -= w[k] * lvals[k]
-        diag[j] = w[j]
-        lvals.append(w[sym.lrows[j]] / w[j])
-        uvals.append(uv)
-        w[:] = 0
-    return diag, lvals, uvals
-
-
-def _reference_solve(sym, lu, b, adjoint):
-    diag, lvals, uvals = lu
-    y = b[sym.perm].astype(complex)
-    n = sym.n
-    if not adjoint:
-        for j in range(n):
-            y[sym.lrows[j]] -= lvals[j][:, np.newaxis] * y[j]
-        for j in range(n - 1, -1, -1):
-            y[j] /= diag[j]
-            y[sym.urows[j]] -= uvals[j][:, np.newaxis] * y[j]
-    else:
-        for j in range(n):
-            y[j] -= uvals[j].conj() @ y[sym.urows[j]]
-            y[j] /= diag[j].conjugate()
-        for j in range(n - 1, -1, -1):
-            y[j] -= lvals[j].conj() @ y[sym.lrows[j]]
-    out = np.empty_like(y)
-    out[sym.perm] = y
+def _shifted_dense(pattern, data):
+    out = np.zeros((pattern.n, pattern.n), dtype=data.dtype)
+    out[pattern.rows, pattern.cols] = data
     return out
 
 
@@ -202,18 +177,20 @@ def test_batched_factor_matches_one_shift_factors(rng, hermitian):
     sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
     shifts = build_contour(gauss_legendre(4), -1.0, 2.0).z
     stack = np.stack([pattern.shifted_data(complex(z)) for z in shifts])
-    batch = _SparseFactor(sym, stack)
+    # feast_scsr's pencil is complex symmetric, feast_hcsr's is not.
+    symmetric = not hermitian
+    batch = _SparseFactor(sym, stack, symmetric)
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     y = batch.sweep(rhs)
     y_adj = batch.sweep(rhs, adjoint=True)
     for e in range(len(shifts)):
-        diag, lvals, uvals = lu = _reference_lu(sym, stack[e])
-        assert batch.diag[:, e].tobytes() == diag.tobytes()
-        assert all(batch.lvals[j][:, e].tobytes() == lvals[j].tobytes() for j in range(n))
-        assert all(batch.uvals[j][:, e].tobytes() == uvals[j].tobytes() for j in range(n))
-        assert batch.pick(y, e).tobytes() == _reference_solve(sym, lu, rhs, False).tobytes()
-        x_adj = _reference_solve(sym, lu, rhs, True)
+        one = _SparseFactor(sym, stack[e], symmetric)
+        for got, want in zip(batch.blocks, one.blocks):
+            assert all(g[e].tobytes() == w[0].tobytes() for g, w in zip(got, want))
+        assert batch.pick(y, e).tobytes() == one.solve(rhs).tobytes()
+        x_adj = np.linalg.solve(_shifted_dense(pattern, stack[e]).conj().T, rhs)
         assert np.abs(batch.pick(y_adj, e) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
+        assert np.abs(one.solve(rhs, adjoint=True) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
 
 
 def test_batched_factor_raises_on_one_singular_shift(rng):
@@ -227,6 +204,169 @@ def test_batched_factor_raises_on_one_singular_shift(rng):
     with pytest.raises(SingularMatrixError, match="shift 2"):
         _SparseFactor(sym, stack)
     _SparseFactor(sym, np.delete(stack, 2, axis=0))
+
+
+def _grid(p, rng):
+    """Random values on the 5-point pattern of a p x p grid."""
+    n = p * p
+    a = np.zeros((n, n))
+    idx = np.arange(n).reshape(p, p)
+    for u, v in ((idx[:, :-1], idx[:, 1:]), (idx[:-1], idx[1:])):
+        a[u.ravel(), v.ravel()] = rng.normal(size=u.size)
+    return a + a.T + np.diag(rng.normal(size=n))
+
+
+def _patterns(rng):
+    """Symmetric test matrices (dense arrays) of awkward shapes."""
+    out = {"n=1": np.array([[2.0]]),
+           "diagonal": np.diag(rng.normal(size=12)),
+           "grid": _grid(9, rng)}
+    # Two grids and three isolated vertices, interleaved.
+    blocks = np.zeros((53, 53))
+    blocks[:25, :25] = _grid(5, rng)
+    blocks[25:50, 25:50] = _grid(5, rng)
+    blocks[50:, 50:] = np.diag(rng.normal(size=3))
+    order = rng.permutation(53)
+    out["disconnected"] = blocks[np.ix_(order, order)]
+    arrow = np.diag(rng.normal(size=40))
+    arrow[0, 1:] = arrow[1:, 0] = rng.normal(size=39)
+    out["arrow"] = arrow
+    irregular = np.where(rng.random((70, 70)) < rng.random(70)[:, np.newaxis] * 0.12,
+                         rng.normal(size=(70, 70)), 0.0)
+    out["irregular"] = np.triu(irregular, 1) + np.triu(irregular, 1).T + np.diag(rng.normal(size=70))
+    return out
+
+
+def _lu_no_pivoting(m):
+    lu = m.copy()
+    for j in range(len(m) - 1):
+        lu[j + 1:, j] /= lu[j, j]
+        lu[j + 1:, j + 1:] -= np.outer(lu[j + 1:, j], lu[j, j + 1:])
+    return lu
+
+
+@pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular"])
+def test_order_and_structure_hold_the_dense_lu(rng, name):
+    a = _patterns(rng)[name]
+    n = len(a)
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    assert np.array_equal(np.sort(sym.perm), np.arange(n))
+    assert np.array_equal(sym.perm[sym.iperm], np.arange(n))
+    assert sym.start[0] == 0 and sym.start[-1] == n and np.all(np.diff(sym.start) > 0)
+    held = np.zeros((n, n), dtype=bool)
+    for s, rows in enumerate(sym.rows):
+        c0, c1 = sym.start[s], sym.start[s + 1]
+        front = np.concatenate([np.arange(c0, c1), rows])
+        assert np.all(rows >= c1)
+        held[front, c0:c1] = held[c0:c1, front] = True
+        # Children's fronts extend-add into their parent's.
+        for c in sym.children[s]:
+            assert set(sym.rows[c].tolist()) <= set(front.tolist())
+    perm = sym.perm
+    lu = _lu_no_pivoting((0.3 + 1.1j) * np.eye(n) - a[np.ix_(perm, perm)])
+    assert not np.any((lu != 0) & ~held)
+    assert sym.nnz_l >= np.count_nonzero(np.tril(lu))
+
+
+@pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_factor_solves_awkward_patterns_like_dense(rng, name, symmetric):
+    a = _patterns(rng)[name]
+    n = len(a)
+    if not symmetric:
+        a = a + 1j * (np.triu(a, 1) - np.triu(a, 1).T)  # Hermitian
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    shifts = [0.3 + 1.1j, -0.7 + 0.4j]
+    batch = _SparseFactor(sym, np.stack([pattern.shifted_data(z) for z in shifts]), symmetric)
+    rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    y, y_adj = batch.sweep(rhs), batch.sweep(rhs, adjoint=True)
+    for e, z in enumerate(shifts):
+        shifted = z * np.eye(n) - a
+        for got, mat in ((batch.pick(y, e), shifted), (batch.pick(y_adj, e), shifted.conj().T)):
+            want = np.linalg.solve(mat, rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    one = _SparseFactor(sym, pattern.shifted_data(shifts[0]), symmetric)
+    assert one.solve(rhs).tobytes() == batch.pick(y, 0).tobytes()
+
+
+def test_dissection_splits_parts_larger_than_a_leaf(rng):
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(_grid(20, rng)), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    sizes = np.diff(sym.start)
+    leaves = [s for s in range(len(sizes)) if not sym.children[s]]
+    assert all(sizes[s] <= LEAF for s in leaves)
+    assert sizes.max() <= 2 * 20 and len(sizes) > 400 // LEAF
+    assert sym.parent[-1] == -1 and sym.parent.count(-1) == 1
+    # 5,568 entries; the natural order's band holds about 20 * 400.
+    assert sym.nnz_l <= 6000
+
+
+def test_transpose_view_only_for_feast_scsr(rng, monkeypatch):
+    made = []
+
+    class Recorded(_SparseFactor):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sparse, "_SparseFactor", Recorded)
+    real = _banded_csr(30, rng, hermitian=False)
+    r = feast_scsr(real, -1.0, 1.0, 16)
+    assert r.info == 0 and made
+    for factor in made:
+        assert all(np.shares_memory(lower, upper) for _, lower, upper in factor.blocks if lower.size)
+    made.clear()
+    r = feast_hcsr(_banded_csr(30, rng, hermitian=True), -1.0, 1.0, 16)
+    assert r.info == 0 and made
+    for factor in made:
+        assert not any(np.shares_memory(lower, upper) for _, lower, upper in factor.blocks)
+
+
+@pytest.mark.parametrize("driver", [feast_scsr, feast_hcsr])
+def test_operands_that_are_not_csr_return_argument_codes(rng, driver):
+    good = _banded_csr(10, rng, hermitian=driver is feast_hcsr)
+    for bad in (good.to_dense(), None, [[1.0]], "a"):
+        assert driver(bad, -1.0, 1.0, 4).info == -103
+        assert driver(good, -1.0, 1.0, 4, b=bad).info == (-106 if bad is not None else 0)
+    assert "CsrMatrix" in info_description(-103)
+
+
+def _with_empty_rows(rng):
+    a = rng.normal(size=(30, 30)) * (rng.random((30, 30)) < 0.2)
+    a[[3, 4, 17, 29]] = 0
+    return a
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_block_matvec_matches_dense(rng, cplx):
+    a = _with_empty_rows(rng)
+    if cplx:
+        a = a + 1j * a * rng.normal(size=a.shape)
+    csr = CsrMatrix.from_dense(a)
+    for shape in ((30,), (30, 1), (30, 7)):
+        x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0)
+        y = csr_matvec(csr, x)
+        assert y.shape == shape
+        assert np.abs(y - a @ x).max() <= 1e-14 * (np.abs(a) @ np.abs(x)).max()
+        assert not np.any(y[[3, 4, 17, 29]])
+    herm = a + a.conj().T
+    x = rng.normal(size=(30, 5)) + 1j * rng.normal(size=(30, 5))
+    for uplo in "LU":
+        y = csr_matvec(CsrMatrix.from_dense(herm, uplo), x)
+        assert np.abs(y - herm @ x).max() <= 1e-14 * (np.abs(herm) @ np.abs(x)).max()
+
+
+def test_block_matvec_padding_stays_within_twice_nnz(rng):
+    n = 300
+    arrow = np.eye(n)
+    arrow[7, :] = arrow[:, 7] = rng.normal(size=n)
+    csr = CsrMatrix.from_dense(arrow)
+    classes = _row_classes(csr.ia - 1, csr.ja - 1)
+    assert sum(at.size for _, at, _ in classes) < 2 * csr.nnz
+    x = rng.normal(size=(n, 3))
+    assert np.abs(csr_matvec(csr, x) - arrow @ x).max() <= 1e-14 * (np.abs(arrow) @ np.abs(x)).max()
 
 
 def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
