@@ -41,16 +41,18 @@ class SolverOptions:
         shifts in batches anyway.  Workers and BLAS threads share the
         cores: use one BLAS thread with workers (with two on 2 cores, the
         same dense problem took 0.38 s with 1 worker and 0.62 s with 2).
-    solver: 'direct' or 'iterative' (sparse backend only).
+    solver: 'direct' or 'iterative' (sparse backend only); others raise ValueError.
     iter_tol: relative residual target of the iterative inner solver.
-    block_size: columns per multiply request (None = full subspace).
     """
 
     seed: int = 42
     parallel_contour: int = 1
     solver: str = "direct"
     iter_tol: float = 1.0e-3
-    block_size: int | None = None
+
+    def __post_init__(self):
+        if self.solver not in ("direct", "iterative"):
+            raise ValueError(f"solver must be 'direct' or 'iterative', not {self.solver!r}")
 
 
 def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
@@ -78,7 +80,7 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     single = np.dtype(dtypes[0]) in (np.dtype(np.float32), np.dtype(np.complex64))
     precision = ("C" if single else "Z") if hermitian else ("S" if single else "D")
     kernel = (HermitianRci if hermitian else SymmetricRci)(
-        n, m0, emin, emax, fpm, seed=options.seed, block_size=options.block_size,
+        n, m0, emin, emax, fpm, seed=options.seed,
         dtype=np.float32 if single else np.float64,
         routine_name=f"{precision}FEAST_{family}{'GV' if dtypes[1] is not None else 'EV'}")
     for code, failed in checks:

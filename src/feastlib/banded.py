@@ -233,13 +233,14 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     of the unit-lower diagonal block of L, then subtracts the L21 block
     (the next kl rows) times them; the back step subtracts the U12 block
     (the next ku columns) times the rows below, then multiplies by the
-    inverse of U's diagonal block.  The adjoint applies the conjugate
-    transposes of the same blocks in reverse order.  The blocks are copied
-    from the band into zeroed buffers, GROUP panels at a time, and their
-    diagonal blocks inverted there together.  The buffers are the zero
-    padding: a block entry outside the band reads as zero, so the band
-    array needs no padding rows, and the factor keeps no blocks.  A panel
-    with a row interchange uses its window transform from factor time
+    inverse of U's diagonal block.  The adjoint solve is conj(A^T \\ conj(b)):
+    the same two steps over transposed views of the U blocks, then of the L
+    blocks, with x conjugated in place before and after.  The blocks are
+    copied from the band into zeroed buffers, GROUP panels at a time, and
+    their diagonal blocks inverted there together.  The buffers are the zero
+    padding: a block entry outside the band reads as zero, so the band array
+    needs no padding rows, and the factor keeps no blocks.  A panel with a
+    row interchange uses its window transform from factor time
     (_moved_panels) in place of its L blocks.
 
     U is read only to the bandwidth its pivots produced, ku = kl plus the
@@ -257,9 +258,9 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     groups = _groups(n)
 
     def lower(j0, j1, w):
-        """The group's L blocks, each diagonal block replaced by its inverse
-        (row t of the inverse is -L[t, :t] times the rows above it, already
-        inverted); conjugated for the adjoint."""
+        """The group's (panels, w + kl, w) L blocks, each diagonal block
+        replaced by its inverse (row t of the inverse is -L[t, :t] times the
+        rows above it, already inverted)."""
         blocks = _lower_blocks(ab, s, j0, j1, w)
         for q, k0 in enumerate(range(j0, j1, w)):
             if k0 in moved:
@@ -268,69 +269,56 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         blocks.reshape(len(blocks), -1)[:, :w * (w + 1):w + 1] = 1
         for t in range(1, w):
             blocks[:, t, :t] = -(blocks[:, t:t + 1, :t] @ blocks[:, :t, :t])[:, 0]
-        return np.conjugate(blocks, out=blocks) if adjoint else blocks
+        return blocks
 
     def upper(j0, j1, w):
-        """The group's U blocks, each diagonal block D (I + N) replaced by
-        its inverse (I + N)^-1 D^-1 (rows of (I + N)^-1 built from the last
-        up); conjugated for the adjoint."""
+        """The group's (panels, w, w + ku) U blocks, each diagonal block
+        D (I + N) replaced by its inverse (I + N)^-1 D^-1 (rows of
+        (I + N)^-1 built from the last up)."""
         blocks = _upper_blocks(ab, s, j0, j1, w, ku)
         scale = 1 / blocks.reshape(len(blocks), -1)[:, ::w + ku + 1][:, :w]
         blocks[:, :, :w] *= scale[:, :, np.newaxis]
         for t in reversed(range(w - 1)):
             blocks[:, t, t + 1:w] = -(blocks[:, t:t + 1, t + 1:w] @ blocks[:, t + 1:w, t + 1:w])[:, 0]
         blocks[:, :, :w] *= scale[:, np.newaxis, :]
-        return np.conjugate(blocks, out=blocks) if adjoint else blocks
+        return blocks
 
-    # One call per group, so that a group's buffer is freed before the next
-    # one is gathered.  Panel q of the group holds rows [k0, k1); r counts
-    # the rows of its L21 (columns of its U12) inside the matrix.
-    def forward_l(j0, j1, w):
-        blocks = lower(j0, j1, w)
+    # Lower- and upper-triangular sweeps over (panels, w + reach, w) and
+    # (panels, w, w + reach) blocks, one call per group, so that a group's
+    # buffer is freed before the next one is gathered.  Panel q of the group
+    # holds rows [k0, k1); r counts the rows of its off-diagonal block inside
+    # the matrix.  A moved panel's row order (``perms``) is applied before
+    # its forward step on L and undone after its back step on L^T.
+    def forward(blocks, j0, j1, w, reach, perms):
         for k0 in range(j0, j1, w):
-            q, k1, r = (k0 - j0) // w, k0 + w, min(kl, n - k0 - w)
-            if k0 in moved:
-                perm = moved[k0][0]
+            q, k1, r = (k0 - j0) // w, k0 + w, min(reach, n - k0 - w)
+            if k0 in perms:
+                perm = perms[k0][0]
                 x[k0:k0 + len(perm)] = x[k0 + perm]
             x[k0:k1] = blocks[q, :w] @ x[k0:k1]
             x[k1:k1 + r] -= blocks[q, w:w + r] @ x[k0:k1]
 
-    def back_u(j0, j1, w):
-        blocks = upper(j0, j1, w)
+    def back(blocks, j0, j1, w, reach, perms):
         for k0 in reversed(range(j0, j1, w)):
-            q, k1, r = (k0 - j0) // w, k0 + w, min(ku, n - k0 - w)
+            q, k1, r = (k0 - j0) // w, k0 + w, min(reach, n - k0 - w)
             x[k0:k1] -= blocks[q, :, w:w + r] @ x[k1:k1 + r]
             x[k0:k1] = blocks[q, :, :w] @ x[k0:k1]
-
-    def forward_uh(j0, j1, w):
-        blocks = upper(j0, j1, w)
-        for k0 in range(j0, j1, w):
-            q, k1, r = (k0 - j0) // w, k0 + w, min(ku, n - k0 - w)
-            x[k0:k1] = blocks[q, :, :w].T @ x[k0:k1]
-            x[k1:k1 + r] -= blocks[q, :, w:w + r].T @ x[k0:k1]
-
-    def back_lh(j0, j1, w):
-        blocks = lower(j0, j1, w)
-        for k0 in reversed(range(j0, j1, w)):
-            q, k1, r = (k0 - j0) // w, k0 + w, min(kl, n - k0 - w)
-            x[k0:k1] -= blocks[q, w:w + r].T @ x[k1:k1 + r]
-            x[k0:k1] = blocks[q, :w].T @ x[k0:k1]
-            if k0 in moved:
-                perm = moved[k0][0]
+            if k0 in perms:
+                perm = perms[k0][0]
                 x[k0 + perm] = x[k0:k0 + len(perm)].copy()
 
     if not adjoint:
         for group in groups if kl else ():
-            forward_l(*group)
+            forward(lower(*group), *group, kl, moved)
         for group in reversed(groups):
-            back_u(*group)
+            back(upper(*group), *group, ku, {})
     else:
-        # (LU)^H: forward through U^H, then back through L^H, each panel's
-        # block followed by the inverse of its row order.
+        np.conjugate(x, out=x)
         for group in groups:
-            forward_uh(*group)
+            forward(upper(*group).transpose(0, 2, 1), *group, ku, {})
         for group in reversed(groups) if kl else ():
-            back_lh(*group)
+            back(lower(*group).transpose(0, 2, 1), *group, kl, moved)
+        np.conjugate(x, out=x)
     return x[:, 0] if b.ndim == 1 else x
 
 

@@ -171,7 +171,12 @@ class _RciKernel:
     """Shared machinery of the symmetric/Hermitian reverse-communication
     engines.  One instance drives one solve; instances are independent and
     may be moved between threads but not shared.  ``contour`` holds the
-    solve's quadrature contour, None when the input checks failed."""
+    solve's quadrature contour, None when the input checks failed.
+
+    During a contour pass ``x`` holds the partial filtered sum, and after
+    it the Ritz vectors.  On an error code ``x`` and ``e`` have no meaning;
+    a rejected N, M0 or fpm, or a failed allocation (info -1), leaves
+    every array with zero columns."""
 
     hermitian = False
 
@@ -179,7 +184,6 @@ class _RciKernel:
                  block_size=None, dtype=None, routine_name=None):
         self.n = int(n)
         self.m0 = int(m0)
-        self._m0_init = int(m0)
         self.emin = float(emin)
         self.emax = float(emax)
         self.fpm = fpm if fpm is not None else feastinit()
@@ -187,7 +191,6 @@ class _RciKernel:
         self.block_size = block_size
         self.ze = 0j
         self.task = RciTask.INIT
-        self.info = 0
         self.epsout = 1.0
         self.loop = 0
         self.m = 0
@@ -201,45 +204,33 @@ class _RciKernel:
             np.dtype(np.float32), np.dtype(np.complex64))
         self._rdtype = np.dtype(np.float32 if self._single else np.float64)
         self._cdtype = np.dtype(np.complex64 if self._single else np.complex128)
-        work_dtype = self._cdtype if self.hermitian else self._rdtype
         self.routine_name = routine_name or self._default_routine_name()
 
-        info = check_problem(self.n, self.m0, self.emin, self.emax)
-        if info == 0:
-            info = validate_params(self.fpm)
-        if info != 0:
-            self.info = info
+        self.info = (check_problem(self.n, self.m0, self.emin, self.emax)
+                     or validate_params(self.fpm))
+        if self.info == 0:
+            try:
+                self._allocate(self.m0)
+            except (MemoryError, ValueError):  # ValueError: too large to address
+                self.info = -1
+        if self.info != 0:
             self._done = True
-            self._make_empty_arrays(work_dtype)
-            return
-        try:
-            shape = (self.n, self.m0)
-            self.y = np.zeros(shape, dtype=work_dtype)
-            self.q = np.zeros(shape, dtype=work_dtype)
-            self.work1 = np.zeros(shape, dtype=work_dtype)
-            self.work2 = np.zeros(shape, dtype=self._cdtype)
-            self.x = np.zeros(shape, dtype=work_dtype)
-            self._aprod = np.zeros(shape, dtype=work_dtype)
-            self.e = np.zeros(self.m0, dtype=self._rdtype)
-            self.res = np.zeros(self.m0, dtype=self._rdtype)
-            self.aq = np.zeros((self.m0, self.m0), dtype=work_dtype)
-            self.bq = np.zeros((self.m0, self.m0), dtype=work_dtype)
-        except MemoryError:
-            self.info = -1
-            self._done = True
-            self._make_empty_arrays(work_dtype)
+            self._allocate(0)
             return
         self.contour = build_contour(gauss_legendre(self.fpm.slot(2)), self.emin, self.emax)
         self._gen = self._run()
 
-    def _make_empty_arrays(self, work_dtype):
-        m0 = max(self._m0_init, 0)
-        n = max(self.n, 0)
-        self.y = self.q = self.work1 = self.x = self._aprod = np.zeros((n, m0), dtype=work_dtype)
-        self.work2 = np.zeros((n, m0), dtype=self._cdtype)
+    def _allocate(self, m0):
+        """The N x m0 blocks and the m0 eigenvalues and residuals."""
+        work_dtype = self._cdtype if self.hermitian else self._rdtype
+        shape = (max(self.n, 0), m0)
+        self.y = np.zeros(shape, dtype=work_dtype)
+        self.work1 = np.zeros(shape, dtype=work_dtype)
+        self.work2 = np.zeros(shape, dtype=self._cdtype)
+        self.x = np.zeros(shape, dtype=work_dtype)
+        self._aprod = np.zeros(shape, dtype=work_dtype)
         self.e = np.zeros(m0, dtype=self._rdtype)
         self.res = np.zeros(m0, dtype=self._rdtype)
-        self.aq = self.bq = np.zeros((m0, m0), dtype=work_dtype)
 
     def _default_routine_name(self):
         if self.hermitian:
@@ -306,11 +297,6 @@ class _RciKernel:
             yield task
             start += cols
 
-    def _accumulate(self, weight, radius, theta, adjoint=False):
-        m0 = self.m0
-        accumulate_subspace(self.q[:, :m0], self.work2[:, :m0], weight, radius,
-                            -theta if adjoint else theta, self.hermitian)
-
     def _run(self):
         fpm = self.fpm
         emin, emax = self.emin, self.emax
@@ -322,32 +308,32 @@ class _RciKernel:
         if verbose:
             self._print_header()
 
-        if fpm.slot(5) == 1:
-            yield from self._multiply_blocks(RciTask.MULTIPLY_B)
-            self.y[:, :self.m0] = self.work1[:, :self.m0]
-        else:
+        if fpm.slot(5) != 1:
             self._fill_random_y()
+        # The Hermitian sum takes the adjoint solve at the conjugate angle.
+        solves = ((RciTask.SOLVE, 1), (RciTask.SOLVE_ADJOINT, -1))[:2 if self.hermitian else 1]
 
         trace_prev = None
         self.loop = 0
         while True:
             m0 = self.m0
-            self.q[:, :m0] = 0
+            if self.loop or fpm.slot(5) == 1:
+                # The next start block is B times the Ritz vectors (or x0).
+                yield from self._multiply_blocks(RciTask.MULTIPLY_B)
+                self.y[:, :m0] = self.work1[:, :m0]
+            self.x[:, :m0] = 0
             for e in range(len(contour)):
                 self.ze = complex(contour.z[e])
                 yield RciTask.FACTORIZE
                 if self.hermitian and not self.adjoint_capable:
                     yield RciTask.FACTORIZE_ADJOINT
-                self.work2[:, :m0] = self.y[:, :m0]
-                yield RciTask.SOLVE
-                self._accumulate(contour.weights[e], contour.radius, contour.theta[e], adjoint=False)
-                if self.hermitian:
+                for task, sign in solves:
                     self.work2[:, :m0] = self.y[:, :m0]
-                    yield RciTask.SOLVE_ADJOINT
-                    self._accumulate(contour.weights[e], contour.radius, contour.theta[e], adjoint=True)
+                    yield task
+                    accumulate_subspace(self.x[:, :m0], self.work2[:, :m0], contour.weights[e],
+                                        contour.radius, sign * contour.theta[e], self.hermitian)
 
             if fpm.slot(14) == 1:
-                self.x[:, :m0] = self.q[:, :m0]
                 self.epsout = 1.0
                 self.info = 4
                 if verbose:
@@ -355,18 +341,15 @@ class _RciKernel:
                     self._print_trailer()
                 return
 
-            # Projected matrices: x temporarily holds the accumulated subspace.
-            self.x[:, :m0] = self.q[:, :m0]
+            # Projected matrices of the filtered subspace that x holds.
             yield from self._multiply_blocks(RciTask.MULTIPLY_A)
             self._aprod[:, :m0] = self.work1[:, :m0]
             yield from self._multiply_blocks(RciTask.MULTIPLY_B)
-            qh = self.q[:, :m0].conj().T
+            qh = self.x[:, :m0].conj().T
             aq = np.asarray(qh @ self._aprod[:, :m0], dtype=np.complex128 if self.hermitian else np.float64)
             bq = np.asarray(qh @ self.work1[:, :m0], dtype=aq.dtype)
             aq = 0.5 * (aq + aq.conj().T)
             bq = 0.5 * (bq + bq.conj().T)
-            self.aq[:m0, :m0] = aq
-            self.bq[:m0, :m0] = bq
 
             # Shrink the subspace while the projected B fails its Cholesky.
             while m0 > 0:
@@ -385,16 +368,15 @@ class _RciKernel:
                 self.res[m0:] = 0
                 self.m0 = m0
             try:
-                eps, phi = generalized_eig(aq[:m0, :m0], bq[:m0, :m0])
+                lam, phi = generalized_eig(aq[:m0, :m0], bq[:m0, :m0])
             except ReducedSolverError:
                 self.info = -3
                 if verbose:
                     self._print_trailer()
                 return
 
-            lam = eps
             self.e[:m0] = lam
-            self.x[:, :m0] = (self.q[:, :m0] @ phi).astype(self.x.dtype, copy=False)
+            self.x[:, :m0] = (self.x[:, :m0] @ phi).astype(self.x.dtype, copy=False)
             ax = self._aprod[:, :m0] @ phi
             bx = self.work1[:, :m0] @ phi
             res = residual(ax, bx, lam, scale)
@@ -426,8 +408,6 @@ class _RciKernel:
                 return
             trace_prev = trace_cur
             self.loop += 1
-            yield from self._multiply_blocks(RciTask.MULTIPLY_B)
-            self.y[:, :self.m0] = self.work1[:, :self.m0]
 
     def _finalize(self, info, verbose, tol):
         """Flag spurious pairs, order the outputs, close the report."""
@@ -480,8 +460,8 @@ class SymmetricRci(_RciKernel):
     hermitian = False
 
     def _fill_random_y(self):
-        raw = random_uniform(self.seed, 0, self.n * self._m0_init)
-        self.y[:, :] = raw.reshape((self.n, self._m0_init), order="F").astype(self._rdtype)
+        raw = random_uniform(self.seed, 0, self.n * self.m0)
+        self.y[:, :] = raw.reshape((self.n, self.m0), order="F").astype(self._rdtype)
 
 
 class HermitianRci(_RciKernel):
@@ -499,7 +479,7 @@ class HermitianRci(_RciKernel):
         super().__init__(n, m0, emin, emax, fpm, **kwargs)
 
     def _fill_random_y(self):
-        nm = self.n * self._m0_init
+        nm = self.n * self.m0
         raw = random_uniform(self.seed, 0, 2 * nm)
         vals = raw[:nm] + 1j * raw[nm:]
-        self.y[:, :] = vals.reshape((self.n, self._m0_init), order="F").astype(self._cdtype)
+        self.y[:, :] = vals.reshape((self.n, self.m0), order="F").astype(self._cdtype)

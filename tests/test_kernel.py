@@ -6,6 +6,7 @@ from feastlib import (
     RciTask,
     SymmetricRci,
     build_contour,
+    feast_sy,
     feastinit,
     gauss_legendre,
 )
@@ -446,6 +447,40 @@ def test_validation_errors_on_init():
     fpm = feastinit()
     fpm.set_slot(2, 9)
     assert SymmetricRci(4, 2, -1.0, 1.0, fpm=fpm).info == 102
+
+
+@pytest.mark.parametrize("make,info", [
+    (lambda: feast_sy(np.eye(2), 0.0, 2.0, 10**16), 201),
+    (lambda: SymmetricRci(0, 10**16, 0.0, 1.0).result, 202),
+    (lambda: HermitianRci(0, 10**16, 0.0, 1.0).result, 202),
+    # N x M0 beyond the address space: numpy refuses before allocating.
+    (lambda: SymmetricRci(2**40, 2**20, 0.0, 1.0).result, -1),
+], ids=["feast_sy-m0", "symmetric-n", "hermitian-n", "unaddressable"])
+def test_rejected_sizes_return_zero_column_arrays(make, info):
+    """A rejected size was once allocated anyway, and raised MemoryError."""
+    result = make()
+    assert result.info == info
+    assert result.x.shape[1] == 0 and result.e.shape == (0,)
+
+
+def test_failed_allocation_returns_minus_one(monkeypatch):
+    """A MemoryError from the allocation gives info -1 and zero-column
+    arrays; the same sizes are not asked for again."""
+    import feastlib.kernel
+
+    zeros = np.zeros
+
+    def refuse_large(shape, *args, **kwargs):
+        if np.prod(shape) > 1000:
+            raise MemoryError
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(feastlib.kernel.np, "zeros", refuse_large)
+    for kernel in (SymmetricRci(1000, 10, 0.0, 1.0), HermitianRci(1000, 10, 0.0, 1.0)):
+        assert (kernel.info, kernel.done, kernel.step()) == (-1, True, RciTask.DONE)
+        result = kernel.result
+        assert result.info == -1
+        assert result.x.shape == (1000, 0) and result.e.shape == (0,)
 
 
 def test_loop_budget_exhaustion():

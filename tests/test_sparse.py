@@ -512,6 +512,15 @@ def test_iterative_solver_matches_direct(rng):
     assert np.abs(iterative.e[:direct.m] - direct.e[:direct.m]).max() <= 1e-4 * scale
 
 
+@pytest.mark.parametrize("solver", ["Direct", "bogus", "", None])
+def test_unknown_inner_solver_is_rejected(solver):
+    """Any solver name but 'direct' once ran BiCGStab: on diag(1..40) with
+    -0.1 off the diagonal, [0.5, 10.5] and m0=20, 'Direct' gave info=0 with
+    m=7 where the direct solver finds 10."""
+    with pytest.raises(ValueError, match="solver"):
+        SolverOptions(solver=solver)
+
+
 def test_hermitian_csr_adjoint_served_from_same_factorization(rng):
     n = 16
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
