@@ -3,11 +3,11 @@
 A predefined driver is ``setup`` (kernel, argument checks, full-storage
 operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
-reverse-communication kernel to completion against it, caching
-factorizations per shift.  The optional contour-parallel mode
-pre-factorizes all shifts concurrently; because every solve and the
-accumulation order are unchanged, results are bit-identical to the serial
-mode.
+reverse-communication kernel to completion against it, caching each
+shift's factorization.  The ops object factorizes the contour shifts on
+their first request, on a pool of ``parallel_contour`` threads when that is
+more than one; because every factor, every solve and the accumulation
+order are unchanged, results are bit-identical whatever the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import HermitianRci, RciTask, SymmetricRci
+from .kernel import DEFAULT_SEED, HermitianRci, RciTask, SymmetricRci
 from .params import SYMMETRY_ULPS
 
 UPLOS = ("F", "L", "U")
@@ -33,19 +33,16 @@ class SolverOptions:
     """Driver-level knobs shared by all backends.
 
     seed: deterministic start-vector stream.
-    parallel_contour: worker count for concurrent shift factorization.  It
-        helps the dense backend, whose blocked LU runs its updates as BLAS
-        matrix products that release the GIL (n=400, 2 cores, one BLAS
-        thread: 0.30 s with 1 worker, 0.26 s with 2); it does nothing for
-        the CSR direct and banded backends, which factorize the contour
-        shifts in batches anyway.  Workers and BLAS threads share the
-        cores: use one BLAS thread with workers (with two on 2 cores, the
-        same dense problem took 0.38 s with 1 worker and 0.62 s with 2).
-    solver: 'direct' or 'iterative' (sparse backend only); others raise ValueError.
-    iter_tol: relative residual target of the iterative inner solver.
+    parallel_contour: threads (at least 1) that factorize the contour
+        shifts' batches concurrently (see ``_Ops``; the README gives
+        measured times).  Workers and BLAS threads share the cores, so use
+        one BLAS thread with more than one worker.
+    solver: 'direct' or 'iterative' (sparse backend only).
+    iter_tol: relative residual target (> 0) of the iterative inner solver.
+    Other values raise ValueError.
     """
 
-    seed: int = 42
+    seed: int = DEFAULT_SEED
     parallel_contour: int = 1
     solver: str = "direct"
     iter_tol: float = 1.0e-3
@@ -53,6 +50,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', not {self.solver!r}")
+        if not (np.isfinite(self.iter_tol) and self.iter_tol > 0):
+            raise ValueError(f"iter_tol must be finite and positive, not {self.iter_tol!r}")
+        if self.parallel_contour < 1:
+            raise ValueError(f"parallel_contour must be at least 1, not {self.parallel_contour!r}")
 
 
 def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
@@ -124,20 +125,21 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
 class _Ops:
     """Backend protocol of ``run_rci``.  A backend keeps the full-storage
     operands as ``a`` and ``b`` (None: B is the identity) and adds
-    ``_solve(factor, rhs, adjoint)``, ``_multiply(matrix, x)`` and either
-    its own ``factorize(z)`` of z*B - A or ``_factor(shifts)``.
+    ``_factor(shifts)``, one batch of factors of z*B - A for a list of
+    contour shifts, ``_solve((batch, i), rhs, adjoint)`` and
+    ``_multiply(matrix, x)``.
 
-    With ``_factor``, the first ``factorize`` of a contour shift factorizes
-    all ``shifts`` under a lock (concurrent callers wait for it), in
-    batches of ``_batch_size()`` shifts, one ``_factor`` call per batch;
-    every call returns a (batch, shift index) handle, and a shift off the
-    contour gets a batch of one.
+    The first ``factorize`` factorizes all ``shifts`` under a lock
+    (concurrent callers wait for it), ``_batch_size()`` shifts per
+    ``_factor`` call: in the calling thread with one worker, on a pool of
+    ``workers`` threads otherwise.  It returns the shift's (batch, i).
     """
 
-    def __init__(self, a, b, cdtype=None, shifts=()):
+    def __init__(self, a, b, cdtype=None, shifts=(), workers=1):
         self.a = a
         self.b = b
         self.cdtype = cdtype
+        self.workers = workers
         self._shifts = [complex(z) for z in shifts]
         self._batches = None
         self._lock = threading.Lock()
@@ -146,13 +148,15 @@ class _Ops:
         return len(self._shifts)
 
     def factorize(self, z):
-        if z not in self._shifts:
-            return self._factor([z]), 0
         g = self._batch_size()
         with self._lock:
             if self._batches is None:
-                self._batches = [self._factor(self._shifts[i:i + g])
-                                 for i in range(0, len(self._shifts), g)]
+                groups = [self._shifts[i:i + g] for i in range(0, len(self._shifts), g)]
+                if self.workers > 1:
+                    with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                        self._batches = list(pool.map(self._factor, groups))
+                else:
+                    self._batches = [self._factor(group) for group in groups]
         i = self._shifts.index(z)
         return self._batches[i // g], i % g
 
@@ -171,18 +175,12 @@ class _Ops:
         return self._multiply(self.b, x)
 
 
-def run_rci(kernel, ops, options: SolverOptions | None = None):
+def run_rci(kernel, ops):
     """Drive a kernel to completion against a backend ops object.  Adjoint
     solves use the direct factor, so FACTORIZE_ADJOINT needs no action."""
-    options = options or SolverOptions()
     factors = {}
     current = None
     try:
-        if options.parallel_contour > 1 and not kernel.done:
-            with ThreadPoolExecutor(max_workers=options.parallel_contour) as pool:
-                futures = {complex(z): pool.submit(ops.factorize, complex(z))
-                           for z in kernel.contour.z}
-                factors = {z: f.result() for z, f in futures.items()}
         task = kernel.step()
         while task != RciTask.DONE:
             if task == RciTask.FACTORIZE:

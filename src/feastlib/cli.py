@@ -2,7 +2,8 @@
 for generalized problems), run the matching solver, print the report.
 
 Exit codes: 0 when the solver finishes with a success or warning code,
-1 on a solver error code, 2 on missing or malformed input files.
+1 on a solver error code, 2 on missing or malformed input files or an
+option value that ``SolverOptions`` rejects.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from ._driver import SolverOptions
 from .banded import feast_hb, feast_sb
 from .dense import feast_he, feast_sy
 from .io import ParseError, parse_config, parse_coordinate
-from .kernel import DEFAULT_SEED
 from .params import info_classification, info_description
 from .sparse import feast_hcsr, feast_scsr
 
@@ -88,10 +88,9 @@ def _print_summary(result, cfg, elapsed):
     print(f"Time (s) {elapsed:.3f}")
 
 
-def run_driver(prefix: str, *, seed: int = DEFAULT_SEED, parallel_contour: int = 1,
-               solver: str = "direct", iter_tol: float = 1.0e-3,
+def run_driver(prefix: str, *, options: SolverOptions | None = None,
                fmt: str = "sparse") -> int:
-    """Run one batch solve; returns the process exit code."""
+    """Run one batch solve with ``options`` (None: defaults); returns the exit code."""
     try:
         cfg, a_coo, b_coo = _load(prefix)
     except FileNotFoundError as exc:
@@ -100,8 +99,6 @@ def run_driver(prefix: str, *, seed: int = DEFAULT_SEED, parallel_contour: int =
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    options = SolverOptions(seed=seed, parallel_contour=parallel_contour,
-                            solver=solver, iter_tol=iter_tol)
     start = time.perf_counter()
     result = _solve(cfg, a_coo, b_coo, fmt, options)
     elapsed = time.perf_counter() - start
@@ -123,21 +120,24 @@ def main(argv=None) -> int:
         description="Solve the eigenproblem described by <prefix>.in, "
                     "<prefix>.A and optionally <prefix>.B.")
     parser.add_argument("prefix", help="path prefix of the .in/.A/.B files")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=int, default=SolverOptions.seed,
                         help="seed of the deterministic start-vector stream")
-    parser.add_argument("--parallel-contour", type=int, default=1, metavar="K",
-                        help="workers for concurrent shift factorization")
-    parser.add_argument("--solver", choices=("direct", "iterative"), default="direct",
+    parser.add_argument("--parallel-contour", type=int, default=SolverOptions.parallel_contour,
+                        metavar="K", help="workers for concurrent shift factorization")
+    parser.add_argument("--solver", choices=("direct", "iterative"), default=SolverOptions.solver,
                         help="inner linear solver (sparse format only)")
-    parser.add_argument("--iter-tol", type=float, default=1.0e-3,
+    parser.add_argument("--iter-tol", type=float, default=SolverOptions.iter_tol,
                         help="relative residual of the iterative inner solver")
     parser.add_argument("--format", choices=("dense", "banded", "sparse"),
                         default="sparse", dest="fmt",
                         help="backend used for the solve")
     args = parser.parse_args(argv)
-    return run_driver(args.prefix, seed=args.seed,
-                      parallel_contour=args.parallel_contour,
-                      solver=args.solver, iter_tol=args.iter_tol, fmt=args.fmt)
+    try:
+        options = SolverOptions(seed=args.seed, parallel_contour=args.parallel_contour,
+                                solver=args.solver, iter_tol=args.iter_tol)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return run_driver(args.prefix, options=options, fmt=args.fmt)
 
 
 if __name__ == "__main__":

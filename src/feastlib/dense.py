@@ -125,15 +125,19 @@ def lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
 
 class _DenseOps(_Ops):
-    def factorize(self, z):
+    """A batch is one shift's LU, so that workers factorize shifts concurrently."""
+
+    def _batch_size(self):
+        return 1
+
+    def _factor(self, shifts):
+        (z,) = shifts
         if self.b is None:
-            shifted = z * np.eye(self.a.shape[0], dtype=self.cdtype) - self.a
-        else:
-            shifted = z * self.b.astype(self.cdtype) - self.a
-        return lu_factor(shifted)
+            return lu_factor(z * np.eye(self.a.shape[0], dtype=self.cdtype) - self.a)
+        return lu_factor(z * self.b.astype(self.cdtype) - self.a)
 
     def _solve(self, factor, rhs, adjoint):
-        return lu_solve(factor, rhs, adjoint)
+        return lu_solve(factor[0], rhs, adjoint)
 
     _multiply = staticmethod(np.matmul)
 
@@ -155,7 +159,8 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
         asymmetry=lambda i, m: asymmetry(m, hermitian) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype), options)
+    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype, kernel.contour.z,
+                                     options.parallel_contour))
 
 
 def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):

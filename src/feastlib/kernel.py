@@ -176,7 +176,7 @@ class _RciKernel:
     During a contour pass ``x`` holds the partial filtered sum, and after
     it the Ritz vectors.  On an error code ``x`` and ``e`` have no meaning;
     a rejected N, M0 or fpm, or a failed allocation (info -1), leaves
-    every array with zero columns."""
+    every array with zero columns (and rows, for an N past numpy's limit)."""
 
     hermitian = False
 
@@ -210,20 +210,20 @@ class _RciKernel:
                      or validate_params(self.fpm))
         if self.info == 0:
             try:
-                self._allocate(self.m0)
+                self._allocate(self.n, self.m0)
             except (MemoryError, ValueError):  # ValueError: too large to address
                 self.info = -1
         if self.info != 0:
             self._done = True
-            self._allocate(0)
+            self._allocate(self.n if self.n <= np.iinfo(np.intp).max else 0, 0)
             return
         self.contour = build_contour(gauss_legendre(self.fpm.slot(2)), self.emin, self.emax)
         self._gen = self._run()
 
-    def _allocate(self, m0):
-        """The N x m0 blocks and the m0 eigenvalues and residuals."""
+    def _allocate(self, n, m0):
+        """The n x m0 blocks and the m0 eigenvalues and residuals."""
         work_dtype = self._cdtype if self.hermitian else self._rdtype
-        shape = (max(self.n, 0), m0)
+        shape = (max(n, 0), m0)
         self.y = np.zeros(shape, dtype=work_dtype)
         self.work1 = np.zeros(shape, dtype=work_dtype)
         self.work2 = np.zeros(shape, dtype=self._cdtype)

@@ -507,8 +507,9 @@ class _ShiftedPattern:
 # --- iterative inner solver ---------------------------------------------------
 
 
-def _bicgstab(matvec, diag, b, tol, maxiter):
+def _bicgstab(matvec, diag, b, tol):
     """Diagonal-preconditioned BiCGStab for one right-hand side."""
+    maxiter = max(8 * len(b), 200)
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = np.linalg.norm(b)
@@ -547,62 +548,27 @@ def _bicgstab(matvec, diag, b, tol, maxiter):
     raise SingularMatrixError(f"BiCGStab did not reach tol={tol} in {maxiter} iterations")
 
 
-class _IterativeFactor:
-    def __init__(self, pattern: _ShiftedPattern, z: complex, tol: float):
-        self.pattern = pattern
-        self.tol = tol
-        self.classes = _row_classes(pattern.indptr, pattern.indices)
-        # (z*B - A)^H equals conj(z)*B - A for Hermitian/symmetric A, B.
-        self.systems = {adjoint: self._system(pattern.shifted_data(shift))
-                        for adjoint, shift in ((False, z), (True, complex(z).conjugate()))}
-
-    def _system(self, data):
-        """Shifted data and its diagonal preconditioner (zeros read as 1)."""
-        p = self.pattern
-        on_diag = p.rows == p.cols
-        diag = np.zeros(p.n, dtype=data.dtype)
-        diag[p.rows[on_diag]] = data[on_diag]
-        diag[diag == 0] = 1.0
-        return data, diag
-
-    def solve(self, rhs, adjoint=False):
-        p = self.pattern
-        data, diag = self.systems[adjoint]
-        maxiter = max(8 * p.n, 200)
-        out = np.empty_like(rhs)
-        for k in range(rhs.shape[1]):
-            out[:, k] = _bicgstab(
-                lambda v: _csr_block_matvec(p.n, self.classes, data, v),
-                diag, rhs[:, k].astype(data.dtype), self.tol, maxiter)
-        return out
-
-
 # --- driver glue ---------------------------------------------------------------
 
 
 class _SparseOps(_Ops):
-    """Backend ops of the CSR drivers.
+    """Backend ops of the CSR drivers with the direct solver.
 
-    With the direct solver, all contour ``shifts`` are factorized in one
-    batch (see ``_Ops``).  Per solve direction, the batched solution of the
-    last right-hand side is kept with that right-hand side: a request with
-    an equal one is served from it, any other runs a new batched sweep.
-    The solution is dropped after as many requests as there are shifts, so
-    that it is not held through the rest of the refinement loop.
-    ``symmetric`` marks complex symmetric shifted matrices (feast_scsr),
-    whose factors keep each F12 block as a transposed view of F21.
+    All contour ``shifts`` are factorized in one batch (see ``_Ops``).  Per
+    solve direction, the batched solution of the last right-hand side is
+    kept with that right-hand side: a request with an equal one is served
+    from it, any other runs a new batched sweep.  The solution is dropped
+    after as many requests as there are shifts, so that it is not held
+    through the rest of the refinement loop.  ``symmetric`` marks complex
+    symmetric shifted matrices (feast_scsr), whose factors keep each F12
+    block as a transposed view of F21.
     """
 
-    def __init__(self, a_full, b_full, solver, iter_tol, shifts, symmetric=False):
-        super().__init__(a_full, b_full, shifts=shifts)
+    def __init__(self, a_full, b_full, shifts, workers=1, symmetric=False):
+        super().__init__(a_full, b_full, shifts=shifts, workers=workers)
         self.pattern = _ShiftedPattern(a_full, b_full)
-        self.solver = solver
-        self.iter_tol = iter_tol
         self.symmetric = symmetric
-        self.symbolic = None
-        if solver == "direct":
-            self.symbolic = _SparseSymbolic(
-                self.pattern.n, self.pattern.indptr, self.pattern.indices)
+        self.symbolic = _SparseSymbolic(self.pattern.n, self.pattern.indptr, self.pattern.indices)
         # adjoint flag -> [factor, right-hand side, sweep output, requests served]
         self._solutions = {False: None, True: None}
 
@@ -611,14 +577,7 @@ class _SparseOps(_Ops):
             self.symbolic, np.stack([self.pattern.shifted_data(z) for z in shifts]),
             self.symmetric)
 
-    def factorize(self, z):
-        if self.solver != "direct":
-            return _IterativeFactor(self.pattern, z, self.iter_tol)
-        return super().factorize(z)
-
     def _solve(self, factor, rhs, adjoint):
-        if self.solver != "direct":
-            return factor.solve(rhs, adjoint=adjoint)
         batch, shift = factor
         with self._lock:
             held = self._solutions[adjoint]
@@ -631,6 +590,42 @@ class _SparseOps(_Ops):
             if held[3] == batch.ne:
                 self._solutions[adjoint] = None
             return batch.pick(held[2], shift)
+
+    _multiply = staticmethod(csr_matvec)
+
+
+class _IterativeOps(_Ops):
+    """Backend ops of the CSR drivers with the BiCGStab inner solver.  The
+    batch holds each shift z's data and diagonal preconditioner for z and,
+    for adjoint solves, conj(z): (z*B - A)^H = conj(z)*B - A here."""
+
+    def __init__(self, a_full, b_full, shifts, workers, tol):
+        super().__init__(a_full, b_full, shifts=shifts, workers=workers)
+        self.pattern = _ShiftedPattern(a_full, b_full)
+        self.classes = _row_classes(self.pattern.indptr, self.pattern.indices)
+        self.tol = tol
+
+    def _factor(self, shifts):
+        return [{False: self._system(z), True: self._system(z.conjugate())} for z in shifts]
+
+    def _system(self, z):
+        """Data of z*B - A and its diagonal preconditioner (zeros read as 1)."""
+        p = self.pattern
+        data = p.shifted_data(z)
+        on_diag = p.rows == p.cols
+        diag = np.zeros(p.n, dtype=data.dtype)
+        diag[p.rows[on_diag]] = data[on_diag]
+        diag[diag == 0] = 1.0
+        return data, diag
+
+    def _solve(self, factor, rhs, adjoint):
+        batch, shift = factor
+        data, diag = batch[shift][adjoint]
+        matvec = functools.partial(_csr_block_matvec, self.pattern.n, self.classes, data)
+        out = np.empty_like(rhs)
+        for k in range(rhs.shape[1]):
+            out[:, k] = _bicgstab(matvec, diag, rhs[:, k].astype(data.dtype), self.tol)
+        return out
 
     _multiply = staticmethod(csr_matvec)
 
@@ -673,9 +668,13 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
         asymmetry=lambda i, m: csr_asymmetry(m, hermitian) if (a, b)[i].uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    ops = _SparseOps(a_full, b_full, options.solver, options.iter_tol, kernel.contour.z,
-                     symmetric=not hermitian)
-    return run_rci(kernel, ops, options)
+    if options.solver == "iterative":
+        ops = _IterativeOps(a_full, b_full, kernel.contour.z, options.parallel_contour,
+                            options.iter_tol)
+    else:
+        ops = _SparseOps(a_full, b_full, kernel.contour.z, options.parallel_contour,
+                         symmetric=not hermitian)
+    return run_rci(kernel, ops)
 
 
 def feast_scsr(a, emin, emax, m0, *, b=None, fpm=None, options=None, x0=None):

@@ -404,8 +404,6 @@ def test_concurrent_factorize_shares_the_batches():
     assert len(ops._batches) == 3
     for i, (batch, s) in enumerate(handles):
         assert batch is ops._batches[i // 3] and s == i % 3
-    off = ops.factorize(0.5 + 2j)  # off the contour: a batch of one
-    assert off[1] == 0 and off[0][0].shape[1] == 1
 
 
 def test_batches_stay_under_the_huge_page_threshold():

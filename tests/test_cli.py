@@ -111,6 +111,16 @@ def test_seed_determinism(hello_prefix, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--iter-tol", "-1"), ("--iter-tol", "nan"), ("--parallel-contour", "0")])
+def test_bad_solver_option_exits_two(hello_prefix, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([hello_prefix, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag[2:].replace("-", "_") in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["dense", "banded", "sparse"])
 def test_format_selection(hello_prefix, capsys, fmt):
     assert main([hello_prefix, "--format", fmt]) == 0

@@ -100,6 +100,26 @@ def test_argument_codes_take_precedence_over_nonfinite_values():
     assert feast_sy(a, -5.0, 5.0, 3).info == 201
 
 
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_singular_pencil_returns_minus_two(driver, stem, dtype, code_a, code_b, workers):
+    """Column 1 of z*B - A is zero at every shift, so the factorization
+    fails: with two workers, inside a pool thread."""
+    a = np.diag([2.0, 0.0]).astype(dtype)
+    b = np.diag([1.0, 0.0]).astype(dtype)
+    assert _call(driver, a, b, options=SolverOptions(parallel_contour=workers)).info == -2
+
+
+@pytest.mark.parametrize("field,value", [
+    ("iter_tol", 0.0), ("iter_tol", -1.0), ("iter_tol", np.nan), ("iter_tol", np.inf),
+    ("parallel_contour", 0), ("parallel_contour", -3)])
+def test_bad_solver_options_are_rejected(field, value):
+    """iter_tol=-1 once ran BiCGStab to its iteration cap, overflowing, and
+    returned -2; parallel_contour=-3 ran serially."""
+    with pytest.raises(ValueError, match=field):
+        SolverOptions(**{field: value})
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_factorized_shifts_are_the_kernel_contour(monkeypatch, workers):
     import feastlib.dense
@@ -108,11 +128,11 @@ def test_factorized_shifts_are_the_kernel_contour(monkeypatch, workers):
     seen = []
     contour = []
 
-    def recording(kernel, ops, options):
+    def recording(kernel, ops):
         factorize = ops.factorize
         ops.factorize = lambda z: seen.append(z) or factorize(z)
         contour.extend(complex(z) for z in kernel.contour.z)
-        return original(kernel, ops, options)
+        return original(kernel, ops)
 
     monkeypatch.setattr(feastlib.dense, "run_rci", recording)
     result = feast_sy(HELLO, -5.0, 5.0, 2, options=SolverOptions(parallel_contour=workers))

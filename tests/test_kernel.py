@@ -455,7 +455,11 @@ def test_validation_errors_on_init():
     (lambda: HermitianRci(0, 10**16, 0.0, 1.0).result, 202),
     # N x M0 beyond the address space: numpy refuses before allocating.
     (lambda: SymmetricRci(2**40, 2**20, 0.0, 1.0).result, -1),
-], ids=["feast_sy-m0", "symmetric-n", "hermitian-n", "unaddressable"])
+    # N beyond numpy's largest dimension: not even N x 0 arrays can be made.
+    (lambda: SymmetricRci(10**30, 5, 0.0, 1.0).result, -1),
+    (lambda: HermitianRci(10**30, 5, 0.0, 1.0).result, -1),
+], ids=["feast_sy-m0", "symmetric-n", "hermitian-n", "unaddressable",
+        "symmetric-huge-n", "hermitian-huge-n"])
 def test_rejected_sizes_return_zero_column_arrays(make, info):
     """A rejected size was once allocated anyway, and raised MemoryError."""
     result = make()
