@@ -35,8 +35,10 @@ class SolverOptions:
     seed: deterministic start-vector stream.
     parallel_contour: threads (at least 1) that factorize the contour
         shifts' batches concurrently (see ``_Ops``; the README gives
-        measured times).  Workers and BLAS threads share the cores, so use
-        one BLAS thread with more than one worker.
+        measured times).  A dense batch is ceil(shifts / workers) shifts,
+        a banded one as many as fit under 4 MiB, a CSR one all of
+        them.  Workers and BLAS threads share the cores, so use one BLAS
+        thread with more than one worker.
     solver: 'direct' or 'iterative' (sparse backend only).
     iter_tol: relative residual target (> 0) of the iterative inner solver.
     Other values raise ValueError.
@@ -64,8 +66,9 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     The kernel is named ``{S,D,C,Z}FEAST_<family>{EV,GV}``, single precision
     for a float32/complex64 A.  ``checks`` holds the driver's (info code,
     failing condition callable) pairs in order; the first that fails aborts
-    the kernel.  Once these and the kernel's own checks pass, a complex
-    operand of a real symmetric driver aborts with its code in ``finite``;
+    the kernel.  Once these and the kernel's own checks pass, an operand
+    whose entries are not numbers, or a complex operand of a real symmetric
+    driver, aborts with its code in ``finite``;
     then ``operands(scalar type)`` gives the full-storage (A, B), B None for
     a standard problem, and a NaN or infinite entry aborts with the code in
     ``finite``.  So does an operand given in full storage (uplo='F') that is
@@ -90,12 +93,14 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
             return kernel, options, (None, None)
     if kernel.done:
         return kernel, options, (None, None)
-    if not hermitian:
-        # Casting would drop the imaginary part, and solve another problem.
-        for code, dtype in zip(finite, dtypes):
-            if dtype is not None and np.issubdtype(dtype, np.complexfloating):
-                kernel.abort(code)
-                return kernel, options, (None, None)
+    for code, dtype in zip(finite, dtypes):
+        # A non-numeric operand (strings, objects) has no values to cast; a
+        # complex one cast for a real driver would lose its imaginary part,
+        # and solve another problem.
+        kind = None if dtype is None else np.dtype(dtype).kind
+        if kind is not None and (kind not in "biufc" or kind == "c" and not hermitian):
+            kernel.abort(code)
+            return kernel, options, (None, None)
     full = operands(kernel.x.dtype)
     for i, (code, op) in enumerate(zip(finite, full)):
         if op is None:
@@ -126,13 +131,22 @@ class _Ops:
     """Backend protocol of ``run_rci``.  A backend keeps the full-storage
     operands as ``a`` and ``b`` (None: B is the identity) and adds
     ``_factor(shifts)``, one batch of factors of z*B - A for a list of
-    contour shifts, ``_solve((batch, i), rhs, adjoint)`` and
-    ``_multiply(matrix, x)``.
+    contour shifts, and ``_multiply(matrix, x)``.
 
     The first ``factorize`` factorizes all ``shifts`` under a lock
     (concurrent callers wait for it), ``_batch_size()`` shifts per
     ``_factor`` call: in the calling thread with one worker, on a pool of
     ``workers`` threads otherwise.  It returns the shift's (batch, i).
+
+    A batch that solves all its shifts at once (dense and CSR) has ``ne``,
+    its number of shifts, ``sweep(rhs, adjoint)``, every shift's solution
+    for the (n, m) block ``rhs``, and ``pick(y, i)``, shift i's (n, m)
+    solution out of a sweep's output.  Per solve direction, the sweep of the
+    last right-hand side is held with that right-hand side: a request with
+    an equal one is served from it, any other runs a new sweep.  The sweep
+    is dropped after ``ne`` requests, so that it is not held through the
+    rest of the refinement loop.  A backend that solves one shift at a time
+    (banded, iterative) overrides ``_solve((batch, i), rhs, adjoint)``.
     """
 
     def __init__(self, a, b, cdtype=None, shifts=(), workers=1):
@@ -143,6 +157,8 @@ class _Ops:
         self._shifts = [complex(z) for z in shifts]
         self._batches = None
         self._lock = threading.Lock()
+        # adjoint flag -> [batch, right-hand side, sweep output, requests served]
+        self._held = {False: None, True: None}
 
     def _batch_size(self):
         return len(self._shifts)
@@ -159,6 +175,19 @@ class _Ops:
                     self._batches = [self._factor(group) for group in groups]
         i = self._shifts.index(z)
         return self._batches[i // g], i % g
+
+    def _solve(self, factor, rhs, adjoint):
+        batch, shift = factor
+        with self._lock:
+            held = self._held[adjoint]
+            if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
+                # Drop the old buffer before the sweep allocates the new one.
+                held = self._held[adjoint] = None
+                held = self._held[adjoint] = [batch, rhs.copy(), batch.sweep(rhs, adjoint), 0]
+            held[3] += 1
+            if held[3] == batch.ne:
+                self._held[adjoint] = None
+            return batch.pick(held[2], shift)
 
     def solve(self, factor, rhs):
         return self._solve(factor, rhs, False)

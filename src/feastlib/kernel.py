@@ -25,6 +25,7 @@ matrix storage.  Typical caller loop::
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,27 @@ def filter_sort_flag(evalues, x, res, emin, emax) -> int:
 # --- the engine -------------------------------------------------------------
 
 
+def _real(value) -> float:
+    """float(value) for a real number (a Python or numpy integer or float,
+    or a 0-d array of one); NaN, which check_problem rejects with 200, for
+    anything else, such as None, a string or a complex number."""
+    if isinstance(value, (str, bytes)) or np.iscomplexobj(value):
+        return float("nan")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return float("nan")
+
+
+def _integer(value) -> int:
+    """int(value) for an integer-valued real number; 0, which check_problem
+    rejects with 201, for anything else, such as 20.5, None or a string."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    real = _real(value)
+    return int(real) if real.is_integer() else 0
+
+
 class _RciKernel:
     """Shared machinery of the symmetric/Hermitian reverse-communication
     engines.  One instance drives one solve; instances are independent and
@@ -183,9 +205,9 @@ class _RciKernel:
     def __init__(self, n, m0, emin, emax, fpm=None, *, seed=DEFAULT_SEED,
                  block_size=None, dtype=None, routine_name=None):
         self.n = int(n)
-        self.m0 = int(m0)
-        self.emin = float(emin)
-        self.emax = float(emax)
+        self.m0 = _integer(m0)
+        self.emin = _real(emin)
+        self.emax = _real(emax)
         self.fpm = fpm if fpm is not None else feastinit()
         self.seed = int(seed)
         self.block_size = block_size

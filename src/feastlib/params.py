@@ -121,7 +121,9 @@ def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
     """Validate problem size, subspace size and search interval.
 
     Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax, or
-    either bound NaN or infinite).
+    either bound NaN or infinite).  The kernels pass an M0 that is not an
+    integer value as 0 and an Emin or Emax that is not a real number as NaN,
+    so these return 201 and 200 too.
     """
     if n <= 0:
         return 202
@@ -145,8 +147,8 @@ def info_description(info: int) -> str:
     """Human-readable meaning of a return code."""
     fixed = {
         202: "Problem with size of the system N (N<=0)",
-        201: "Problem with size of subspace M0 (M0>N or M0<=0)",
-        200: "Problem with Emin,Emax (Emin>=Emax or not finite)",
+        201: "Problem with size of subspace M0 (M0>N or M0<=0, or not an integer)",
+        200: "Problem with Emin,Emax (Emin>=Emax, or not finite real numbers)",
         4: "Only the subspace has been returned using fpm(14)=1",
         3: "Size of the subspace M0 is too small (M0<=M)",
         2: "No Convergence (#iteration loops>fpm(4))",
@@ -163,9 +165,9 @@ def info_description(info: int) -> str:
         return f"Problem with {info - 100}-th value of the input FEAST parameter (fpm({info - 100}))"
     if -200 < info < -100:
         return (f"Problem with the {-info - 100}-th argument of the FEAST interface (for a "
-                "matrix: its shape, a NaN or infinite entry, a complex matrix given to a "
-                "real driver, a CSR driver's operand that is not a CsrMatrix, or in full "
-                "storage, uplo='F', a matrix that is not "
+                "matrix: its shape, a NaN or infinite entry, entries that are not "
+                "numbers, a complex matrix given to a real driver, a CSR driver's operand "
+                "that is not a CsrMatrix, or in full storage, uplo='F', a matrix that is not "
                 f"symmetric/Hermitian to within {SYMMETRY_ULPS} machine epsilons of its "
                 "largest entry)")
     return f"Unknown return code {info}"

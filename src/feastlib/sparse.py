@@ -554,12 +554,8 @@ def _bicgstab(matvec, diag, b, tol):
 class _SparseOps(_Ops):
     """Backend ops of the CSR drivers with the direct solver.
 
-    All contour ``shifts`` are factorized in one batch (see ``_Ops``).  Per
-    solve direction, the batched solution of the last right-hand side is
-    kept with that right-hand side: a request with an equal one is served
-    from it, any other runs a new batched sweep.  The solution is dropped
-    after as many requests as there are shifts, so that it is not held
-    through the rest of the refinement loop.  ``symmetric`` marks complex
+    All contour ``shifts`` are factorized in one batch and solved by one
+    sweep per right-hand side (see ``_Ops``).  ``symmetric`` marks complex
     symmetric shifted matrices (feast_scsr), whose factors keep each F12
     block as a transposed view of F21.
     """
@@ -569,27 +565,11 @@ class _SparseOps(_Ops):
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.symmetric = symmetric
         self.symbolic = _SparseSymbolic(self.pattern.n, self.pattern.indptr, self.pattern.indices)
-        # adjoint flag -> [factor, right-hand side, sweep output, requests served]
-        self._solutions = {False: None, True: None}
 
     def _factor(self, shifts):
         return _SparseFactor(
             self.symbolic, np.stack([self.pattern.shifted_data(z) for z in shifts]),
             self.symmetric)
-
-    def _solve(self, factor, rhs, adjoint):
-        batch, shift = factor
-        with self._lock:
-            held = self._solutions[adjoint]
-            if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
-                # Drop the old buffer before the sweep allocates the new one.
-                held = self._solutions[adjoint] = None
-                y = batch.sweep(rhs, adjoint)
-                held = self._solutions[adjoint] = [batch, rhs.copy(), y, 0]
-            held[3] += 1
-            if held[3] == batch.ne:
-                self._solutions[adjoint] = None
-            return batch.pick(held[2], shift)
 
     _multiply = staticmethod(csr_matvec)
 

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from feastlib import SingularMatrixError, SolverOptions, feast_he, feast_sy, feastinit
-from feastlib.dense import NB, expand_uplo, lu_factor, lu_solve
+from feastlib.dense import (
+    LEAF,
+    NB,
+    _DenseFactor,
+    _DenseOps,
+    _factor_stack,
+    expand_uplo,
+    lu_factor,
+    lu_solve,
+)
 from feastlib.quadrature import build_contour, gauss_legendre
 
 from conftest import gap_interval, random_hermitian, random_symmetric
@@ -70,6 +81,123 @@ def test_blocked_lu_zero_column_names_the_reference_column(rng, column):
     with pytest.raises(SingularMatrixError) as blocked:
         lu_factor(a)
     assert str(blocked.value) == str(ref.value) == f"zero pivot at column {column}"
+
+
+def _pivoting_stack(rng, n, g, complex_):
+    """g diagonally dominant n x n matrices, which factorize without row
+    interchanges, except that matrix s has a zero diagonal entry at column
+    cols[s] (different columns for different s), where it must pivot."""
+    cols = [(5 * s + 2) % max(n - 1, 1) for s in range(g)]
+    mats = rng.normal(size=(g, n, n)) + 4 * n * np.eye(n)
+    if complex_:
+        mats = mats + 1j * rng.normal(size=(g, n, n))
+    if n > 1:
+        for s, c in enumerate(cols):
+            mats[s, c, c] = 0
+    return mats, cols
+
+
+@pytest.mark.parametrize("n", (1, LEAF, LEAF + 1, NB, NB + 1, 2 * NB + 3))
+@pytest.mark.parametrize("g", (1, 3, 8))
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_lu_is_bitwise_the_one_shift_lu(rng, n, g, complex_):
+    mats, cols = _pivoting_stack(rng, n, g, complex_)
+    stack = mats.copy()
+    piv = _factor_stack(stack)
+    for s in range(g):
+        lu, p = lu_factor(mats[s])
+        assert np.array_equal(piv[s], p)
+        assert stack[s].tobytes() == lu.tobytes()
+        if n > 1:
+            # The first interchange is at the zeroed diagonal entry.
+            assert np.flatnonzero(p != np.arange(n))[0] == cols[s]
+
+
+@pytest.mark.parametrize("column", [0, LEAF, NB - 1, NB + 1, 2 * NB + 2])
+def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
+    n = 2 * NB + 3
+    mats = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    mats[1, :, column] = 0
+    with pytest.raises(SingularMatrixError) as err:
+        _factor_stack(mats)
+    assert str(err.value) == f"zero pivot at column {column} (shift 1)"
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["direct", "adjoint"])
+def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
+    n, g = 2 * NB + 3, 4
+    mats, _ = _pivoting_stack(rng, n, g, complex_=True)
+    stack = mats.copy()
+    factor = _DenseFactor(stack, _factor_stack(stack))
+    b = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    y = factor.sweep(b, adjoint)
+    assert y.shape == (g, n, 5)
+    for s in range(g):
+        x = factor.pick(y, s)
+        assert np.array_equal(x, lu_solve((stack[s], _factor_stack(mats[s:s + 1].copy())[0]),
+                                          b, adjoint))
+        op = mats[s].conj().T if adjoint else mats[s]
+        assert np.abs(op @ x - b).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
+
+
+def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatch):
+    n = 20
+    a = random_symmetric(n, rng)
+    shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
+    ops = _DenseOps(a, None, np.dtype(np.complex128), shifts)
+    rhs1 = rng.normal(size=(n, 3)) + 0j
+    rhs2 = rng.normal(size=(n, 3)) + 0j
+    expected = {(i, k, adjoint): lu_solve(lu_factor(shifts[i] * np.eye(n) - a), rhs, adjoint)
+                for i in range(len(shifts)) for k, rhs in enumerate((rhs1, rhs2))
+                for adjoint in (False, True)}
+    sweeps = []
+    sweep = _DenseFactor.sweep
+
+    def counted(self, b, adjoint=False):
+        sweeps.append(adjoint)
+        return sweep(self, b, adjoint)
+
+    monkeypatch.setattr(_DenseFactor, "sweep", counted)
+    factors = [ops.factorize(z) for z in shifts]
+    assert all(f[0] is factors[0][0] for f in factors)
+
+    def check(x, i, k, adjoint=False):
+        want = expected[i, k, adjoint]
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+
+    for i, k, count in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, 3)):
+        check(ops.solve(factors[i], (rhs1, rhs2)[k]), i, k)
+        assert len(sweeps) == count
+    check(ops.solve_adjoint(factors[0], rhs1), 0, 0, adjoint=True)
+    assert sweeps == [False, False, False, True]
+    # The sweep of rhs1 has served shift 3; seven more requests use it up.
+    for i in (4, 5, 6, 7, 0, 1, 2):
+        assert ops._held[False] is not None
+        check(ops.solve(factors[i], rhs1), i, 0)
+    assert len(sweeps) == 4
+    assert ops._held[False] is None
+    assert ops._held[True] is not None
+
+
+def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
+    # Beyond the stack itself, the factorization holds at most one panel,
+    # copied out transposed (one (g, n, NB) block column), and the product
+    # temporaries of the panel's halves or of one trailing block column.
+    n, g = 400, 8
+    a = random_symmetric(n, rng)
+    shifts = build_contour(gauss_legendre(g), -1.0, 1.0).z
+    ops = _DenseOps(a, None, np.dtype(np.complex128), shifts)
+    tracemalloc.start()
+    try:
+        factor = ops._factor(list(shifts))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = factor.lu.nbytes
+    block_column = g * n * NB * np.dtype(np.complex128).itemsize
+    assert stack == g * n * n * 16
+    assert peak - stack < 2 * block_column
+    assert current - stack < 0.1 * block_column
 
 
 def test_adjoint_solve_matches_fresh_adjoint_factorization(rng):

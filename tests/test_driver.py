@@ -8,7 +8,9 @@ import pytest
 
 from feastlib import (
     CsrMatrix,
+    HermitianRci,
     SolverOptions,
+    SymmetricRci,
     feast_hb,
     feast_hcsr,
     feast_he,
@@ -276,3 +278,59 @@ def test_complex_x0_of_real_driver_returns_fpm5_code():
         warnings.simplefilter("error")
         result = feast_sy(HELLO, -5.0, 5.0, 2, fpm=fpm, x0=np.eye(2) * (1 + 1j))
     assert result.info == 105
+
+
+# Drivers whose operands are arrays, so that their entries can be strings.
+ARRAY_DRIVERS = [d for d in DRIVERS if d[0] in (feast_sy, feast_he, feast_sb, feast_hb)]
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", ARRAY_DRIVERS,
+                         ids=[d[1] for d in ARRAY_DRIVERS])
+@pytest.mark.parametrize("operand", ["A", "B"])
+@pytest.mark.parametrize("kind", [str, bytes, object], ids=["str", "bytes", "object"])
+def test_non_numeric_operand_returns_argument_code(driver, stem, dtype, code_a, code_b,
+                                                   operand, kind):
+    a = HELLO.astype(dtype)
+    b = np.eye(2, dtype=dtype)
+    if operand == "A":
+        a = a.astype(kind)
+    else:
+        b = b.astype(kind)
+    result = _call(driver, a, b)
+    assert result.info == (code_a if operand == "A" else code_b)
+    assert result.m == 0 and result.loop == 0
+
+
+def _call_scalars(driver, emin, emax, m0):
+    """Run a driver, or start an RCI kernel, on HELLO with the given scalars."""
+    if driver in (SymmetricRci, HermitianRci):
+        return driver(2, m0, emin, emax)
+    if driver in (feast_sy, feast_he):
+        return driver(HELLO.astype(complex if driver is feast_he else float), emin, emax, m0)
+    if driver in (feast_sb, feast_hb):
+        band = np.array([[0, -1.0], [2.0, 2.0], [-1.0, 0]])
+        return driver(band.astype(complex if driver is feast_hb else float), 1, emin, emax, m0)
+    csr = CsrMatrix.from_dense(HELLO.astype(complex if driver is feast_hcsr else float))
+    return driver(csr, emin, emax, m0)
+
+
+SCALAR_CALLERS = [d[0] for d in DRIVERS] + [SymmetricRci, HermitianRci]
+
+
+@pytest.mark.parametrize("driver", SCALAR_CALLERS,
+                         ids=DRIVER_IDS + ["SymmetricRci", "HermitianRci"])
+@pytest.mark.parametrize("emin,emax,m0,code", [
+    (None, 5.0, 2, 200), ("a", 5.0, 2, 200), (1j, 5.0, 2, 200),
+    (-5.0, np.complex128(5.0), 2, 200), (-5.0, "5", 2, 200),
+    (-5.0, 5.0, None, 201), (-5.0, 5.0, "x", 201), (-5.0, 5.0, 1.5, 201),
+    (-5.0, 5.0, np.float64(0.5), 201), (-5.0, 5.0, 2j, 201),
+    (-5.0, 5.0, 2.0, 0), (-5.0, 5.0, np.int64(2), 0), (-5.0, 5.0, np.float32(2.0), 0),
+    (np.float32(-5.0), np.int32(5), 2, 0), (np.array(-5.0), 5, 2, 0),
+], ids=lambda v: repr(v))
+def test_bad_scalar_argument_returns_code(driver, emin, emax, m0, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _call_scalars(driver, emin, emax, m0)
+    assert result.info == code
+    if code:
+        assert "not" in info_description(code)
