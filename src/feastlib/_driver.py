@@ -5,15 +5,14 @@ operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
 reverse-communication kernel to completion against it, caching each
 shift's factorization.  The ops object factorizes the contour shifts on
-their first request, on a pool of ``parallel_contour`` threads when that is
-more than one; because every factor, every solve and the accumulation
-order are unchanged, results are bit-identical whatever the worker count.
+their first request, in the calling thread, whatever
+``SolverOptions.parallel_contour`` says (it has no effect; see there): an
+ops object serves one ``run_rci`` in one thread, as a kernel does.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +31,17 @@ class SingularMatrixError(Exception):
 class SolverOptions:
     """Driver-level knobs shared by all backends.
 
-    seed: deterministic start-vector stream.
-    parallel_contour: threads (at least 1) that factorize the contour
-        shifts' batches concurrently (see ``_Ops``; the README gives
-        measured times).  A dense batch is ceil(shifts / workers) shifts,
-        a banded one as many as fit under 4 MiB, a CSR one all of
-        them.  Workers and BLAS threads share the cores, so use one BLAS
-        thread with more than one worker.
+    seed: integer of the deterministic start-vector stream.
+    parallel_contour: an integer of at least 1, with no effect: every
+        backend factorizes its batches in the calling thread.  Contour
+        workers lost on every backend (a batch's shifts share one
+        factorization and sweep, and the numpy loops hold the GIL; 2 cores,
+        one BLAS thread: dense 0.24 s with one worker against 0.27 s with
+        two, banded 0.36 s against 0.43 s; CSR has one batch).
     solver: 'direct' or 'iterative' (sparse backend only).
-    iter_tol: relative residual target (> 0) of the iterative inner solver.
-    Other values raise ValueError.
+    iter_tol: relative residual target (a finite real > 0) of the iterative
+        inner solver.
+    Other values raise ValueError naming the field.
     """
 
     seed: int = DEFAULT_SEED
@@ -52,10 +52,16 @@ class SolverOptions:
     def __post_init__(self):
         if self.solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', not {self.solver!r}")
-        if not (np.isfinite(self.iter_tol) and self.iter_tol > 0):
-            raise ValueError(f"iter_tol must be finite and positive, not {self.iter_tol!r}")
-        if self.parallel_contour < 1:
-            raise ValueError(f"parallel_contour must be at least 1, not {self.parallel_contour!r}")
+        if not (isinstance(self.iter_tol, numbers.Real) and np.isfinite(self.iter_tol)
+                and self.iter_tol > 0):
+            raise ValueError(f"iter_tol must be a finite positive real, not {self.iter_tol!r}")
+        # numbers.Integral covers Python and numpy integers, not floats or None.
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, not {self.seed!r}")
+        if not (isinstance(self.parallel_contour, numbers.Integral)
+                and self.parallel_contour >= 1):
+            raise ValueError(
+                f"parallel_contour must be an integer of at least 1, not {self.parallel_contour!r}")
 
 
 def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
@@ -133,10 +139,10 @@ class _Ops:
     ``_factor(shifts)``, one batch of factors of z*B - A for a list of
     contour shifts, and ``_multiply(matrix, x)``.
 
-    The first ``factorize`` factorizes all ``shifts`` under a lock
-    (concurrent callers wait for it), ``_batch_size()`` shifts per
-    ``_factor`` call: in the calling thread with one worker, on a pool of
-    ``workers`` threads otherwise.  It returns the shift's (batch, i).
+    The first ``factorize`` factorizes all ``shifts``, ``_batch_size()``
+    shifts per ``_factor`` call, in the calling thread; it returns the
+    shift's (batch, i).  One ops object serves one ``run_rci`` in one
+    thread and is not shared between threads.
 
     A batch that solves all its shifts at once (dense and CSR) has ``ne``,
     its number of shifts, ``sweep(rhs, adjoint)``, every shift's solution
@@ -149,14 +155,12 @@ class _Ops:
     (banded, iterative) overrides ``_solve((batch, i), rhs, adjoint)``.
     """
 
-    def __init__(self, a, b, cdtype=None, shifts=(), workers=1):
+    def __init__(self, a, b, cdtype=None, shifts=()):
         self.a = a
         self.b = b
         self.cdtype = cdtype
-        self.workers = workers
         self._shifts = [complex(z) for z in shifts]
         self._batches = None
-        self._lock = threading.Lock()
         # adjoint flag -> [batch, right-hand side, sweep output, requests served]
         self._held = {False: None, True: None}
 
@@ -165,29 +169,23 @@ class _Ops:
 
     def factorize(self, z):
         g = self._batch_size()
-        with self._lock:
-            if self._batches is None:
-                groups = [self._shifts[i:i + g] for i in range(0, len(self._shifts), g)]
-                if self.workers > 1:
-                    with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                        self._batches = list(pool.map(self._factor, groups))
-                else:
-                    self._batches = [self._factor(group) for group in groups]
+        if self._batches is None:
+            self._batches = [self._factor(self._shifts[i:i + g])
+                             for i in range(0, len(self._shifts), g)]
         i = self._shifts.index(z)
         return self._batches[i // g], i % g
 
     def _solve(self, factor, rhs, adjoint):
         batch, shift = factor
-        with self._lock:
-            held = self._held[adjoint]
-            if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
-                # Drop the old buffer before the sweep allocates the new one.
-                held = self._held[adjoint] = None
-                held = self._held[adjoint] = [batch, rhs.copy(), batch.sweep(rhs, adjoint), 0]
-            held[3] += 1
-            if held[3] == batch.ne:
-                self._held[adjoint] = None
-            return batch.pick(held[2], shift)
+        held = self._held[adjoint]
+        if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
+            # Drop the old buffer before the sweep allocates the new one.
+            held = self._held[adjoint] = None
+            held = self._held[adjoint] = [batch, rhs.copy(), batch.sweep(rhs, adjoint), 0]
+        held[3] += 1
+        if held[3] == batch.ne:
+            self._held[adjoint] = None
+        return batch.pick(held[2], shift)
 
     def solve(self, factor, rhs):
         return self._solve(factor, rhs, False)

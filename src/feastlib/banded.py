@@ -381,8 +381,7 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
         asymmetry=lambda i, m: band_asymmetry(m, hermitian) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _BandedOps(fa, fb, kernel._cdtype, kernel.contour.z,
-                                      options.parallel_contour))
+    return run_rci(kernel, _BandedOps(fa, fb, kernel._cdtype, kernel.contour.z))
 
 
 def feast_sb(a, kla, emin, emax, m0, *, uplo="F", b=None, klb=None,

@@ -123,7 +123,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=SolverOptions.seed,
                         help="seed of the deterministic start-vector stream")
     parser.add_argument("--parallel-contour", type=int, default=SolverOptions.parallel_contour,
-                        metavar="K", help="workers for concurrent shift factorization")
+                        metavar="K",
+                        help="accepted and validated but has no effect: contour workers "
+                             "were slower on every backend, so the shifts are factorized "
+                             "in one thread")
     parser.add_argument("--solver", choices=("direct", "iterative"), default=SolverOptions.solver,
                         help="inner linear solver (sparse format only)")
     parser.add_argument("--iter-tol", type=float, default=SolverOptions.iter_tol,

@@ -194,9 +194,11 @@ def lu_factor(a: np.ndarray):
     Returns (lu, piv) with the unit-lower factor below the diagonal of lu,
     U on and above, and piv[k] the row swapped with k at step k.  Raises
     SingularMatrixError on an exactly singular pivot.  A one-matrix stack
-    of _factor_stack.
+    of _factor_stack.  Integer or boolean input is factorized as float64;
+    floating and complex input keeps its type.
     """
-    lu = np.array(a, copy=True)[np.newaxis]
+    a = np.asarray(a)
+    lu = np.array(a, dtype=a.dtype if a.dtype.kind in "fc" else np.float64)[np.newaxis]
     piv = _factor_stack(lu)
     return lu[0], piv[0]
 
@@ -212,13 +214,9 @@ def lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
 
 class _DenseOps(_Ops):
-    """A batch is a stack of ceil(shifts / workers) shifted matrices z B - A,
-    written straight into one (g, n, n) array and factorized by
-    _factor_stack, so that each worker factorizes one batch.  Solves are
-    served from one sweep of the batch (see ``_Ops``)."""
-
-    def _batch_size(self):
-        return -(-len(self._shifts) // self.workers)
+    """The one batch is the stack of all shifted matrices z B - A, written
+    straight into one (shifts, n, n) array and factorized by _factor_stack.
+    Solves are served from one sweep of the batch (see ``_Ops``)."""
 
     def _factor(self, shifts):
         n = self.a.shape[0]
@@ -252,8 +250,7 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
         asymmetry=lambda i, m: asymmetry(m, hermitian) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype, kernel.contour.z,
-                                     options.parallel_contour))
+    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype, kernel.contour.z))
 
 
 def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):

@@ -560,8 +560,8 @@ class _SparseOps(_Ops):
     block as a transposed view of F21.
     """
 
-    def __init__(self, a_full, b_full, shifts, workers=1, symmetric=False):
-        super().__init__(a_full, b_full, shifts=shifts, workers=workers)
+    def __init__(self, a_full, b_full, shifts, symmetric=False):
+        super().__init__(a_full, b_full, shifts=shifts)
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.symmetric = symmetric
         self.symbolic = _SparseSymbolic(self.pattern.n, self.pattern.indptr, self.pattern.indices)
@@ -579,8 +579,8 @@ class _IterativeOps(_Ops):
     batch holds each shift z's data and diagonal preconditioner for z and,
     for adjoint solves, conj(z): (z*B - A)^H = conj(z)*B - A here."""
 
-    def __init__(self, a_full, b_full, shifts, workers, tol):
-        super().__init__(a_full, b_full, shifts=shifts, workers=workers)
+    def __init__(self, a_full, b_full, shifts, tol):
+        super().__init__(a_full, b_full, shifts=shifts)
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.classes = _row_classes(self.pattern.indptr, self.pattern.indices)
         self.tol = tol
@@ -649,11 +649,9 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
     if kernel.done:
         return kernel.result
     if options.solver == "iterative":
-        ops = _IterativeOps(a_full, b_full, kernel.contour.z, options.parallel_contour,
-                            options.iter_tol)
+        ops = _IterativeOps(a_full, b_full, kernel.contour.z, options.iter_tol)
     else:
-        ops = _SparseOps(a_full, b_full, kernel.contour.z, options.parallel_contour,
-                         symmetric=not hermitian)
+        ops = _SparseOps(a_full, b_full, kernel.contour.z, symmetric=not hermitian)
     return run_rci(kernel, ops)
 
 

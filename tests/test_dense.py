@@ -83,6 +83,25 @@ def test_blocked_lu_zero_column_names_the_reference_column(rng, column):
     assert str(blocked.value) == str(ref.value) == f"zero pivot at column {column}"
 
 
+@pytest.mark.parametrize("a", [np.array([[2, 1], [1, 2]]), np.array([[2, 1], [1, 2]], np.int32),
+                               np.array([[True, True], [False, True]])],
+                         ids=["int64", "int32", "bool"])
+def test_lu_factor_of_integer_matrix_is_its_float64_factor(a):
+    """Integer input once raised numpy's UFuncTypeError from the in-place
+    scaling of the integer copy."""
+    lu, piv = lu_factor(a)
+    ref_lu, ref_piv = lu_factor(a.astype(np.float64))
+    assert lu.dtype == np.float64
+    assert lu.tobytes() == ref_lu.tobytes() and np.array_equal(piv, ref_piv)
+    b = np.array([3.0, 3.0])
+    assert np.abs(a @ lu_solve((lu, piv), b) - b).max() <= 1e-15 * 3
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_lu_factor_keeps_inexact_dtype(dtype):
+    assert lu_factor(HELLO.astype(dtype))[0].dtype == dtype
+
+
 def _pivoting_stack(rng, n, g, complex_):
     """g diagonally dominant n x n matrices, which factorize without row
     interchanges, except that matrix s has a zero diagonal entry at column

