@@ -39,7 +39,7 @@ from .params import (
     validate_params,
 )
 from .quadrature import build_contour, gauss_legendre
-from .reduced import ReducedSolverError, generalized_eig, spd_factor
+from .reduced import ReducedSolverError, generalized_eig, random_uniform, spd_factor
 
 DEFAULT_SEED = 42
 
@@ -79,28 +79,6 @@ class EigenResult:
     @property
     def classification(self) -> str:
         return info_classification(self.info)
-
-
-# --- deterministic random stream (SplitMix64, counter-based) ---------------
-
-_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def random_uniform(seed: int, offset: int, count: int) -> np.ndarray:
-    """Deterministic uniform samples in [-1, 1).
-
-    Counter-based SplitMix64: sample i depends only on (seed, offset + i),
-    so identical (seed, n, m0) always reproduce the identical start block
-    regardless of platform or thread count.
-    """
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
 # --- small pure helpers used by the engine ---------------------------------
@@ -373,9 +351,10 @@ class _RciKernel:
             aq = 0.5 * (aq + aq.conj().T)
             bq = 0.5 * (bq + bq.conj().T)
 
-            # Shrink the subspace while the projected B fails its Cholesky.
+            # Shrink the subspace while the projected B fails its Cholesky;
+            # the reduced eigensolve reuses the factor that succeeds.
             while m0 > 0:
-                _, fail = spd_factor(bq[:m0, :m0])
+                lower, fail = spd_factor(bq[:m0, :m0])
                 if fail is None:
                     break
                 m0 = fail - 1
@@ -390,7 +369,7 @@ class _RciKernel:
                 self.res[m0:] = 0
                 self.m0 = m0
             try:
-                lam, phi = generalized_eig(aq[:m0, :m0], bq[:m0, :m0])
+                lam, phi = generalized_eig(aq[:m0, :m0], bq[:m0, :m0], lower=lower)
             except ReducedSolverError:
                 self.info = -3
                 if verbose:
