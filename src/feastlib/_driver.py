@@ -33,11 +33,11 @@ class SolverOptions:
 
     seed: integer of the deterministic start-vector stream.
     parallel_contour: an integer of at least 1, with no effect: every
-        backend factorizes its batches in the calling thread.  Contour
-        workers lost on every backend (a batch's shifts share one
+        backend factorizes all shifts as one batch in the calling thread.
+        Contour workers lost on every backend (a batch's shifts share one
         factorization and sweep, and the numpy loops hold the GIL; 2 cores,
         one BLAS thread: dense 0.24 s with one worker against 0.27 s with
-        two, banded 0.36 s against 0.43 s; CSR has one batch).
+        two, banded 0.36 s against 0.43 s in its former 3 batches).
     solver: 'direct' or 'iterative' (sparse backend only).
     iter_tol: relative residual target (a finite real > 0) of the iterative
         inner solver.
@@ -139,10 +139,10 @@ class _Ops:
     ``_factor(shifts)``, one batch of factors of z*B - A for a list of
     contour shifts, and ``_multiply(matrix, x)``.
 
-    The first ``factorize`` factorizes all ``shifts``, ``_batch_size()``
-    shifts per ``_factor`` call, in the calling thread; it returns the
-    shift's (batch, i).  One ops object serves one ``run_rci`` in one
-    thread and is not shared between threads.
+    The first ``factorize`` factorizes all ``shifts`` in one ``_factor``
+    call, in the calling thread; it returns the shift's (batch, i).  One ops
+    object serves one ``run_rci`` in one thread and is not shared between
+    threads.
 
     A batch that solves all its shifts at once (dense and CSR) has ``ne``,
     its number of shifts, ``sweep(rhs, adjoint)``, every shift's solution
@@ -160,32 +160,26 @@ class _Ops:
         self.b = b
         self.cdtype = cdtype
         self._shifts = [complex(z) for z in shifts]
-        self._batches = None
-        # adjoint flag -> [batch, right-hand side, sweep output, requests served]
+        self._batch = None
+        # adjoint flag -> [right-hand side, sweep output, requests served]
         self._held = {False: None, True: None}
 
-    def _batch_size(self):
-        return len(self._shifts)
-
     def factorize(self, z):
-        g = self._batch_size()
-        if self._batches is None:
-            self._batches = [self._factor(self._shifts[i:i + g])
-                             for i in range(0, len(self._shifts), g)]
-        i = self._shifts.index(z)
-        return self._batches[i // g], i % g
+        if self._batch is None:
+            self._batch = self._factor(self._shifts)
+        return self._batch, self._shifts.index(z)
 
     def _solve(self, factor, rhs, adjoint):
         batch, shift = factor
         held = self._held[adjoint]
-        if held is None or held[0] is not batch or not np.array_equal(held[1], rhs):
+        if held is None or not np.array_equal(held[0], rhs):
             # Drop the old buffer before the sweep allocates the new one.
             held = self._held[adjoint] = None
-            held = self._held[adjoint] = [batch, rhs.copy(), batch.sweep(rhs, adjoint), 0]
-        held[3] += 1
-        if held[3] == batch.ne:
+            held = self._held[adjoint] = [rhs.copy(), batch.sweep(rhs, adjoint), 0]
+        held[2] += 1
+        if held[2] == batch.ne:
             self._held[adjoint] = None
-        return batch.pick(held[2], shift)
+        return batch.pick(held[1], shift)
 
     def solve(self, factor, rhs):
         return self._solve(factor, rhs, False)

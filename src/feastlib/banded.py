@@ -74,12 +74,6 @@ def band_matvec(fb: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-# numpy advises huge pages (madvise MADV_HUGEPAGE) for an array of this many
-# bytes or more; the pivot-fill rows of such a batch become resident even
-# where no shift pivots, while in a smaller array they are never touched.
-HUGE_PAGE_BYTES = 1 << 22
-
-
 def _band_lu_batch(ab: np.ndarray, kl: int):
     """LU with partial pivoting, in place, of the g band matrices of the
     (3*kl+1, g, n) array ``ab``: shift s holds its matrix in expand_band
@@ -325,14 +319,10 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
 class _BandedOps(_Ops):
     """Ops on full-band A and B (expand_band layout) of one bandwidth.
 
-    The contour shifts are factorized in batches of as many shifts as keep
-    one batch array under HUGE_PAGE_BYTES (at least one).
+    All contour shifts are factorized as one batch, a (3*kl+1, shifts, n)
+    band array (_band_lu_batch), and each shift is solved on its own
+    (band_lu_solve).
     """
-
-    def _batch_size(self):
-        kl = (self.a.shape[0] - 1) // 2
-        per_shift = (3 * kl + 1) * self.a.shape[1] * np.dtype(self.cdtype).itemsize
-        return max(1, (HUGE_PAGE_BYTES - 1) // per_shift)
 
     def _factor(self, shifts):
         rows, n = self.a.shape

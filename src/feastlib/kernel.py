@@ -25,6 +25,7 @@ matrix storage.  Typical caller loop::
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -341,7 +342,14 @@ class _RciKernel:
                     self._print_trailer()
                 return
 
-            # Projected matrices of the filtered subspace that x holds.
+            # Projected matrices of the filtered subspace that x holds,
+            # scaled by a power of two (exactly) to a largest entry in
+            # [0.5, 1): with B scaled by s its entries are near 1/s, whose
+            # projections overflow or underflow once |log2 s| passes ~500.
+            # A subnormal largest entry is scaled by at most 2^-minexp,
+            # which the precision can hold.
+            top = math.frexp(float(np.abs(self.x[:, :m0]).max()))[1]
+            self.x[:, :m0] *= 2.0 ** -max(top, np.finfo(self.x.dtype).minexp)
             yield from self._multiply_blocks(RciTask.MULTIPLY_A)
             self._aprod[:, :m0] = self.work1[:, :m0]
             yield from self._multiply_blocks(RciTask.MULTIPLY_B)

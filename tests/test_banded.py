@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,6 @@ import scipy.linalg as sla
 
 from feastlib import SingularMatrixError, SolverOptions, feast_hb, feast_sb, feast_sy
 from feastlib.banded import (
-    HUGE_PAGE_BYTES,
     KB,
     _BandedOps,
     band_lu_factor,
@@ -317,7 +315,7 @@ def _check_batch_against_reference(ops, shifts, rng):
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 8])
 def test_batched_band_lu_matches_column_reference(rng, complex_, g):
     n, kl = 40, 3
     fa = _random_band(n, kl, rng, complex_)
@@ -390,45 +388,14 @@ def _wide_band_ops(n=900, kl=31):
     return _BandedOps(fa, fb, np.complex128, shifts), [complex(z) for z in shifts]
 
 
-def test_concurrent_factorize_shares_the_batches():
+def test_factorize_shares_one_batch():
+    """Every shift's handle points into the one batch of all 8 shifts,
+    factorized by the first request."""
     ops, shifts = _wide_band_ops()
     handles = [ops.factorize(z) for z in shifts]
-    assert len(ops._batches) == 3
+    assert ops._batch[0].shape[1] == len(shifts)
     for i, (batch, s) in enumerate(handles):
-        assert batch is ops._batches[i // 3] and s == i % 3
-
-
-def test_batches_stay_under_the_huge_page_threshold():
-    """No array the batched factorization allocates, kept or temporary,
-    reaches numpy's huge-page threshold at n=900, kl=31 and 8 shifts."""
-    ops, shifts = _wide_band_ops()
-    n, kl = 900, 31
-    banded = sys.modules[_BandedOps.__module__].__file__
-    largest = 0
-    last = 0
-
-    def tracer(frame, event, arg):
-        # Memory growth since the previous line of the banded module bounds
-        # any one allocation made on that line.
-        nonlocal largest, last
-        if frame.f_code.co_filename == banded:
-            current, peak = tracemalloc.get_traced_memory()
-            largest = max(largest, peak - last)
-            tracemalloc.reset_peak()
-            last = current
-            return tracer
-        return None
-
-    tracemalloc.start()
-    sys.settrace(tracer)
-    try:
-        ops.factorize(shifts[0])
-    finally:
-        sys.settrace(None)
-        tracemalloc.stop()
-    assert [batch[0].shape[1] for batch in ops._batches] == [3, 3, 2]
-    assert all(batch[0].nbytes < HUGE_PAGE_BYTES for batch in ops._batches)
-    assert 3 * (3 * kl + 1) * n * 16 < largest < HUGE_PAGE_BYTES
+        assert batch is ops._batch and s == i
 
 
 # --- panel-blocked band solves ---------------------------------------------------
@@ -514,6 +481,6 @@ def test_band_factor_and_solve_memory():
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
     finally:
         tracemalloc.stop()
-    assert sum(len(moved) for batch in ops._batches for moved in batch[2]) == 3
+    assert sum(len(moved) for moved in ops._batch[2]) == 3
     assert kept / len(shifts) <= 1.01 * (band + n * 8)
     assert max(peaks) < band

@@ -184,9 +184,37 @@ def test_parallel_contour_factorizes_in_the_calling_thread(monkeypatch, driver):
     result = _call(driver, a, options=SolverOptions(parallel_contour=8))
     assert result.info == 0
     assert threads and set(threads) == {threading.get_ident()}
-    assert sum(batches) == feastinit().slot(2)
-    if driver is feast_sy:
-        assert batches == [8]
+    assert batches == [feastinit().slot(2)]
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("generalized", [False, True], ids=["EV", "GV"])
+def test_one_factor_call_of_all_contour_shifts_per_solve(monkeypatch, driver, stem, dtype,
+                                                         code_a, code_b, generalized):
+    """Every backend factorizes the whole contour in one batch, once per
+    solve, however many refinement loops the solve takes."""
+    import feastlib.banded
+    import feastlib.dense
+    import feastlib.sparse
+
+    module = {"SY": feastlib.dense, "HE": feastlib.dense, "SB": feastlib.banded,
+              "HB": feastlib.banded}.get(stem, feastlib.sparse)
+    original = module.run_rci
+    calls = []
+    contour = []
+
+    def recording(kernel, ops):
+        factor = ops._factor
+        ops._factor = lambda shifts: calls.append(list(shifts)) or factor(shifts)
+        contour.extend(complex(z) for z in kernel.contour.z)
+        return original(kernel, ops)
+
+    monkeypatch.setattr(module, "run_rci", recording)
+    a = HELLO.astype(dtype)
+    result = _call(driver, a, b=np.eye(2, dtype=dtype) if generalized else None)
+    assert result.info == 0 and result.loop >= 1
+    assert len(contour) == feastinit().slot(2)
+    assert calls == [contour]
 
 
 COMPLEX_HELLO = np.array([[2.0, -1.0 + 1.0j], [-1.0 - 1.0j, 2.0]])

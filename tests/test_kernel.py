@@ -439,6 +439,26 @@ def test_b_orthonormal_eigenvectors_generalized(rng):
     assert np.abs(gram - np.eye(result.m)).max() <= 1e-8
 
 
+@pytest.mark.parametrize("power", [480, 520, 600, 700, 1000, -480, -520, -600, -700, -1000])
+def test_pencil_scaled_near_the_ends_of_the_range(power):
+    """B scaled by s = 2^power scales the eigenvalues by 1/s.  The filtered
+    subspace then holds entries near 1/s, whose projections would overflow
+    or underflow without the power-of-two scaling of the subspace."""
+    import scipy.linalg as sla
+
+    n = 12
+    a = np.diag(np.arange(1.0, n + 1)) + np.diag(np.full(n - 1, -0.1), 1) \
+        + np.diag(np.full(n - 1, -0.1), -1)
+    b = np.eye(n) + np.diag(np.full(n - 1, 0.05), 1) + np.diag(np.full(n - 1, 0.05), -1)
+    ev = sla.eigh(a, b, eigvals_only=True)
+    want = ev[(ev >= 0.5) & (ev <= 5.5)]
+    assert len(want) == 5
+    s = 2.0 ** power
+    result = feast_sy(a, 0.5 / s, 5.5 / s, 8, b=s * b)
+    assert result.info == 0 and result.m == 5
+    assert np.abs(result.e[:5] * s - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_validation_errors_on_init():
     assert SymmetricRci(0, 1, 0.0, 1.0).step() == RciTask.DONE
     assert SymmetricRci(0, 1, 0.0, 1.0).info == 202
