@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -546,3 +549,54 @@ def test_residual_criterion_can_converge_without_refinement():
     assert result.info == 0
     assert result.loop == 0
     assert max(result.res[: result.m]) < 1e-12
+
+
+# --- the fpm(1)=1 report's closing lines ------------------------------------
+
+_TRAILER = [
+    "***********************************************",
+    "*********** FEAST- END*************************",
+    "***********************************************",
+]
+_SINGULAR_AT_FIRST_SHIFT = build_contour(gauss_legendre(8), -5.0, 5.0).z[0]
+
+
+def _verbose(**slots):
+    fpm = feastinit()
+    fpm.set_slot(1, 1)
+    for i, v in slots.items():
+        fpm.set_slot(int(i[1:]), v)
+    return fpm
+
+
+@pytest.mark.parametrize("solve,info,closing", [
+    (lambda: feast_sy(HELLO, -5.0, 5.0, 2, fpm=_verbose()), 0,
+     ["==>FEAST has successfully converged (to desired tolerance)"] + _TRAILER),
+    (lambda: feast_sy(HELLO, 10.0, 20.0, 2, fpm=_verbose()), 1,
+     ["==>WARNING: no eigenvalue has been found in the search interval"] + _TRAILER),
+    (lambda: feast_sy(HELLO, -5.0, 5.0, 2, fpm=_verbose(s4=0)), 2,
+     ["==>WARNING: no convergence within the refinement loop budget"] + _TRAILER),
+    (lambda: feast_sy(np.diag([1.0, 2.0, 3.0, 4.0]), 0.5, 2.5, 2, fpm=_verbose()), 3,
+     ["==>WARNING: subspace size M0 is too small (M0<=M)"] + _TRAILER),
+    (lambda: feast_sy(HELLO, -5.0, 5.0, 2, fpm=_verbose(s14=1)), 4,
+     ["==>Subspace returned after one contour (fpm(14)=1)"] + _TRAILER),
+    (lambda: feast_sy(HELLO, -5.0, 5.0, 2, b=-np.eye(2), fpm=_verbose()), -3, _TRAILER),
+    # A shift on which z*B - A is exactly singular (see test_dense.py's
+    # test_singular_shift_reports_solver_error): the caller aborts, and the
+    # report stops without a trailer.
+    (lambda: feast_sy(np.array([[_SINGULAR_AT_FIRST_SHIFT.real, _SINGULAR_AT_FIRST_SHIFT.imag],
+                                [_SINGULAR_AT_FIRST_SHIFT.imag, -_SINGULAR_AT_FIRST_SHIFT.real]]),
+                      -5.0, 5.0, 2, b=np.diag([1.0, -1.0]), fpm=_verbose()), -2, []),
+], ids=["info0", "info1", "info2", "info3", "info4", "info-3", "info-2"])
+def test_report_closing_lines(capsys, solve, info, closing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve().info == info
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("FEAST- END" in line for line in lines) <= 1
+    # The closing lines follow the column header and the per-loop rows.
+    start = next(i for i, line in enumerate(lines) if line.startswith("#Loop |")) + 1
+    row = re.compile(r"\d+ +\d+ +-?\d\.\d{15}e[+-]\d+  ")
+    while start < len(lines) and row.match(lines[start]):
+        start += 1
+    assert lines[start:] == closing
