@@ -23,6 +23,14 @@ from .params import SYMMETRY_ULPS
 UPLOS = ("F", "L", "U")
 
 
+def upper_uplo(uplo):
+    """``uplo`` in upper case, 'F' for None or ''; None, which is not in
+    UPLOS, for anything that is not a string."""
+    if uplo is None or isinstance(uplo, str):
+        return (uplo or "F").upper()
+    return None
+
+
 class SingularMatrixError(Exception):
     """Exactly singular pivot or inner-solver breakdown (maps to info -2)."""
 
@@ -82,9 +90,10 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     gives the largest |M[j, k] - M[k, j]| (M[k, j] conjugated for a
     Hermitian driver) of operand i, 0 for one given as a triangle, and it
     may not exceed SYMMETRY_ULPS machine epsilons of the kernel's precision
-    times max |M|.  With fpm(5)=1, an ``x0`` that is not an N x (>= M0) array
-    of the kernel's kind (real or complex), finite in its first M0 columns,
-    aborts with 105.  The operands are (None, None) when the kernel is done.
+    times max |M|.  With fpm(5)=1, an ``x0`` that is None or not an
+    N x (>= M0) array of the kernel's kind (real or complex), finite in its
+    first M0 columns, aborts with 105.  The operands are (None, None) when
+    the kernel is done.
     """
     options = options or SolverOptions()
     single = np.dtype(dtypes[0]) in (np.dtype(np.float32), np.dtype(np.complex64))
@@ -121,8 +130,6 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
             kernel.abort(code)
             return kernel, options, (None, None)
     if kernel.fpm.slot(5) == 1:
-        if x0 is None:
-            raise ValueError("fpm(5)=1 requires an initial subspace x0")
         x0 = np.asarray(x0)
         if (x0.ndim != 2 or x0.shape[0] != n or x0.shape[1] < m0
                 or not np.can_cast(x0.dtype, kernel.x.dtype, "same_kind")

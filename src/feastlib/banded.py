@@ -8,7 +8,7 @@ import numbers
 
 import numpy as np
 
-from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
 
 
 def band_required_rows(kl: int, uplo: str) -> int:
@@ -342,7 +342,7 @@ class _BandedOps(_Ops):
 
 
 def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermitian):
-    uplo = (uplo or "F").upper()
+    uplo = upper_uplo(uplo)
     a = np.asarray(a)
     b = None if b is None else np.asarray(b)
     n = a.shape[1] if a.ndim == 2 else 0

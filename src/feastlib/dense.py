@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
 
 
 def asymmetry(a: np.ndarray, hermitian: bool) -> float:
@@ -234,7 +234,7 @@ class _DenseOps(_Ops):
 
 
 def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
-    uplo = (uplo or "F").upper()
+    uplo = upper_uplo(uplo)
     a = np.asarray(a)
     b = None if b is None else np.asarray(b)
     kernel, options, (a_full, b_full) = setup(

@@ -146,6 +146,15 @@ def filter_sort_flag(evalues, x, res, emin, emax) -> int:
 
 # --- the engine -------------------------------------------------------------
 
+# The closing message of the fpm(1)=1 report for each non-error exit.
+_CLOSING = {
+    0: "==>FEAST has successfully converged (to desired tolerance)",
+    1: "==>WARNING: no eigenvalue has been found in the search interval",
+    2: "==>WARNING: no convergence within the refinement loop budget",
+    3: "==>WARNING: subspace size M0 is too small (M0<=M)",
+    4: "==>Subspace returned after one contour (fpm(14)=1)",
+}
+
 
 def _real(value) -> float:
     """float(value) for a real number (a Python or numpy integer or float,
@@ -250,6 +259,8 @@ class _RciKernel:
         except StopIteration:
             self._done = True
             self.task = RciTask.DONE
+            if self.fpm.slot(1) == 1:
+                self._print_closing()
         return self.task
 
     @property
@@ -337,9 +348,6 @@ class _RciKernel:
             if fpm.slot(14) == 1:
                 self.epsout = 1.0
                 self.info = 4
-                if verbose:
-                    print("==>Subspace returned after one contour (fpm(14)=1)")
-                    self._print_trailer()
                 return
 
             # Projected matrices of the filtered subspace that x holds,
@@ -359,29 +367,24 @@ class _RciKernel:
             aq = 0.5 * (aq + aq.conj().T)
             bq = 0.5 * (bq + bq.conj().T)
 
-            # Shrink the subspace while the projected B fails its Cholesky;
-            # the reduced eigensolve reuses the factor that succeeds.
-            while m0 > 0:
-                lower, fail = spd_factor(bq[:m0, :m0])
-                if fail is None:
-                    break
-                m0 = fail - 1
-            if m0 == 0:
-                self.info = -3
-                if verbose:
-                    self._print_trailer()
-                return
-            if m0 < self.m0:
-                self.x[:, m0:] = 0
-                self.e[m0:] = 0
-                self.res[m0:] = 0
-                self.m0 = m0
             try:
+                # Shrink the subspace while the projected B fails its
+                # Cholesky; the reduced eigensolve reuses the factor that
+                # succeeds.
+                lower, fail = spd_factor(bq[:m0, :m0])
+                while fail is not None:
+                    if fail == 1:
+                        raise ReducedSolverError("projected B not positive definite")
+                    m0 = fail - 1
+                    lower, fail = spd_factor(bq[:m0, :m0])
+                if m0 < self.m0:
+                    self.x[:, m0:] = 0
+                    self.e[m0:] = 0
+                    self.res[m0:] = 0
+                    self.m0 = m0
                 lam, phi = generalized_eig(aq[:m0, :m0], bq[:m0, :m0], lower=lower)
             except ReducedSolverError:
                 self.info = -3
-                if verbose:
-                    self._print_trailer()
                 return
 
             self.e[:m0] = lam
@@ -402,24 +405,20 @@ class _RciKernel:
                 print(f"{self.loop:<8d}{m:<7d}{trace_cur:.15e}  "
                       f"{self.epsout:.15e}  {max_res:.15e}")
 
-            if m == 0:
-                self._finalize(1, verbose, tol)
-                return
             converged = (self.epsout < tol) if fpm.slot(6) == 0 else (max_res < tol)
-            saturated = m == m0 and m0 < self.n  # cannot rule out missed eigenvalues
-            if converged:
-                if verbose and not saturated:
-                    print("==>FEAST has successfully converged (to desired tolerance)")
-                self._finalize(3 if saturated else 0, verbose, tol)
-                return
-            if self.loop >= max_loop:
-                self._finalize(3 if saturated else 2, verbose, tol)
+            if m == 0 or converged or self.loop >= max_loop:
+                # Every column of the M0 given holds an eigenvalue of the
+                # interval: one may be missing.  (After a shrink the block was
+                # rank-deficient, which shows that none is.)
+                saturated = m == self.x.shape[1] < self.n
+                self.info = 1 if m == 0 else 3 if saturated else 0 if converged else 2
+                self._finalize(tol)
                 return
             trace_prev = trace_cur
             self.loop += 1
 
-    def _finalize(self, info, verbose, tol):
-        """Flag spurious pairs, order the outputs, close the report."""
+    def _finalize(self, tol):
+        """Flag spurious pairs and order the outputs."""
         m0 = self.m0
         lam = self.e[:m0]
         res = self.res[:m0]
@@ -430,15 +429,6 @@ class _RciKernel:
             flag = inside & (res > threshold)
             res[flag] = -1.0
         self.m = filter_sort_flag(lam, self.x[:, :m0], res, self.emin, self.emax)
-        self.info = info
-        if verbose:
-            if info == 1:
-                print("==>WARNING: no eigenvalue has been found in the search interval")
-            elif info == 2:
-                print("==>WARNING: no convergence within the refinement loop budget")
-            elif info == 3:
-                print("==>WARNING: subspace size M0 is too small (M0<=M)")
-            self._print_trailer()
 
     # -- runtime report -------------------------------------------------------
 
@@ -456,7 +446,10 @@ class _RciKernel:
         print(f"Size subspace {self.m0:3d}")
         print("#Loop | #Eig |     Trace           |    Error-Trace       |   Max-Residual")
 
-    def _print_trailer(self):
+    def _print_closing(self):
+        """The message for a warning or success code, then the trailer."""
+        if self.info in _CLOSING:
+            print(_CLOSING[self.info])
         print("***********************************************")
         print("*********** FEAST- END*************************")
         print("***********************************************")

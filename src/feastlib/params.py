@@ -120,16 +120,16 @@ def validate_params(fpm: FeastParams) -> int:
 def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
     """Validate problem size, subspace size and search interval.
 
-    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax, or
-    either bound NaN or infinite).  The kernels pass an M0 that is not an
-    integer value as 0 and an Emin or Emax that is not a real number as NaN,
-    so these return 201 and 200 too.
+    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax,
+    either bound NaN or infinite, or a width Emax - Emin that overflows).
+    The kernels pass an M0 that is not an integer value as 0 and an Emin or
+    Emax that is not a real number as NaN, so these return 201 and 200 too.
     """
     if n <= 0:
         return 202
     if m0 > n or m0 <= 0:
         return 201
-    if not (math.isfinite(emin) and math.isfinite(emax)) or emin >= emax:
+    if not math.isfinite(float(emax) - float(emin)) or emin >= emax:
         return 200
     return 0
 
@@ -148,7 +148,8 @@ def info_description(info: int) -> str:
     fixed = {
         202: "Problem with size of the system N (N<=0)",
         201: "Problem with size of subspace M0 (M0>N or M0<=0, or not an integer)",
-        200: "Problem with Emin,Emax (Emin>=Emax, or not finite real numbers)",
+        200: "Problem with Emin,Emax (Emin>=Emax, not finite real numbers, "
+             "or Emax-Emin not finite)",
         4: "Only the subspace has been returned using fpm(14)=1",
         3: "Size of the subspace M0 is too small (M0<=M)",
         2: "No Convergence (#iteration loops>fpm(4))",

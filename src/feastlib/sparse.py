@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup
+from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
 
 
 @dataclass
@@ -46,10 +46,10 @@ class CsrMatrix:
         self.ia = np.asarray(self.ia, dtype=np.int64)
         self.ja = np.asarray(self.ja, dtype=np.int64)
         self.values = np.asarray(self.values)
-        self.uplo = self.uplo.upper()
-        n, ia, ja = self.n, self.ia, self.ja
-        if self.uplo not in UPLOS:
+        if upper_uplo(self.uplo) not in UPLOS:
             raise ValueError(f"invalid uplo {self.uplo!r}")
+        self.uplo = upper_uplo(self.uplo)
+        n, ia, ja = self.n, self.ia, self.ja
         if ia.shape != (n + 1,) or ia[0] != 1:
             raise ValueError("ia must have n+1 entries starting at 1")
         if np.any(np.diff(ia) < 0):

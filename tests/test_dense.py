@@ -386,5 +386,4 @@ def test_warm_start_via_driver(rng):
     warm = feast_sy(a, emin, emax, 9, fpm=fpm, x0=cold.x)
     assert warm.info == 0
     assert warm.loop <= 1
-    with pytest.raises(ValueError):
-        feast_sy(a, emin, emax, 9, fpm=fpm)  # x0 missing
+    assert feast_sy(a, emin, emax, 9, fpm=fpm).info == 105  # x0 missing

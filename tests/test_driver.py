@@ -322,7 +322,8 @@ WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
     np.full((2, 2), np.nan),
     np.array([[1.0, 0.0], [0.0, np.inf]]),
     np.array([["a", "b"], ["c", "d"]]),   # not numbers
-], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings"])
+    None,                                 # missing
+], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings", "missing"])
 def test_invalid_x0_returns_fpm5_code(driver, stem, dtype, code_a, code_b, x0):
     fpm = feastinit()
     fpm.set_slot(5, 1)
@@ -407,3 +408,34 @@ def test_bad_scalar_argument_returns_code(driver, emin, emax, m0, code):
     assert result.info == code
     if code:
         assert "not" in info_description(code)
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS[:4], ids=DRIVER_IDS[:4])
+@pytest.mark.parametrize("uplo", [1, 5, 1.0, b"L"], ids=["1", "5", "1.0", "bytes"])
+def test_non_string_uplo_returns_argument_code(driver, stem, dtype, code_a, code_b, uplo):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _call(driver, HELLO.astype(dtype), uplo=uplo).info == -101
+
+
+# Two eigenvalues, 1 and 2, in [0.5, 2.5], and 38 far outside it.
+GAPPED = np.diag(np.r_[1.0, 2.0, np.arange(1000.0, 1038.0)])
+# Two eigenvalues near 1 and 2 in [0.5, 2.5], in single precision.
+TRIDIAG32 = (np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([0.1] * 3, 1)
+             + np.diag([0.1] * 3, -1)).astype(np.float32)
+
+
+@pytest.mark.parametrize("driver", [feast_sy, lambda a, *args: feast_scsr(CsrMatrix.from_dense(a), *args)],
+                         ids=["SY", "SCSR"])
+@pytest.mark.parametrize("a,m0,info", [
+    (GAPPED, 2, 3), (GAPPED, 3, 0), (GAPPED, 10, 0), (TRIDIAG32, 2, 3), (TRIDIAG32, 3, 0),
+], ids=["gapped-2", "gapped-3", "gapped-10", "tridiag32-2", "tridiag32-3"])
+def test_too_small_only_when_the_given_m0_is_full(driver, a, m0, info):
+    # An M0 larger than the count leaves a rank-deficient filtered block, so
+    # the subspace shrinks to 2 columns; that shows that no eigenvalue is
+    # missing.  Only M0 = 2 cannot rule one out.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = driver(a, 0.5, 2.5, m0)
+    assert result.info == info
+    assert result.m == 2

@@ -122,6 +122,7 @@ def test_check_problem_precedence():
 
 @pytest.mark.parametrize("emin, emax", [
     (np.nan, 5.0), (-5.0, np.nan), (-5.0, np.inf), (-np.inf, 5.0), (-np.inf, np.inf),
+    (-1e308, 1e308),  # finite bounds whose width Emax - Emin overflows
 ])
 def test_non_finite_interval_is_info_200(emin, emax):
     hello = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -159,6 +160,7 @@ def test_info_classification_table():
 
 def test_info_description_mentions_key_phrases():
     assert "Emin>=Emax" in info_description(200)
+    assert "Emax-Emin not finite" in info_description(200)
     assert "N<=0" in info_description(202)
     assert "M0" in info_description(201)
     assert "fpm(3)" in info_description(103)

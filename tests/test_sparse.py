@@ -103,6 +103,9 @@ def test_csr_validation_errors():
         CsrMatrix(2, [1, 3, 3], [2, 1], [1.0, 1.0])   # unsorted columns
     with pytest.raises(ValueError):
         CsrMatrix(2, [1, 3, 4], [1, 2, 1], [1.0, 1.0, 1.0], "L")  # above diag
+    for uplo in ("X", 1, 5, b"L"):
+        with pytest.raises(ValueError, match="invalid uplo"):
+            CsrMatrix(2, [1, 2, 3], [1, 2], [1.0, 1.0], uplo)
 
 
 def test_from_coo_sums_duplicates():
