@@ -158,8 +158,10 @@ class _Ops:
     last right-hand side is held with that right-hand side: a request with
     an equal one is served from it, any other runs a new sweep.  The sweep
     is dropped after ``ne`` requests, so that it is not held through the
-    rest of the refinement loop.  A backend that solves one shift at a time
-    (banded, iterative) overrides ``_solve((batch, i), rhs, adjoint)``.
+    rest of the refinement loop.  Banded and iterative batches solve one
+    shift at a time (``_solve((batch, i), rhs, adjoint)``): a held band sweep
+    of all 8 shifts raised band-herm-gen's peak RSS by about 8 MB, and a block
+    BiCGStab ran every column until the slowest converged (30 s, not 22 s).
     """
 
     def __init__(self, a, b, cdtype=None, shifts=()):

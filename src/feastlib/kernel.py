@@ -3,7 +3,9 @@
 The kernel owns the iteration state machine for the symmetric and Hermitian
 variants: it hands back task codes (factorize / solve / multiply) and the
 caller supplies the linear algebra, which keeps the engine independent of
-matrix storage.  Typical caller loop::
+matrix storage.  The caller writes ``work1`` only on MULTIPLY tasks and
+``work2`` only on SOLVE tasks: between them ``work1`` holds the start block
+that each solve copies into ``work2``.  Typical caller loop::
 
     rci = SymmetricRci(n, m0, emin, emax, fpm)
     task = rci.step()
@@ -234,7 +236,6 @@ class _RciKernel:
         """The n x m0 blocks and the m0 eigenvalues and residuals."""
         work_dtype = self._cdtype if self.hermitian else self._rdtype
         shape = (max(n, 0), m0)
-        self.y = np.zeros(shape, dtype=work_dtype)
         self.work1 = np.zeros(shape, dtype=work_dtype)
         self.work2 = np.zeros(shape, dtype=self._cdtype)
         self.x = np.zeros(shape, dtype=work_dtype)
@@ -295,8 +296,12 @@ class _RciKernel:
             return 10.0 ** -min(self.fpm.slot(7), MAX_TOL_EXP_SINGLE)
         return 10.0 ** -min(self.fpm.slot(3), MAX_TOL_EXP_DOUBLE)
 
-    def _fill_random_y(self):
-        raise NotImplementedError
+    def _fill_random_start(self):
+        """Draw the first start block into work1, column-major from the seed."""
+        nm = self.n * self.m0
+        raw = random_uniform(self.seed, 0, 2 * nm if self.hermitian else nm)
+        vals = raw[:nm] + 1j * raw[nm:] if self.hermitian else raw
+        self.work1[:, :] = vals.reshape((self.n, self.m0), order="F")
 
     def _multiply_blocks(self, task):
         m0 = self.m0
@@ -321,7 +326,7 @@ class _RciKernel:
             self._print_header()
 
         if fpm.slot(5) != 1:
-            self._fill_random_y()
+            self._fill_random_start()
         # The Hermitian sum takes the adjoint solve at the conjugate angle.
         solves = ((RciTask.SOLVE, 1), (RciTask.SOLVE_ADJOINT, -1))[:2 if self.hermitian else 1]
 
@@ -330,9 +335,9 @@ class _RciKernel:
         while True:
             m0 = self.m0
             if self.loop or fpm.slot(5) == 1:
-                # The next start block is B times the Ritz vectors (or x0).
+                # The next start block is B times the Ritz vectors (or x0);
+                # it stays in work1 until the projection's MULTIPLY_A.
                 yield from self._multiply_blocks(RciTask.MULTIPLY_B)
-                self.y[:, :m0] = self.work1[:, :m0]
             self.x[:, :m0] = 0
             for e in range(len(contour)):
                 self.ze = complex(contour.z[e])
@@ -340,7 +345,7 @@ class _RciKernel:
                 if self.hermitian and not self.adjoint_capable:
                     yield RciTask.FACTORIZE_ADJOINT
                 for task, sign in solves:
-                    self.work2[:, :m0] = self.y[:, :m0]
+                    self.work2[:, :m0] = self.work1[:, :m0]
                     yield task
                     accumulate_subspace(self.x[:, :m0], self.work2[:, :m0], contour.weights[e],
                                         contour.radius, sign * contour.theta[e], self.hermitian)
@@ -461,10 +466,6 @@ class SymmetricRci(_RciKernel):
 
     hermitian = False
 
-    def _fill_random_y(self):
-        raw = random_uniform(self.seed, 0, self.n * self.m0)
-        self.y[:, :] = raw.reshape((self.n, self.m0), order="F").astype(self._rdtype)
-
 
 class HermitianRci(_RciKernel):
     """Reverse-communication engine for complex Hermitian pencils.
@@ -479,9 +480,3 @@ class HermitianRci(_RciKernel):
     def __init__(self, n, m0, emin, emax, fpm=None, *, adjoint_capable=True, **kwargs):
         self.adjoint_capable = bool(adjoint_capable)
         super().__init__(n, m0, emin, emax, fpm, **kwargs)
-
-    def _fill_random_y(self):
-        nm = self.n * self.m0
-        raw = random_uniform(self.seed, 0, 2 * nm)
-        vals = raw[:nm] + 1j * raw[nm:]
-        self.y[:, :] = vals.reshape((self.n, self.m0), order="F").astype(self._cdtype)

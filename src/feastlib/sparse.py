@@ -508,7 +508,8 @@ class _ShiftedPattern:
 
 
 def _bicgstab(matvec, diag, b, tol):
-    """Diagonal-preconditioned BiCGStab for one right-hand side."""
+    """Diagonal-preconditioned BiCGStab for one right-hand side.  A breakdown
+    or an unreachable ``tol`` raises FloatingPointError, which gives info -2."""
     maxiter = max(8 * len(b), 200)
     x = np.zeros_like(b)
     r = b.copy()
@@ -519,32 +520,25 @@ def _bicgstab(matvec, diag, b, tol):
     rho = alpha = omega = 1.0 + 0j
     v = np.zeros_like(b)
     p = np.zeros_like(b)
-    for _ in range(maxiter):
-        rho1 = np.vdot(rhat, r)
-        if rho1 == 0:
-            raise SingularMatrixError("BiCGStab breakdown (rho = 0)")
-        beta = (rho1 / rho) * (alpha / omega)
-        p = r + beta * (p - omega * v)
-        phat = p / diag
-        v = matvec(phat)
-        denom = np.vdot(rhat, v)
-        if denom == 0:
-            raise SingularMatrixError("BiCGStab breakdown (rhat.v = 0)")
-        alpha = rho1 / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) <= tol * bnorm:
-            return x + alpha * phat
-        shat = s / diag
-        t = matvec(shat)
-        tt = np.vdot(t, t)
-        if tt == 0:
-            raise SingularMatrixError("BiCGStab breakdown (t = 0)")
-        omega = np.vdot(t, s) / tt
-        x = x + alpha * phat + omega * shat
-        r = s - omega * t
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        rho = rho1
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for _ in range(maxiter):
+            rho1 = np.vdot(rhat, r)
+            beta = (rho1 / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+            phat = p / diag
+            v = matvec(phat)
+            alpha = rho1 / np.vdot(rhat, v)
+            s = r - alpha * v
+            if np.linalg.norm(s) <= tol * bnorm:
+                return x + alpha * phat
+            shat = s / diag
+            t = matvec(shat)
+            omega = np.vdot(t, s) / np.vdot(t, t)
+            x = x + alpha * phat + omega * shat
+            r = s - omega * t
+            if np.linalg.norm(r) <= tol * bnorm:
+                return x
+            rho = rho1
     raise SingularMatrixError(f"BiCGStab did not reach tol={tol} in {maxiter} iterations")
 
 

@@ -141,6 +141,30 @@ def test_generalized_problem(tmp_path, capsys):
     _assert_eigenvalue(out, 2, 3.0)
 
 
+def test_generalized_problem_in_every_format(tmp_path, capsys):
+    """The banded format converts B to band storage as well; all three
+    formats find the same six eigenvalues of tridiag(-0.1; 1..12; -0.1)
+    against B = 2I."""
+    n = 12
+    (tmp_path / "tri.in").write_text(
+        "g\nd\nL\n0.4\n3.05\n10\n!!!!FEASTPARAM\n0\n8\n12\n20\n0\n")
+    entries = [f"{i} {i} {i}.0" for i in range(1, n + 1)]
+    entries += [f"{i + 1} {i} -0.1" for i in range(1, n)]
+    (tmp_path / "tri.A").write_text(f"{n} {n} {len(entries)}\n" + "\n".join(entries) + "\n")
+    (tmp_path / "tri.B").write_text(
+        f"{n} {n} {n}\n" + "".join(f"{i} {i} 2.0\n" for i in range(1, n + 1)))
+    a = np.diag(np.arange(1.0, n + 1)) - 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    exact = np.linalg.eigvalsh(a / 2.0)
+    exact = exact[(exact >= 0.4) & (exact <= 3.05)]
+    assert len(exact) == 6
+    for fmt in ("banded", "sparse", "dense"):
+        assert main([str(tmp_path / "tri"), "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "mode found/subspace 6 10" in out
+        values = _eigenvalues(out)
+        assert np.abs([values[i + 1] for i in range(6)] - exact).max() <= 1e-14
+
+
 def test_complex_hermitian_problem(tmp_path, capsys):
     (tmp_path / "herm.in").write_text(
         "s\nz\nF\n0.0\n4.0\n3\n!!!!FEASTPARAM\n0\n8\n12\n20\n0\n")

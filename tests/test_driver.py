@@ -217,6 +217,30 @@ def test_one_factor_call_of_all_contour_shifts_per_solve(monkeypatch, driver, st
     assert calls == [contour]
 
 
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+def test_memory_error_of_a_backend_factor_returns_minus_one(monkeypatch, driver, stem, dtype,
+                                                            code_a, code_b):
+    import feastlib.banded
+    import feastlib.dense
+    import feastlib.sparse
+
+    module = {"SY": feastlib.dense, "HE": feastlib.dense, "SB": feastlib.banded,
+              "HB": feastlib.banded}.get(stem, feastlib.sparse)
+    original = module.run_rci
+
+    def refuse(shifts):
+        raise MemoryError
+
+    def refusing(kernel, ops):
+        ops._factor = refuse
+        return original(kernel, ops)
+
+    monkeypatch.setattr(module, "run_rci", refusing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _call(driver, HELLO.astype(dtype)).info == -1
+
+
 COMPLEX_HELLO = np.array([[2.0, -1.0 + 1.0j], [-1.0 - 1.0j, 2.0]])
 
 

@@ -115,6 +115,20 @@ def test_rectangular_header_rejected():
         parse_coordinate("2 3 1\n1 1 1.0\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty coordinate file"),
+    ("! only a comment\n", "empty coordinate file"),
+    ("2 2\n1 1 1.0\n", "header must be"),
+    ("2 2 1 5\n1 1 1.0\n", "header must be"),
+    ("0 0 0\n", "invalid sizes"),
+    ("-1 -1 0\n", "invalid sizes"),
+    ("2 2 -1\n", "invalid sizes"),
+])
+def test_malformed_coordinate_header(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_coordinate(text)
+
+
 def test_triangle_violation_rejected():
     coo = parse_coordinate("2 2 1\n1 2 1.0\n")
     with pytest.raises(ValueError):
@@ -174,6 +188,16 @@ def test_config_errors_carry_line_numbers():
     assert err.value.line == 4
     with pytest.raises(ParseError):
         parse_config("s\nd\nF\n0.0\n1.0\n")  # too short
+    with pytest.raises(ParseError, match="precision") as err:
+        parse_config("s\nq\nF\n0.0\n1.0\n4\n")
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="UPLO") as err:
+        parse_config("s\nd\nX\n0.0\n1.0\n4\n")
+    assert err.value.line == 3
+    # Five override lines at most: a sixth is rejected with its line number.
+    with pytest.raises(ParseError, match="too many") as err:
+        parse_config(CONFIG_TEXT + "0   ! one override too many\n")
+    assert err.value.line == 13
 
 
 def test_coordinate_round_trip(rng):

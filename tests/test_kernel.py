@@ -600,3 +600,17 @@ def test_report_closing_lines(capsys, solve, info, closing):
     while start < len(lines) and row.match(lines[start]):
         start += 1
     assert lines[start:] == closing
+
+
+def test_reused_fpm_prints_no_multiply_range_slots(capsys):
+    """The first solve sets fpm(24) and fpm(25); a second solve with the same
+    fpm object prints the same report, without those slots."""
+    fpm = _verbose()
+    first = feast_sy(HELLO, -5.0, 5.0, 2, fpm=fpm)
+    out_first = capsys.readouterr().out
+    assert fpm.slot(24) == 1 and fpm.slot(25) == 2
+    second = feast_sy(HELLO, -5.0, 5.0, 2, fpm=fpm)
+    out_second = capsys.readouterr().out
+    assert (first.info, second.info) == (0, 0)
+    assert "fpm(24)" not in out_second and "fpm(25)" not in out_second
+    assert out_second == out_first

@@ -132,6 +132,9 @@ def test_standard_eig_matches_numpy(rng):
 def test_non_positive_b_raises():
     with pytest.raises(ReducedSolverError):
         generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
+    for b00 in (0.0, -2.0):
+        with pytest.raises(ReducedSolverError, match="1x1"):
+            generalized_eig(np.array([[6.0]]), np.array([[b00]]))
 
 
 def test_non_finite_input_raises():
@@ -144,3 +147,5 @@ def test_non_finite_input_raises():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         generalized_eig(np.eye(3), np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        spd_factor(np.ones((2, 3)))

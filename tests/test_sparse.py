@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +108,17 @@ def test_csr_validation_errors():
     for uplo in ("X", 1, 5, b"L"):
         with pytest.raises(ValueError, match="invalid uplo"):
             CsrMatrix(2, [1, 2, 3], [1, 2], [1.0, 1.0], uplo)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        CsrMatrix(2, [1, 3, 2], [1, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="length"):
+        CsrMatrix(2, [1, 2, 3], [1, 2, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="length"):
+        CsrMatrix(2, [1, 2, 3], [1, 2], [1.0])
+    for rows, cols in (([0], [1]), ([3], [1]), ([1], [0]), ([1], [3])):
+        with pytest.raises(ValueError, match="out of range"):
+            CsrMatrix.from_coo(2, rows, cols, [1.0])
+    with pytest.raises(ValueError, match="below the diagonal"):
+        CsrMatrix.from_coo(2, [1, 2], [1, 1], [1.0, 1.0], "U")
 
 
 def test_from_coo_sums_duplicates():
@@ -499,6 +512,58 @@ def test_iterative_solver_matches_direct(rng):
     assert iterative.m == direct.m
     scale = max(abs(emin), abs(emax))
     assert np.abs(iterative.e[:direct.m] - direct.e[:direct.m]).max() <= 1e-4 * scale
+
+
+def _tridiagonal_csr(n=12):
+    """diag(1..n) with -0.1 next to the diagonal, lower triangle."""
+    rows = list(range(1, n + 1)) + list(range(2, n + 1))
+    cols = list(range(1, n + 1)) + list(range(1, n))
+    vals = list(np.arange(1.0, n + 1)) + [-0.1] * (n - 1)
+    return CsrMatrix.from_coo(n, rows, cols, vals, "L")
+
+
+def test_unreachable_iter_tol_returns_minus_two():
+    """An iter_tol that BiCGStab cannot reach ends in an overflow or a
+    breakdown, which returns -2 and escapes as no warning (it once issued
+    hundreds of RuntimeWarnings)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = feast_scsr(_tridiagonal_csr(), 0.5, 5.5, 8,
+                            options=SolverOptions(solver="iterative", iter_tol=1e-300))
+    assert result.info == -2
+
+
+def test_hermitian_iterative_solver_matches_direct(rng):
+    n = 30
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = (a + a.conj().T) / 2
+    mask = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 2
+    a = np.where(mask, a, 0) + 6 * np.eye(n)
+    ev = np.linalg.eigvalsh(a)
+    emin, emax = gap_interval(ev, 10, 14)
+    acsr = CsrMatrix.from_dense(a)
+    direct = feast_hcsr(acsr, emin, emax, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iterative = feast_hcsr(acsr, emin, emax, 10,
+                               options=SolverOptions(solver="iterative", iter_tol=1e-10))
+    assert (direct.info, iterative.info) == (0, 0)
+    assert iterative.m == direct.m == 5
+    scale = max(abs(emin), abs(emax))
+    assert np.abs(iterative.e[:5] - direct.e[:5]).max() <= 1e-10 * scale
+
+
+def test_real_values_through_feast_hcsr():
+    """A real-valued CsrMatrix is cast to complex for the Hermitian driver
+    and gives the eigenpairs of the same matrix stored as complex."""
+    real = _tridiagonal_csr()
+    cplx = CsrMatrix(real.n, real.ia, real.ja, real.values.astype(np.complex128), "L")
+    r_real = feast_hcsr(real, 0.5, 5.5, 8)
+    r_cplx = feast_hcsr(cplx, 0.5, 5.5, 8)
+    assert (r_real.info, r_real.m) == (0, 5)
+    assert r_real.x.dtype == np.complex128
+    assert r_real.e.tobytes() == r_cplx.e.tobytes()
+    assert r_real.x.tobytes() == r_cplx.x.tobytes()
 
 
 @pytest.mark.parametrize("solver", ["Direct", "bogus", "", None])
