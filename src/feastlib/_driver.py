@@ -92,8 +92,8 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     may not exceed SYMMETRY_ULPS machine epsilons of the kernel's precision
     times max |M|.  With fpm(5)=1, an ``x0`` that is None or not an
     N x (>= M0) array of the kernel's kind (real or complex), finite in its
-    first M0 columns, aborts with 105.  The operands are (None, None) when
-    the kernel is done.
+    first M0 columns and none of them all zeros, aborts with 105.  The
+    operands are (None, None) when the kernel is done.
     """
     options = options or SolverOptions()
     single = np.dtype(dtypes[0]) in (np.dtype(np.float32), np.dtype(np.complex64))
@@ -130,10 +130,12 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
             kernel.abort(code)
             return kernel, options, (None, None)
     if kernel.fpm.slot(5) == 1:
-        x0 = np.asarray(x0)
+        x0, m0 = np.asarray(x0), kernel.m0
+        # A zero column would end the Cholesky shrink there, and the solve
+        # would report success with eigenvalues missing.
         if (x0.ndim != 2 or x0.shape[0] != n or x0.shape[1] < m0
                 or not np.can_cast(x0.dtype, kernel.x.dtype, "same_kind")
-                or not np.isfinite(x0[:, :m0]).all()):
+                or not np.isfinite(x0[:, :m0]).all() or not x0[:, :m0].any(axis=0).all()):
             kernel.abort(105)
             return kernel, options, (None, None)
         kernel.x[:, :] = x0[:, :m0]

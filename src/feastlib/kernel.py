@@ -5,7 +5,8 @@ variants: it hands back task codes (factorize / solve / multiply) and the
 caller supplies the linear algebra, which keeps the engine independent of
 matrix storage.  The caller writes ``work1`` only on MULTIPLY tasks and
 ``work2`` only on SOLVE tasks: between them ``work1`` holds the start block
-that each solve copies into ``work2``.  Typical caller loop::
+that each solve copies into ``work2``, and after a contour pass ``work2``
+holds A x while ``work1`` takes B x for the projection.  Typical caller loop::
 
     rci = SymmetricRci(n, m0, emin, emax, fpm)
     task = rci.step()
@@ -122,28 +123,28 @@ def residual(ax, bx, lam, scale):
     return out
 
 
-def filter_sort_flag(evalues, x, res, emin, emax) -> int:
-    """Reorder eigenpairs in place: in-interval non-spurious pairs first
-    (ascending by eigenvalue), then out-of-interval pairs in their existing
-    order, then spurious pairs (res set to -1) last.  Returns the in-interval
-    count m.
-
-    Pairs arriving with res < 0 or non-finite res are treated as spurious.
+def filter_sort_flag(evalues, x, res, emin, emax, tol) -> int:
+    """Flag spurious pairs and reorder eigenpairs in place: in-interval
+    pairs first (ascending by eigenvalue), then out-of-interval pairs in
+    their existing order, then spurious pairs (res set to -1) last.  Returns
+    the in-interval count m.  A pair is spurious if its res is negative or
+    not finite, or if it lies in the interval with a res above 1e4 * tol
+    and 100 times the median of the finite, non-negative in-interval res.
     """
     m0 = evalues.shape[0]
     spurious = (res < 0) | ~np.isfinite(res)
-    inside = (evalues >= emin) & (evalues <= emax) & ~spurious
-    outside = ~inside & ~spurious
-    idx_in = np.nonzero(inside)[0]
+    inside = (evalues >= emin) & (evalues <= emax)
+    if (inside & ~spurious).any():
+        median = float(np.median(res[inside & ~spurious]))
+        spurious |= inside & (res > max(100.0 * median, tol * 1.0e4))
+    idx_in = np.nonzero(inside & ~spurious)[0]
     idx_in = idx_in[np.argsort(evalues[idx_in], kind="stable")]
-    order = np.concatenate([idx_in, np.nonzero(outside)[0], np.nonzero(spurious)[0]])
+    order = np.concatenate([idx_in, np.nonzero(~inside & ~spurious)[0], np.nonzero(spurious)[0]])
     evalues[:] = evalues[order]
     x[:, :m0] = x[:, order]
     res[:] = res[order]
-    m = len(idx_in)
-    if spurious.any():
-        res[m0 - int(spurious.sum()):] = -1.0
-    return m
+    res[m0 - int(spurious.sum()):] = -1.0
+    return len(idx_in)
 
 
 # --- the engine -------------------------------------------------------------
@@ -239,7 +240,6 @@ class _RciKernel:
         self.work1 = np.zeros(shape, dtype=work_dtype)
         self.work2 = np.zeros(shape, dtype=self._cdtype)
         self.x = np.zeros(shape, dtype=work_dtype)
-        self._aprod = np.zeros(shape, dtype=work_dtype)
         self.e = np.zeros(m0, dtype=self._rdtype)
         self.res = np.zeros(m0, dtype=self._rdtype)
 
@@ -364,10 +364,13 @@ class _RciKernel:
             top = math.frexp(float(np.abs(self.x[:, :m0]).max()))[1]
             self.x[:, :m0] *= 2.0 ** -max(top, np.finfo(self.x.dtype).minexp)
             yield from self._multiply_blocks(RciTask.MULTIPLY_A)
-            self._aprod[:, :m0] = self.work1[:, :m0]
+            # A Q waits in work2 (a real view of it for the symmetric kernel),
+            # which no SOLVE writes before the next contour pass.
+            aprod = self.work2.view(self.x.dtype)[:, :m0]
+            aprod[:] = self.work1[:, :m0]
             yield from self._multiply_blocks(RciTask.MULTIPLY_B)
             qh = self.x[:, :m0].conj().T
-            aq = np.asarray(qh @ self._aprod[:, :m0], dtype=np.complex128 if self.hermitian else np.float64)
+            aq = np.asarray(qh @ aprod, dtype=np.complex128 if self.hermitian else np.float64)
             bq = np.asarray(qh @ self.work1[:, :m0], dtype=aq.dtype)
             aq = 0.5 * (aq + aq.conj().T)
             bq = 0.5 * (bq + bq.conj().T)
@@ -394,7 +397,7 @@ class _RciKernel:
 
             self.e[:m0] = lam
             self.x[:, :m0] = (self.x[:, :m0] @ phi).astype(self.x.dtype, copy=False)
-            ax = self._aprod[:, :m0] @ phi
+            ax = aprod[:, :m0] @ phi
             bx = self.work1[:, :m0] @ phi
             res = residual(ax, bx, lam, scale)
             self.res[:m0] = res
@@ -417,23 +420,11 @@ class _RciKernel:
                 # rank-deficient, which shows that none is.)
                 saturated = m == self.x.shape[1] < self.n
                 self.info = 1 if m == 0 else 3 if saturated else 0 if converged else 2
-                self._finalize(tol)
+                self.m = filter_sort_flag(self.e[:m0], self.x[:, :m0], self.res[:m0],
+                                          emin, emax, tol)
                 return
             trace_prev = trace_cur
             self.loop += 1
-
-    def _finalize(self, tol):
-        """Flag spurious pairs and order the outputs."""
-        m0 = self.m0
-        lam = self.e[:m0]
-        res = self.res[:m0]
-        inside = (lam >= self.emin) & (lam <= self.emax) & np.isfinite(res) & (res >= 0)
-        if inside.any():
-            median = float(np.median(res[inside]))
-            threshold = max(100.0 * median, tol * 1.0e4)
-            flag = inside & (res > threshold)
-            res[flag] = -1.0
-        self.m = filter_sort_flag(lam, self.x[:, :m0], res, self.emin, self.emax)
 
     # -- runtime report -------------------------------------------------------
 

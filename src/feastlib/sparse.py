@@ -26,6 +26,13 @@ import numpy as np
 from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
 
 
+def _checked_uplo(uplo):
+    """``uplo`` in upper case, 'F' for None or ''; ValueError outside UPLOS."""
+    if upper_uplo(uplo) not in UPLOS:
+        raise ValueError(f"invalid uplo {uplo!r}")
+    return upper_uplo(uplo)
+
+
 @dataclass
 class CsrMatrix:
     """Compressed sparse row matrix with 1-based index arrays.
@@ -46,9 +53,7 @@ class CsrMatrix:
         self.ia = np.asarray(self.ia, dtype=np.int64)
         self.ja = np.asarray(self.ja, dtype=np.int64)
         self.values = np.asarray(self.values)
-        if upper_uplo(self.uplo) not in UPLOS:
-            raise ValueError(f"invalid uplo {self.uplo!r}")
-        self.uplo = upper_uplo(self.uplo)
+        self.uplo = _checked_uplo(self.uplo)
         n, ia, ja = self.n, self.ia, self.ja
         if ia.shape != (n + 1,) or ia[0] != 1:
             raise ValueError("ia must have n+1 entries starting at 1")
@@ -83,7 +88,7 @@ class CsrMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         values = np.asarray(values)
-        uplo = uplo.upper()
+        uplo = _checked_uplo(uplo)
         if len(rows) and (rows.min() < 1 or rows.max() > n or cols.min() < 1 or cols.max() > n):
             raise ValueError("coordinate index out of range 1..n")
         if uplo == "L" and np.any(cols > rows):
@@ -104,12 +109,13 @@ class CsrMatrix:
     @classmethod
     def from_dense(cls, a, uplo="F", tol=0.0) -> "CsrMatrix":
         a = np.asarray(a)
+        uplo = _checked_uplo(uplo)
         n = a.shape[0]
         # Written so that a NaN entry is kept, not dropped as zero.
         mask = ~(np.abs(a) <= tol)
-        if uplo.upper() == "L":
+        if uplo == "L":
             mask &= np.tril(np.ones_like(mask))
-        elif uplo.upper() == "U":
+        elif uplo == "U":
             mask &= np.triu(np.ones_like(mask))
         rows, cols = np.nonzero(mask)
         return cls.from_coo(n, rows + 1, cols + 1, a[rows, cols], uplo)

@@ -25,16 +25,16 @@ from feastlib import (
 HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
-def _call(driver, a, b=None, **kwargs):
+def _call(driver, a, b=None, m0=2, **kwargs):
     """Run one of the six drivers on full 2x2 matrices ``a`` and ``b``."""
     if driver in (feast_sy, feast_he):
-        return driver(a, -5.0, 5.0, 2, b=b, **kwargs)
+        return driver(a, -5.0, 5.0, m0, b=b, **kwargs)
     if driver in (feast_sb, feast_hb):
         band = lambda m: np.array([[0, m[0, 1]], [m[0, 0], m[1, 1]], [m[1, 0], 0]], dtype=m.dtype)
         extra = {} if b is None else {"b": band(b), "klb": 1}
-        return driver(band(a), 1, -5.0, 5.0, 2, **extra, **kwargs)
+        return driver(band(a), 1, -5.0, 5.0, m0, **extra, **kwargs)
     csr = CsrMatrix.from_dense
-    return driver(csr(a), -5.0, 5.0, 2, b=None if b is None else csr(b), **kwargs)
+    return driver(csr(a), -5.0, 5.0, m0, b=None if b is None else csr(b), **kwargs)
 
 
 # Driver, its name stem, the real/complex input type, and the info codes
@@ -336,8 +336,7 @@ def test_symmetry_tolerance_is_four_epsilons_of_the_largest_entry(driver, stem, 
 WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
 
 
-@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", WARM_DRIVERS,
-                         ids=[d[1] for d in WARM_DRIVERS])
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
 @pytest.mark.parametrize("x0", [
     np.ones((3, 2)),                      # N+1 rows
     np.ones((2, 1)),                      # fewer than M0 columns
@@ -347,7 +346,8 @@ WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
     np.array([[1.0, 0.0], [0.0, np.inf]]),
     np.array([["a", "b"], ["c", "d"]]),   # not numbers
     None,                                 # missing
-], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings", "missing"])
+    np.array([[1.0, 0.0], [1.0, 0.0]]),   # an all-zero column
+], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings", "missing", "zero-column"])
 def test_invalid_x0_returns_fpm5_code(driver, stem, dtype, code_a, code_b, x0):
     fpm = feastinit()
     fpm.set_slot(5, 1)
@@ -364,9 +364,11 @@ def test_x0_columns_past_m0_are_ignored(driver, stem, dtype, code_a, code_b):
     fpm = feastinit()
     fpm.set_slot(5, 1)
     x0 = np.array([[1.0, 1.0, np.nan], [1.0, -1.0, np.nan]])
-    result = _call(driver, HELLO.astype(dtype), fpm=fpm, x0=x0)
-    assert result.info == 0
-    assert np.allclose(result.e[:2], [1.0, 3.0])
+    # An integer-valued float M0 once raised TypeError slicing x0.
+    for m0 in (2, 2.0, np.float64(2.0)):
+        result = _call(driver, HELLO.astype(dtype), m0=m0, fpm=fpm, x0=x0)
+        assert result.info == 0 and result.m0 == 2
+        assert np.allclose(result.e[:2], [1.0, 3.0])
 
 
 def test_complex_x0_of_real_driver_returns_fpm5_code():

@@ -130,7 +130,7 @@ def test_filter_sort_flag_orders_ascending():
     e = np.array([3.0, 1.0])
     x = np.array([[30.0, 10.0], [31.0, 11.0]])
     res = np.array([0.3, 0.1])
-    m = filter_sort_flag(e, x, res, -5.0, 5.0)
+    m = filter_sort_flag(e, x, res, -5.0, 5.0, 1e-12)
     assert m == 2
     assert np.array_equal(e, [1.0, 3.0])
     assert np.array_equal(x[0], [10.0, 30.0])
@@ -141,7 +141,7 @@ def test_filter_sort_flag_outside():
     e = np.array([7.0])
     x = np.zeros((1, 1))
     res = np.array([0.0])
-    assert filter_sort_flag(e, x, res, -5.0, 5.0) == 0
+    assert filter_sort_flag(e, x, res, -5.0, 5.0, 1e-12) == 0
     assert e[0] == 7.0
 
 
@@ -149,7 +149,7 @@ def test_filter_sort_flag_spurious_last():
     e = np.array([1.0, 2.0, 9.0])
     x = np.array([[10.0, 20.0, 90.0]])
     res = np.array([1e-12, -1.0, 1e-11])
-    m = filter_sort_flag(e, x, res, 0.0, 5.0)
+    m = filter_sort_flag(e, x, res, 0.0, 5.0, 1e-12)
     assert m == 1
     assert np.array_equal(e, [1.0, 9.0, 2.0])
     assert np.array_equal(x[0], [10.0, 90.0, 20.0])
@@ -160,7 +160,7 @@ def test_filter_sort_flag_inf_residual_is_spurious():
     e = np.array([1.0, 2.0])
     x = np.zeros((1, 2))
     res = np.array([np.inf, 1e-12])
-    m = filter_sort_flag(e, x, res, 0.0, 5.0)
+    m = filter_sort_flag(e, x, res, 0.0, 5.0, 1e-12)
     assert m == 1
     assert e[0] == 2.0
     assert res[1] == -1.0

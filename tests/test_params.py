@@ -148,6 +148,9 @@ def test_params_bad_constructor():
         feastinit().slot(0)
     with pytest.raises(IndexError):
         feastinit().slot(65)
+    for i in (0, 65):
+        with pytest.raises(IndexError, match="out of range"):
+            feastinit().set_slot(i, 1)
 
 
 def test_info_classification_table():
@@ -165,3 +168,4 @@ def test_info_description_mentions_key_phrases():
     assert "M0" in info_description(201)
     assert "fpm(3)" in info_description(103)
     assert "argument" in info_description(-104)
+    assert info_description(7) == "Unknown return code 7"

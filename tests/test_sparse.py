@@ -105,9 +105,18 @@ def test_csr_validation_errors():
         CsrMatrix(2, [1, 3, 3], [2, 1], [1.0, 1.0])   # unsorted columns
     with pytest.raises(ValueError):
         CsrMatrix(2, [1, 3, 4], [1, 2, 1], [1.0, 1.0, 1.0], "L")  # above diag
+    with pytest.raises(ValueError, match="below the diagonal"):
+        CsrMatrix(2, [1, 2, 4], [1, 1, 2], [1.0, 1.0, 1.0], "U")
     for uplo in ("X", 1, 5, b"L"):
         with pytest.raises(ValueError, match="invalid uplo"):
             CsrMatrix(2, [1, 2, 3], [1, 2], [1.0, 1.0], uplo)
+        with pytest.raises(ValueError, match="invalid uplo"):
+            CsrMatrix.from_coo(2, [1, 2], [1, 2], [1.0, 1.0], uplo)
+        with pytest.raises(ValueError, match="invalid uplo"):
+            CsrMatrix.from_dense(np.eye(2), uplo)
+    # None reads as 'F', as in the constructor.
+    assert CsrMatrix.from_coo(2, [1, 2], [1, 2], [1.0, 1.0], None).uplo == "F"
+    assert CsrMatrix.from_dense(np.eye(2), None).uplo == "F"
     with pytest.raises(ValueError, match="non-decreasing"):
         CsrMatrix(2, [1, 3, 2], [1, 2], [1.0, 1.0])
     with pytest.raises(ValueError, match="length"):
@@ -196,6 +205,8 @@ def test_batched_factor_matches_one_shift_factors(rng, hermitian):
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
     y = batch.sweep(rhs)
     y_adj = batch.sweep(rhs, adjoint=True)
+    with pytest.raises(ValueError, match="one-shift factor"):
+        batch.solve(rhs)
     for e in range(len(shifts)):
         one = _SparseFactor(sym, stack[e], symmetric)
         for got, want in zip(batch.blocks, one.blocks):
