@@ -91,9 +91,10 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     Hermitian driver) of operand i, 0 for one given as a triangle, and it
     may not exceed SYMMETRY_ULPS machine epsilons of the kernel's precision
     times max |M|.  With fpm(5)=1, an ``x0`` that is None or not an
-    N x (>= M0) array of the kernel's kind (real or complex), finite in its
-    first M0 columns and none of them all zeros, aborts with 105.  The
-    operands are (None, None) when the kernel is done.
+    N x (>= M0) array of the kernel's kind (real or complex) whose first M0
+    columns are finite and of numerical rank M0 (``_unit_scaled``, then
+    ``np.linalg.matrix_rank``), aborts with 105; the scaled block is the
+    start block.  The operands are (None, None) when the kernel is done.
     """
     options = options or SolverOptions()
     single = np.dtype(dtypes[0]) in (np.dtype(np.float32), np.dtype(np.complex64))
@@ -131,15 +132,30 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
             return kernel, options, (None, None)
     if kernel.fpm.slot(5) == 1:
         x0, m0 = np.asarray(x0), kernel.m0
-        # A zero column would end the Cholesky shrink there, and the solve
-        # would report success with eigenvalues missing.
-        if (x0.ndim != 2 or x0.shape[0] != n or x0.shape[1] < m0
-                or not np.can_cast(x0.dtype, kernel.x.dtype, "same_kind")
-                or not np.isfinite(x0[:, :m0]).all() or not x0[:, :m0].any(axis=0).all()):
+        start = None
+        if (x0.ndim == 2 and x0.shape[0] == n and x0.shape[1] >= m0
+                and np.can_cast(x0.dtype, kernel.x.dtype, "same_kind")
+                and np.isfinite(x0[:, :m0]).all()):
+            start = _unit_scaled(x0[:, :m0], kernel.x.dtype)
+        # A rank-deficient block would end the Cholesky shrink at its first
+        # dependent column, and the solve would miss eigenvalues.
+        if start is None or np.linalg.matrix_rank(start) < m0:
             kernel.abort(105)
             return kernel, options, (None, None)
-        kernel.x[:, :] = x0[:, :m0]
+        kernel.x[:, :] = start
     return kernel, options, full
+
+
+def _unit_scaled(block, dtype):
+    """The finite ``block`` in precision ``dtype``, scaled by the power of
+    two that brings its largest real or imaginary part into [0.5, 1).  The
+    scaling is exact (bar entries that underflow), the subspace it spans is
+    the same, and neither the cast nor the kernel's products on it
+    overflow."""
+    block = np.array(block, dtype=np.complex128 if np.iscomplexobj(block) else np.float64)
+    parts = block.view(np.float64)
+    np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
+    return block.astype(dtype)
 
 
 class _Ops:

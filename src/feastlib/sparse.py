@@ -9,10 +9,14 @@ dense front (multifrontal LU): one Python-level step does the work of a
 block of columns, with matrix products.  Minimum degree, which this
 replaced, gives less fill (21,504 against 28,339 entries of L on a 40 x 40
 grid) but supernodes of about one column, so its factorization took one
-Python-level update per entry of L.  The numeric LU factorizes all contour
-shifts in one batch, and each triangular sweep solves every shift's system
-for the common right-hand side at once.  Every shift gets bitwise the
-factor and solution it would get alone.
+Python-level update per entry of L.  Each supernode's pivot block is
+inverted by LAPACK, with partial pivoting inside the block (none across
+blocks: the order is fixed by the symbolic analysis), and the factor keeps
+the inverse with F21 inv and inv F12, so that a sweep takes one matrix
+product per supernode forward and two back.  The numeric LU factorizes
+all contour shifts in one batch, and each triangular sweep solves every
+shift's system for the common right-hand side at once.  Every shift gets
+bitwise the factor and solution it would get alone.
 """
 
 from __future__ import annotations
@@ -359,38 +363,32 @@ class _SparseSymbolic:
 
 
 def _pivot_inverse(block, col):
-    """U⁻¹ L⁻¹ of the LU without pivoting of each (k, k) matrix of the
-    (ne, k, k) ``block``, whose first column is sparse column ``col``.
+    """Inverse of each (k, k) pivot block of the (ne, k, k) ``block``, whose
+    first column is sparse column ``col``.
 
-    Forward elimination on [block | I] leaves U on the left and L⁻¹ on the
-    right, a column at a time; back substitution through U then turns L⁻¹
-    into U⁻¹ L⁻¹.  The work array keeps the shift axis last, so that each
-    step is one operation on contiguous rows.  A zero or non-finite pivot
-    raises, naming its column and its shift's place in the batch.
+    One ``np.linalg.inv`` call inverts the whole stack: LAPACK's LU with
+    partial pivoting inside each block (xGESV), run block by block, so each
+    shift's inverse is bitwise the one it gets alone.  A block that LAPACK
+    finds exactly singular, or whose inverse is not finite (a NaN or an
+    overflow), raises SingularMatrixError naming ``col`` and the shift's
+    place in the batch; only this error path inverts the shifts one at a
+    time, to find the first bad one.
     """
-    ne, k, _ = block.shape
-    w = np.zeros((k, 2 * k, ne), dtype=block.dtype)
-    w[:, :k] = block.transpose(1, 2, 0)
-    w[np.arange(k), np.arange(k, 2 * k)] = 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c in range(k - 1):
-            # Row c of L⁻¹ is zero past its diagonal, column k + c.
-            mult = w[c + 1:, c] / w[c, c]
-            w[c + 1:, c + 1:k + c + 1] -= mult[:, np.newaxis] * w[c, c + 1:k + c + 1]
-    # A bad pivot poisons every later one, so the first bad column is the
-    # one a column-by-column check stops at.
-    pivots = w[np.arange(k), np.arange(k)]
-    bad = (pivots == 0) | ~np.isfinite(pivots)
-    if bad.any():
-        c = int(np.argmax(bad.any(axis=1)))
-        raise SingularMatrixError(
-            f"zero pivot at sparse column {col + c} (shift {int(np.argmax(bad[c]))})")
-    inv = w[:, k:]
-    for c in range(k - 1, -1, -1):
-        inv[c] /= w[c, c]
-        if c:
-            inv[:c] -= w[:c, c, np.newaxis] * inv[c]
-    return np.ascontiguousarray(inv.transpose(2, 0, 1))
+    inv = _finite_inverse(block)
+    if inv is None:
+        shift = next(e for e, one in enumerate(block) if _finite_inverse(one) is None)
+        raise SingularMatrixError(f"singular pivot block at sparse column {col} (shift {shift})")
+    return inv
+
+
+def _finite_inverse(m):
+    """``np.linalg.inv(m)``, or None if LAPACK finds a matrix of ``m``
+    exactly singular or the inverse is not finite."""
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None
+    return inv if np.isfinite(inv).all() else None
 
 
 class _SparseFactor:
@@ -399,13 +397,15 @@ class _SparseFactor:
     ``data`` is one shifted data vector of shape (nnz,) or a stack of shape
     (ne, nnz), one row per shift.  Each supernode's front F, of shape
     (ne, f, f), is assembled from the data and the updates of its
-    children; with the k×k pivot block F11 = L11 U11, the supernode keeps
-    ``(inv, lower, upper)`` = (U11⁻¹ L11⁻¹, F21, F12) and passes
-    F22 - (F21 inv) F12 to its parent.  With ``symmetric`` (a complex
-    symmetric pencil z B - A, A and B real symmetric) ``upper`` is a
-    transposed view of ``lower``.  Every operation is elementwise along the
-    shift axis or a stacked matrix product, one product per shift, so each
-    shift's factor is bitwise the one it gets alone.
+    children.  Its k×k pivot block F11 is inverted with partial pivoting
+    inside the block (``_pivot_inverse``); the supernode keeps
+    ``(inv, li, ui)`` = (F11⁻¹, F21 inv, inv F12) and passes
+    F22 - li F12 to its parent.  With ``symmetric`` (a complex symmetric
+    pencil z B - A, A and B real symmetric) ``ui`` is the transposed view
+    of ``li`` (invᵀ F12, the same to rounding), which takes no memory.
+    Every operation is elementwise along the shift axis, a stacked matrix
+    product or a stacked LAPACK inverse, one per shift, so each shift's
+    factor is bitwise the one it gets alone.
     """
 
     def __init__(self, symbolic: _SparseSymbolic, data: np.ndarray, symmetric=False):
@@ -427,35 +427,36 @@ class _SparseFactor:
                     at = symbolic.extend[c]
                     front[:, at[:, np.newaxis], at] += updates.pop(c)
             inv = _pivot_inverse(front[:, :k, :k], cols.start)
-            lower = np.ascontiguousarray(front[:, k:, :k])
-            upper = lower.swapaxes(1, 2) if symmetric else np.ascontiguousarray(front[:, :k, k:])
+            li = front[:, k:, :k] @ inv
+            ui = li.swapaxes(1, 2) if symmetric else inv @ front[:, :k, k:]
             if rows.size:
-                updates[s] = front[:, k:, k:] - (lower @ inv) @ upper
-            self.blocks.append((inv, lower, upper))
+                updates[s] = front[:, k:, k:] - li @ front[:, :k, k:]
+            self.blocks.append((inv, li, ui))
 
     def sweep(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve every shift's system, or with ``adjoint`` its conjugate
         transpose, for the (n, m) block ``b``.
 
         Returns y of shape (ne, n, m) in permuted row order; ``pick`` reads
-        one shift's solution out of it.  Forward, each supernode subtracts
-        F21 inv y[C] from its rows; back, y[C] = inv (y[C] - F12 y[rows]).
-        The adjoint solve is conj(A^T \\ conj(b)), which runs the same
-        sweeps over transposed views of the blocks.
+        one shift's solution out of it.  Forward, each supernode C
+        subtracts li y[C] from its rows; back, y[C] = inv y[C] - ui y[rows]:
+        one stacked product forward and two back per supernode.  The
+        adjoint solve is conj(A^T \\ conj(b)), which runs the same sweeps
+        over (invᵀ, uiᵀ, liᵀ), transposed views of the blocks.
         """
         sym = self.sym
         y = np.empty((self.ne, sym.n, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
         y[:] = b.conj()[sym.perm] if adjoint else b[sym.perm]
         blocks = self.blocks
         if adjoint:
-            blocks = [(inv.swapaxes(1, 2), upper.swapaxes(1, 2), lower.swapaxes(1, 2))
-                      for inv, lower, upper in blocks]
-        for cols, rows, (inv, lower, _) in zip(sym.columns, sym.rows, blocks):
+            blocks = [(inv.swapaxes(1, 2), ui.swapaxes(1, 2), li.swapaxes(1, 2))
+                      for inv, li, ui in blocks]
+        for cols, rows, (_, li, _) in zip(sym.columns, sym.rows, blocks):
             if rows.size:
-                y[:, rows] -= lower @ (inv @ y[:, cols])
-        for cols, rows, (inv, _, upper) in zip(sym.columns[::-1], sym.rows[::-1], blocks[::-1]):
-            c = y[:, cols]
-            y[:, cols] = inv @ (c - upper @ y[:, rows] if rows.size else c)
+                y[:, rows] -= li @ y[:, cols]
+        for cols, rows, (inv, _, ui) in zip(sym.columns[::-1], sym.rows[::-1], blocks[::-1]):
+            c = inv @ y[:, cols]
+            y[:, cols] = c - ui @ y[:, rows] if rows.size else c
         return np.conjugate(y, out=y) if adjoint else y
 
     def pick(self, y: np.ndarray, shift: int) -> np.ndarray:
@@ -556,8 +557,8 @@ class _SparseOps(_Ops):
 
     All contour ``shifts`` are factorized in one batch and solved by one
     sweep per right-hand side (see ``_Ops``).  ``symmetric`` marks complex
-    symmetric shifted matrices (feast_scsr), whose factors keep each F12
-    block as a transposed view of F21.
+    symmetric shifted matrices (feast_scsr), whose factors keep each
+    ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
     """
 
     def __init__(self, a_full, b_full, shifts, symmetric=False):

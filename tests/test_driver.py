@@ -263,9 +263,9 @@ def test_complex_operand_of_real_driver_returns_argument_code(driver, stem, dtyp
         assert result.m == 0 and result.loop == 0
 
 
-def _call_probe(driver, a, b=None, uplo="F"):
+def _call_probe(driver, a, b=None, uplo="F", **kwargs):
     """Run a driver on the n=40 probe: full matrices ``a``/``b`` of
-    bandwidth 5, interval [0.5, 10.5], m0=20."""
+    bandwidth 5, interval [0.5, 10.5], m0=20; ``kwargs`` go to the driver."""
     n, kl = a.shape[0], 5
 
     def band(m):
@@ -278,12 +278,12 @@ def _call_probe(driver, a, b=None, uplo="F"):
         return ab if uplo == "F" else ab[kl:] if uplo == "L" else ab[:kl + 1]
 
     if driver in (feast_sy, feast_he):
-        return driver(a, 0.5, 10.5, 20, b=b, uplo=uplo)
+        return driver(a, 0.5, 10.5, 20, b=b, uplo=uplo, **kwargs)
     if driver in (feast_sb, feast_hb):
         extra = {} if b is None else {"b": band(b), "klb": kl}
-        return driver(band(a), kl, 0.5, 10.5, 20, uplo=uplo, **extra)
+        return driver(band(a), kl, 0.5, 10.5, 20, uplo=uplo, **extra, **kwargs)
     csr = lambda m: CsrMatrix.from_dense(m, uplo)
-    return driver(csr(a), 0.5, 10.5, 20, b=None if b is None else csr(b))
+    return driver(csr(a), 0.5, 10.5, 20, b=None if b is None else csr(b), **kwargs)
 
 
 @pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
@@ -347,7 +347,11 @@ WARM_DRIVERS = [d for d in DRIVERS if d[1] in ("SY", "HB", "SCSR")]
     np.array([["a", "b"], ["c", "d"]]),   # not numbers
     None,                                 # missing
     np.array([[1.0, 0.0], [1.0, 0.0]]),   # an all-zero column
-], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings", "missing", "zero-column"])
+    np.array([[1.0, 2.0], [0.5, 1.0]]),   # column 2 = 2 x column 1
+    np.array([[1.0, 1e-300], [1.0, -1e-300]]),
+    np.array([[1e300, 1.0], [-1e300, 1.0]]),
+], ids=["rows", "columns", "1d", "3d", "nan", "inf", "strings", "missing", "zero-column",
+        "dependent", "tiny-column", "huge-column"])
 def test_invalid_x0_returns_fpm5_code(driver, stem, dtype, code_a, code_b, x0):
     fpm = feastinit()
     fpm.set_slot(5, 1)
@@ -356,6 +360,32 @@ def test_invalid_x0_returns_fpm5_code(driver, stem, dtype, code_a, code_b, x0):
         result = _call(driver, HELLO.astype(dtype), fpm=fpm, x0=x0)
     assert result.info == 105
     assert result.m == 0 and result.loop == 0
+
+
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+def test_x0_must_have_full_rank_at_any_scale(driver, stem, dtype, code_a, code_b):
+    # Each rank-deficient block once shrank M0 in the Cholesky of the
+    # projected B and ended in info 2 with eigenvalues missing, or
+    # overflowed to -3.  A full-rank block is scaled to entries below 1,
+    # so that one near the overflow threshold solves too.
+    a = (np.diag(np.arange(1.0, 41.0)) - 0.1 * (np.eye(40, k=1) + np.eye(40, k=-1))).astype(dtype)
+    fpm = feastinit()
+    fpm.set_slot(5, 1)
+    x0 = np.random.default_rng(0).normal(size=(40, 20)).astype(dtype)
+    dependent, tiny, huge = x0.copy(), x0.copy(), x0.copy()
+    dependent[:, 3] = 2 * dependent[:, 2]
+    tiny[:, 3] *= 1e-300
+    huge[:, 3] *= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (dependent, tiny, huge):
+            result = _call_probe(driver, a, fpm=fpm, x0=bad)
+            assert result.info == 105 and result.m == 0 and result.loop == 0
+        cold = _call_probe(driver, a)
+        for start in (x0, 1e-300 * x0, 1e307 * x0, cold.x):
+            result = _call_probe(driver, a, fpm=fpm, x0=start)
+            assert result.info == 0 and result.m == 10
+            assert np.allclose(result.e[:10], cold.e[:10], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", WARM_DRIVERS,

@@ -218,16 +218,33 @@ def test_batched_factor_matches_one_shift_factors(rng, hermitian):
 
 
 def test_batched_factor_raises_on_one_singular_shift(rng):
-    pattern = _ShiftedPattern(_banded_csr(20, rng, hermitian=False), None)
+    n = 20
+    pattern = _ShiftedPattern(_banded_csr(n, rng, hermitian=False), None)
     sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
     shifts = build_contour(gauss_legendre(4), -1.0, 2.0).z
     stack = np.stack([pattern.shifted_data(complex(z)) for z in shifts])
-    # The first eliminated column's diagonal entry is its first pivot.
+    # A zero diagonal entry in the first pivot block: the block is not
+    # singular, and pivoting inside it solves the system.
     first = int(sym.perm[0])
-    stack[2, np.flatnonzero((pattern.rows == first) & (pattern.cols == first))] = 0
-    with pytest.raises(SingularMatrixError, match="shift 2"):
-        _SparseFactor(sym, stack)
-    _SparseFactor(sym, np.delete(stack, 2, axis=0))
+    in_column = pattern.cols == first
+    zeroed = stack.copy()
+    zeroed[2, np.flatnonzero(in_column & (pattern.rows == first))] = 0
+    batch = _SparseFactor(sym, zeroed)
+    rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    y = batch.sweep(rhs)
+    for e in range(len(shifts)):
+        want = np.linalg.solve(_shifted_dense(pattern, zeroed[e]), rhs)
+        assert np.abs(batch.pick(y, e) - want).max() <= 1e-12 * np.abs(want).max()
+    # A zero column makes the first pivot block exactly singular.
+    singular = stack.copy()
+    singular[2, in_column] = 0
+    with pytest.raises(SingularMatrixError, match=r"sparse column 0 \(shift 2\)"):
+        _SparseFactor(sym, singular)
+    _SparseFactor(sym, np.delete(singular, 2, axis=0))
+    poisoned = stack.copy()
+    poisoned[1, np.flatnonzero(in_column & (pattern.rows == first))] = np.nan
+    with pytest.raises(SingularMatrixError, match=r"sparse column 0 \(shift 1\)"):
+        _SparseFactor(sym, poisoned)
 
 
 def _grid(p, rng):
@@ -680,3 +697,33 @@ def test_to_dense_and_to_banded_round_trip(rng):
         for j in range(max(0, -s), min(4, 4 - s)):
             dense[j + s, j] = fb[kl + s, j]
     assert np.array_equal(dense, a)
+
+
+@pytest.mark.parametrize("driver", [feast_scsr, feast_hcsr])
+@pytest.mark.parametrize("generalized", [False, True], ids=["EV", "GV"])
+@pytest.mark.parametrize("uplo", ["F", "L"])
+def test_single_precision_on_a_grid_with_many_supernodes(rng, driver, generalized, uplo):
+    # n=144: the pivot blocks are inverted in single precision (LAPACK's
+    # cgesv), over more than n / LEAF supernodes.
+    hermitian = driver is feast_hcsr
+    a = _grid(12, rng)
+    if hermitian:
+        a = np.triu(a + 1j * np.where(a != 0, rng.normal(size=a.shape), 0), 1)
+        a = a + a.conj().T + np.diag(rng.normal(size=len(a)))
+    b = None
+    if generalized:
+        g = _grid(12, rng)
+        b = np.eye(len(a)) + 0.5 * g / np.abs(g).sum(axis=1).max()
+    linv = np.eye(len(a)) if b is None else np.linalg.inv(np.linalg.cholesky(b))
+    want = np.linalg.eigh(linv @ a @ linv.conj().T)[0]
+    emin, emax = gap_interval(want, 60, 71)
+    dtype = np.complex64 if hermitian else np.float32
+    csr = lambda m: CsrMatrix.from_dense(m.astype(dtype), uplo)
+    pattern = _ShiftedPattern(csr(a).expand_full(), None)
+    assert len(_SparseSymbolic(pattern.n, pattern.indptr, pattern.indices).columns) > 144 // LEAF
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = driver(csr(a), emin, emax, 18, b=None if b is None else csr(b))
+    assert r.m == 12 and r.e.dtype == np.float32 and r.x.dtype == dtype
+    assert np.abs(r.e[:12] - want[60:72]).max() <= 1e-4 * max(abs(emin), abs(emax))
+    assert r.info == 0
