@@ -75,12 +75,13 @@ def band_matvec(fb: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _band_lu_batch(ab: np.ndarray, kl: int):
-    """LU with partial pivoting, in place, of the g band matrices of the
-    (3*kl+1, g, n) array ``ab``: shift s holds its matrix in expand_band
-    layout in ``ab[kl:, s]`` and zeros in the kl pivot-fill rows above.
-    Returns the batch ``(ab, ipiv, moved)``: the (g, n) pivot rows and, per
-    shift, the window transforms of its panels that interchange rows
-    (_moved_panels).
+    """LU with partial pivoting, in place, of the g band matrices of
+    bandwidth kl in the (3*K+1, g, n) array ``ab``, K >= kl: shift s holds
+    its matrix in expand_band layout of width K in ``ab[K:, s]`` and zeros
+    in the K pivot-fill rows above.  Elimination reaches kl rows down and
+    the fill kl columns further right, so rows beyond the band stay zero.
+    Returns ``(ab, ipiv)`` with the (g, n) pivot rows; _invert_blocks then
+    makes the batch a solve reads.
 
     Pivots are chosen per shift and the rare row interchanges done per
     shift; the rank-1 update of each column is one operation over every
@@ -88,8 +89,8 @@ def _band_lu_batch(ab: np.ndarray, kl: int):
     factor is bitwise the one it gets alone, up to the sign of exact zeros
     (a zero multiplier is not skipped).
     """
-    _, g, n = ab.shape
-    kv = 2 * kl
+    rows, g, n = ab.shape
+    kv = 2 * ((rows - 1) // 3)
     step = ab.itemsize
     every = np.arange(g)
     ipiv = np.tile(np.arange(n), (g, 1))
@@ -117,20 +118,29 @@ def _band_lu_batch(ab: np.ndarray, kl: int):
                                 ((kv - 1) * g * n + j + 1) * step,
                                 (g * n * step, (1 - g * n) * step, n * step))
             window[1:] -= col[1:, np.newaxis] * window[0]
-    return ab, ipiv, _moved_panels(ab, ipiv)
+    return ab, ipiv
 
 
 # Columns per panel of the blocked band solves, and panels per group: a
-# group's blocks are copied into one zeroed buffer and their diagonal
-# blocks inverted there together, then each panel costs two matrix
-# products.  On the band-herm-gen problem (n=900, kl=31, 30 right-hand
-# sides, one BLAS thread, 2-core x86-64 VM) a direct plus an adjoint solve
-# took 9.2 ms at KB=16 (12 and 24: 9.6 and 10.2 ms; 8 and 32: 12.6 and
-# 10.3 ms), against 35 ms for the per-row loops this replaced.  Groups of
-# 32 panels took 8.8 ms, but their buffers (385 kB at kl=31) raised the
-# peak RSS of the benchmark by about 0.1 MB; those of 16 panels did not.
+# group's blocks are copied into one zeroed buffer, then each panel costs
+# two matrix products.  On the band-herm-gen problem (n=900, kl=31, 30
+# right-hand sides, one BLAS thread, 2-core x86-64 VM), with each solve
+# still inverting the diagonal blocks, a direct plus an adjoint solve took
+# 9.2 ms at KB=16 (12 and 24: 9.6 and 10.2 ms; 8 and 32: 12.6 and 10.3 ms),
+# against 35 ms for per-row loops.  Groups of 32 panels took 8.8 ms, but
+# their buffers (385 kB at kl=31) raised the peak RSS of the benchmark by
+# about 0.1 MB; those of 16 panels did not.  With the inverses made once
+# per factorization (_invert_blocks) the pair takes about 3.3 ms.
 KB = 16
 GROUP = 16
+
+
+def _factor_width(kl: int, n: int) -> int:
+    """Bandwidth of the band LU of an order-n matrix of bandwidth kl: at
+    least KB - 1 (or n - 1), so that the inverse of each unit-lower
+    diagonal block of L fits in the multiplier rows, except at kl = 0,
+    where U's diagonal blocks are diagonal and L is the identity."""
+    return max(kl, min(KB - 1, n - 1)) if kl else 0
 
 
 def _groups(n):
@@ -183,7 +193,8 @@ def _moved_panels(ab, ipiv):
     product.  As a dense panel LU has it, the step is the window's rows in
     the order ``perm`` followed by elimination with the unit-lower block
     ``lt`` (rows [k0, min(n, k0 + KB + kl)), multipliers below the
-    diagonal, the later interchanges applied)."""
+    diagonal, the later interchanges applied); _invert_blocks then inverts
+    its diagonal block."""
     kl = (ab.shape[0] - 1) // 3
     n = ab.shape[2]
     moved = []
@@ -202,20 +213,90 @@ def _moved_panels(ab, ipiv):
     return moved
 
 
+def _invert_unit_lower(m):
+    """Invert in place the unit-lower (..., w, w) blocks ``m``, zeros above
+    the diagonal: ones are put on the diagonal, then row t of the inverse is
+    -m[t, :t] times the rows above it, already inverted."""
+    w = m.shape[-1]
+    m[..., range(w), range(w)] = 1
+    for t in range(1, w):
+        m[..., t, :t] = -(m[..., t:t + 1, :t] @ m[..., :t, :t])[..., 0, :]
+
+
+def _invert_upper(m):
+    """Invert in place the upper-triangular (..., w, w) blocks ``m``, zeros
+    below the diagonal: D (I + N) becomes (I + N)^-1 D^-1, the rows of
+    (I + N)^-1 built from the last up."""
+    scale = 1 / np.diagonal(m, 0, -2, -1)
+    m *= scale[..., :, np.newaxis]
+    for t in reversed(range(m.shape[-1] - 1)):
+        m[..., t, t + 1:] = -(m[..., t:t + 1, t + 1:] @ m[..., t + 1:, t + 1:])[..., 0, :]
+    m *= scale[..., np.newaxis, :]
+
+
+def _invert_blocks(ab, ipiv):
+    """Invert in place the diagonal blocks of L and U of every shift of the
+    batch ``(ab, ipiv)`` from _band_lu_batch, and return the batch
+    ``(ab, ipiv, moved)`` that band_lu_solve reads (_moved_panels, each
+    ``lt``'s diagonal block inverted too).
+
+    A panel's diagonal block, packed as LU stores it, is a strided view of
+    the band: entry (t, u) of the block at column k0 sits in band row
+    2*kl + t - u, column k0 + u.  The inverses go back in the same places,
+    inv(L11) below the diagonal and inv(U11) on and above it, which needs
+    bandwidth w - 1 (_factor_width).  One stacked product per row step
+    serves all shifts and full panels; no block's arithmetic depends on
+    another's, so each shift is bitwise the one it gets alone.
+    """
+    rows, g, n = ab.shape
+    kl = (rows - 1) // 3
+    moved = _moved_panels(ab, ipiv)
+    lts = [lt for panels in moved for _, lt in panels.values()]
+    for w in {lt.shape[1] for lt in lts}:
+        same = [lt[:w] for lt in lts if lt.shape[1] == w]
+        blocks = np.stack(same)
+        _invert_unit_lower(blocks)
+        for lt, block in zip(same, blocks):
+            lt[...] = block
+    if kl == 0:
+        ab[0] = 1 / ab[0]
+        return ab, ipiv, moved
+    step = ab.itemsize
+    full = n - n % KB
+    for j0, j1, w in ((0, full, KB), (full, n, n - full)):
+        if j1 == j0:
+            continue
+        packed = np.ndarray((g, (j1 - j0) // w, w, w), ab.dtype, ab,
+                            (2 * kl * g * n + j0) * step,
+                            (n * step, w * step, g * n * step, (1 - g * n) * step))
+        below = np.tri(w, k=-1, dtype=bool)
+        for part, invert in ((below, _invert_unit_lower), (~below, _invert_upper)):
+            blocks = np.zeros(packed.shape, ab.dtype)
+            np.copyto(blocks, packed, where=part)
+            invert(blocks)
+            np.copyto(packed, blocks, where=part)
+            del blocks  # before the next buffer is made
+    return ab, ipiv, moved
+
+
 def band_lu_factor(fb: np.ndarray, kl: int):
     """LU with partial pivoting of a band matrix in expand_band layout.
 
     The factor is a one-shift batch: the handle ``((ab, ipiv, moved), 0)``
     that band_lu_solve takes.  ``ab`` holds the factor in LAPACK's band
-    layout: U with up to kl extra superdiagonals of pivoting fill in the
-    kl rows above the band, and below the diagonal each column's
-    multipliers; ``moved`` holds the window transforms of the panels that
-    interchange rows (see band_lu_solve).
+    layout at bandwidth K = _factor_width(kl, n): U with up to K extra
+    superdiagonals of pivoting fill in the K rows above the band, and below
+    the diagonal each column's multipliers, except that each diagonal block
+    of L and of U holds its inverse (_invert_blocks); ``moved`` holds the
+    window transforms of the panels that interchange rows (see
+    band_lu_solve).  For 0 < kl < KB - 1 the rows beyond kl on either side
+    are zero outside the diagonal blocks.
     """
     n = fb.shape[1]
-    ab = np.zeros((3 * kl + 1, 1, n), dtype=np.result_type(fb.dtype, np.complex64))
-    ab[kl:, 0] = fb
-    return _band_lu_batch(ab, kl), 0
+    k = _factor_width(kl, n)
+    ab = np.zeros((3 * k + 1, 1, n), dtype=np.result_type(fb.dtype, np.complex64))
+    ab[2 * k - kl:2 * k + kl + 1, 0] = fb
+    return _invert_blocks(*_band_lu_batch(ab, kl)), 0
 
 
 def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -229,16 +310,17 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     (the next ku columns) times the rows below, then multiplies by the
     inverse of U's diagonal block.  The adjoint solve is conj(A^T \\ conj(b)):
     the same two steps over transposed views of the U blocks, then of the L
-    blocks, with x conjugated in place before and after.  The blocks are
-    copied from the band into zeroed buffers, GROUP panels at a time, and
-    their diagonal blocks inverted there together.  The buffers are the zero
-    padding: a block entry outside the band reads as zero, so the band array
-    needs no padding rows, and the factor keeps no blocks.  A panel with a
-    row interchange uses its window transform from factor time
-    (_moved_panels) in place of its L blocks.
+    blocks, with x conjugated in place before and after.  The factorization
+    has inverted the diagonal blocks in the band (_invert_blocks), so a solve
+    only copies the blocks from the band into zeroed buffers, GROUP panels at
+    a time.  The buffers are the zero padding: a block entry outside the band
+    reads as zero, so the band array needs no padding rows, and the factor
+    keeps no blocks.  A panel with a row interchange uses its window
+    transform from factor time (_moved_panels) in place of its L blocks.
 
     U is read only to the bandwidth its pivots produced, ku = kl plus the
-    largest pivot offset: without pivoting its upper kl rows are zeros.
+    largest pivot offset: without pivoting its upper kl rows are zeros
+    outside the inverted diagonal blocks.
     """
     (ab, ipiv, moved), s = factor
     kl = (ab.shape[0] - 1) // 3
@@ -252,29 +334,14 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
     groups = _groups(n)
 
     def lower(j0, j1, w):
-        """The group's (panels, w + kl, w) L blocks, each diagonal block
-        replaced by its inverse (row t of the inverse is -L[t, :t] times the
-        rows above it, already inverted)."""
+        """The group's (panels, w + kl, w) L blocks, a moved panel's from
+        its ``lt``, with ones on the diagonal."""
         blocks = _lower_blocks(ab, s, j0, j1, w)
         for q, k0 in enumerate(range(j0, j1, w)):
             if k0 in moved:
                 lt = moved[k0][1]
                 blocks[q, :len(lt)] = lt
         blocks.reshape(len(blocks), -1)[:, :w * (w + 1):w + 1] = 1
-        for t in range(1, w):
-            blocks[:, t, :t] = -(blocks[:, t:t + 1, :t] @ blocks[:, :t, :t])[:, 0]
-        return blocks
-
-    def upper(j0, j1, w):
-        """The group's (panels, w, w + ku) U blocks, each diagonal block
-        D (I + N) replaced by its inverse (I + N)^-1 D^-1 (rows of
-        (I + N)^-1 built from the last up)."""
-        blocks = _upper_blocks(ab, s, j0, j1, w, ku)
-        scale = 1 / blocks.reshape(len(blocks), -1)[:, ::w + ku + 1][:, :w]
-        blocks[:, :, :w] *= scale[:, :, np.newaxis]
-        for t in reversed(range(w - 1)):
-            blocks[:, t, t + 1:w] = -(blocks[:, t:t + 1, t + 1:w] @ blocks[:, t + 1:w, t + 1:w])[:, 0]
-        blocks[:, :, :w] *= scale[:, np.newaxis, :]
         return blocks
 
     # Lower- and upper-triangular sweeps over (panels, w + reach, w) and
@@ -305,11 +372,11 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for group in groups if kl else ():
             forward(lower(*group), *group, kl, moved)
         for group in reversed(groups):
-            back(upper(*group), *group, ku, {})
+            back(_upper_blocks(ab, s, *group, ku), *group, ku, {})
     else:
         np.conjugate(x, out=x)
         for group in groups:
-            forward(upper(*group).transpose(0, 2, 1), *group, ku, {})
+            forward(_upper_blocks(ab, s, *group, ku).transpose(0, 2, 1), *group, ku, {})
         for group in reversed(groups) if kl else ():
             back(lower(*group).transpose(0, 2, 1), *group, kl, moved)
         np.conjugate(x, out=x)
@@ -317,25 +384,28 @@ def band_lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
 
 class _BandedOps(_Ops):
-    """Ops on full-band A and B (expand_band layout) of one bandwidth.
+    """Ops on full-band A and B (expand_band layout) of one bandwidth kl.
 
-    All contour shifts are factorized as one batch, a (3*kl+1, shifts, n)
-    band array (_band_lu_batch), and each shift is solved on its own
-    (band_lu_solve).
+    All contour shifts are factorized as one batch, a (3*K+1, shifts, n)
+    band array at bandwidth K = _factor_width(kl, n) (_band_lu_batch), whose
+    diagonal blocks are then inverted for all shifts at once
+    (_invert_blocks), and each shift is solved on its own (band_lu_solve).
+    A and B keep bandwidth kl, so their multiplies read no padding rows.
     """
 
     def _factor(self, shifts):
         rows, n = self.a.shape
         kl = (rows - 1) // 2
-        ab = np.zeros((3 * kl + 1, len(shifts), n), dtype=self.cdtype)
+        k = _factor_width(kl, n)
+        ab = np.zeros((3 * k + 1, len(shifts), n), dtype=self.cdtype)
         for s, z in enumerate(shifts):
-            shifted = ab[kl:, s]
+            shifted = ab[2 * k - kl:2 * k + kl + 1, s]
             shifted -= self.a
             if self.b is None:
                 shifted[kl] += z
             else:
                 shifted += z * self.b
-        return _band_lu_batch(ab, kl)
+        return _invert_blocks(*_band_lu_batch(ab, kl))
 
     _solve = staticmethod(band_lu_solve)
     _multiply = staticmethod(band_matvec)

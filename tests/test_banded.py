@@ -7,7 +7,9 @@ import scipy.linalg as sla
 from feastlib import SingularMatrixError, SolverOptions, feast_hb, feast_sb, feast_sy
 from feastlib.banded import (
     KB,
+    _band_lu_batch,
     _BandedOps,
+    _factor_width,
     band_lu_factor,
     band_lu_solve,
     band_matvec,
@@ -23,8 +25,8 @@ def _dense_from_full_band(fb):
     kl = (fb.shape[0] - 1) // 2
     a = np.zeros((n, n), dtype=fb.dtype)
     for s in range(-kl, kl + 1):
-        for j in range(max(0, -s), min(n, n - s)):
-            a[j + s, j] = fb[kl + s, j]
+        j = np.arange(max(0, -s), min(n, n - s))
+        a[j + s, j] = fb[kl + s, j]
     return a
 
 
@@ -290,28 +292,68 @@ def _dominant_band(n, kl, rng, complex_):
     return expand_band(_to_band_storage(a, kl, "F"), kl, "F", complex_)
 
 
+def _shifted(ops, z, k):
+    """z*B - A of ``ops`` in expand_band layout at bandwidth k, in the
+    arithmetic of _BandedOps._factor."""
+    kl = (ops.a.shape[0] - 1) // 2
+    fb = np.zeros((2 * k + 1, ops.a.shape[1]), dtype=complex)
+    shifted = fb[k - kl:k + kl + 1]
+    shifted -= ops.a
+    if ops.b is None:
+        shifted[kl] += z
+    else:
+        shifted += z * ops.b
+    return fb
+
+
+def _diagonal_blocks(ab):
+    """Per panel of KB columns (the last one n % KB wide) of the (3*K+1, n)
+    band ``ab``: the band coordinates of its diagonal block, packed as LU
+    stores it (entry (t, u) in band row 2*K + t - u, column k0 + u), and the
+    unit-lower L and the upper U held there."""
+    k = (ab.shape[0] - 1) // 3
+    n = ab.shape[1]
+    for k0 in range(0, n, KB):
+        t, u = np.indices((min(KB, n - k0),) * 2)
+        at = 2 * k + t - u, k0 + u
+        yield at, np.tril(ab[at], -1) + np.eye(len(t)), np.triu(ab[at])
+
+
 def _check_batch_against_reference(ops, shifts, rng):
+    """The batch's LU (_band_lu_batch) is bitwise the column reference at
+    the factor's bandwidth K, up to the sign of exact zeros.  Inverting the
+    diagonal blocks (_invert_blocks) leaves every other entry of the band as
+    it was, and each stored block times the reference block is I.  The
+    solves match the row-loop reference.  Returns the LU and its pivots."""
     kl = (ops.a.shape[0] - 1) // 2
     n = ops.a.shape[1]
+    k = _factor_width(kl, n)
     batch = ops._factor(shifts)
     ab, ipiv, _ = batch
-    assert ab.shape == (3 * kl + 1, len(shifts), n)
+    assert ab.shape == (3 * k + 1, len(shifts), n)
+    shifted = [_shifted(ops, z, k) for z in shifts]
+    lu = np.zeros_like(ab)
+    lu[k:] = np.stack(shifted, axis=1)
+    lu, lu_ipiv = _band_lu_batch(lu, kl)
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    for s, z in enumerate(shifts):
-        if ops.b is None:
-            shifted = -ops.a.astype(complex)
-            shifted[kl] += z
-        else:
-            shifted = z * ops.b - ops.a
-        want_ab, want_ipiv = _column_band_lu_factor(shifted, kl)
+    for s in range(len(shifts)):
+        want_ab, want_ipiv = _column_band_lu_factor(shifted[s], k)
         # Equal values, bitwise apart from the sign of exact zeros.
-        assert np.array_equal(ab[:, s], want_ab)
-        assert np.array_equal(ipiv[s], want_ipiv)
+        assert np.array_equal(lu[:, s], want_ab)
+        assert np.array_equal(lu_ipiv[s], want_ipiv) and np.array_equal(ipiv[s], want_ipiv)
+        outside = np.ones(want_ab.shape, dtype=bool)
+        for (at, want_l, want_u), (_, inv_l, inv_u) in zip(_diagonal_blocks(want_ab),
+                                                           _diagonal_blocks(ab[:, s])):
+            outside[at] = False
+            eye = np.eye(len(want_l))
+            assert np.abs(inv_l @ want_l - eye).max() <= 1e-12
+            assert np.abs(inv_u @ want_u - eye).max() <= 1e-12
+        assert np.array_equal(ab[:, s][outside], want_ab[outside])
         for adjoint in (False, True):
-            want = _column_band_lu_solve(want_ab, want_ipiv, kl, rhs, adjoint)
+            want = _column_band_lu_solve(want_ab, want_ipiv, k, rhs, adjoint)
             got = band_lu_solve((batch, s), rhs, adjoint)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    return batch
+    return lu, ipiv
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
@@ -324,7 +366,7 @@ def test_batched_band_lu_matches_column_reference(rng, complex_, g):
     for b in (None, expand_band(_to_band_storage(fb, 1, "F"), 1, "F", False, kl)):
         ops = _BandedOps(expand_band(_to_band_storage(fa, kl, "F"), kl, "F", complex_),
                          b, np.complex128, shifts)
-        _, ipiv, _ = _check_batch_against_reference(ops, shifts, rng)
+        _, ipiv = _check_batch_against_reference(ops, shifts, rng)
         assert (ipiv != np.arange(n)).any()  # random bands pivot
 
 
@@ -332,11 +374,13 @@ def test_one_pivoting_shift_in_a_batch(rng):
     n, kl = 30, 2
     ops = _BandedOps(_dominant_band(n, kl, rng, True), None, np.complex128, ())
     shifts = [0.5j, 10.0 + 1e-3j, 2.0 + 0.5j]
-    ab, ipiv, _ = _check_batch_against_reference(ops, shifts, rng)
+    lu, ipiv = _check_batch_against_reference(ops, shifts, rng)
     moved = ipiv != np.arange(n)
     assert moved[1].any() and not moved[0].any() and not moved[2].any()
-    # Only the pivoting shift fills rows above the band and widens U.
-    assert ab[:kl, 1].any() and not ab[:kl, 0].any() and not ab[:kl, 2].any()
+    # Only the pivoting shift fills rows above the band of A's kl and widens
+    # U; the LU's bandwidth K pads that band with zero rows.
+    above = 2 * _factor_width(kl, n) - kl
+    assert lu[:above, 1].any() and not lu[:above, 0].any() and not lu[:above, 2].any()
     assert (ipiv[1] - np.arange(n)).max() > 0
 
 
@@ -398,6 +442,27 @@ def test_factorize_shares_one_batch():
         assert batch is ops._batch and s == i
 
 
+def test_each_shift_solves_as_its_one_shift_factor(rng):
+    """The diagonal-block inverses are made for all 8 shifts of the batch at
+    once (one of them pivots, in 3 panels), yet each shift solves bitwise as
+    its one-shift factor does, direct and adjoint, and agrees with a dense
+    solve."""
+    ops, shifts = _wide_band_ops()
+    batch = ops._factor(shifts)
+    assert sum(len(moved) for moved in batch[2]) == 3
+    kl = (ops.a.shape[0] - 1) // 2
+    rhs = rng.normal(size=(ops.a.shape[1], 30)) + 1j * rng.normal(size=(ops.a.shape[1], 30))
+    for s, z in enumerate(shifts):
+        shifted = _shifted(ops, z, kl)
+        alone = band_lu_factor(shifted, kl)
+        dense = _dense_from_full_band(shifted)
+        for adjoint in (False, True):
+            got = band_lu_solve((batch, s), rhs, adjoint)
+            assert got.tobytes() == band_lu_solve(alone, rhs, adjoint).tobytes()
+            want = np.linalg.solve(dense.conj().T if adjoint else dense, rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # --- panel-blocked band solves ---------------------------------------------------
 
 
@@ -421,8 +486,9 @@ def _check_solves(fb, kl, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("n, kl", [(5, 2), (2 * KB + 5, 3), (40, 0), (20, 19), (3 * KB, 31)],
-                         ids=["n<kb", "n%kb!=0", "kl=0", "kl=n-1", "kl>kb"])
+@pytest.mark.parametrize("n, kl", [(5, 2), (2 * KB + 5, 3), (40, 0), (20, 19), (3 * KB, 31),
+                                   (2 * KB + 9, 1), (3 * KB + 2, 7)],
+                         ids=["n<kb", "n%kb!=0", "kl=0", "kl=n-1", "kl>kb", "kl=1", "kl=7"])
 def test_blocked_solve_matches_row_loops(rng, dtype, n, kl):
     a = _random_band(n, kl, rng, True) + np.eye(n)
     fb = expand_band(_to_band_storage(a, kl, "F"), kl, "F", True).astype(dtype)
