@@ -3,13 +3,18 @@ complex sparse direct solver, a diagonal-preconditioned BiCGStab
 alternative, and feast_scsr / feast_hcsr.
 
 The direct solver orders the union pattern of A and B by nested dissection
-and runs one symbolic analysis on it.  Each separator and each leaf of the
-dissection is a supernode, whose columns are factorized together as one
-dense front (multifrontal LU): one Python-level step does the work of a
-block of columns, with matrix products.  Minimum degree, which this
-replaced, gives less fill (21,504 against 28,339 entries of L on a 40 x 40
-grid) but supernodes of about one column, so its factorization took one
-Python-level update per entry of L.  Each supernode's pivot block is
+and runs one symbolic analysis on it.  The separators and leaves of the
+dissection form its assembly tree.  Small nodes are merged into their
+parents while the merged node has at most SUPERNODE columns (relaxed
+supernodes); each resulting supernode's columns are factorized together as
+one dense front (multifrontal LU): one Python-level step does the work of
+a block of columns, with matrix products.  The merging stores explicit
+zeros (42,258 entries of L on a 40 x 40 grid, against 28,339 unmerged) in
+exchange for far fewer fronts (128 against 356), because a front's cost
+there is mostly numpy call overhead.  Minimum degree, which nested
+dissection replaced, gives less fill (21,504 entries) but supernodes of
+about one column, so its factorization took one Python-level update per
+entry of L.  Each supernode's pivot block is
 inverted by LAPACK, with partial pivoting inside the block (none across
 blocks: the order is fixed by the symbolic analysis), and the factor keeps
 the inverse with F21 inv and inv F12, so that a sweep takes one matrix
@@ -210,8 +215,20 @@ def _csr_block_matvec(n, classes, data, x):
 # --- internal sparse direct solver ------------------------------------------
 
 # A part of at most this many vertices is not dissected further: it becomes
-# one supernode, factorized as one dense front.
+# one node of the assembly tree.
 LEAF = 8
+
+# Relaxed supernodes: a node of the assembly tree is merged into its
+# parent's supernode while the merged supernode has at most this many
+# columns.  On the 40 x 40 grid with 8 shifts and one BLAS thread (medians
+# of 15 interleaved rounds in one process), no merging leaves 356
+# supernodes, an 8-shift factor of 4.2 MB made in 34 ms, and sweeps of 8.0
+# ms (1 column) and 30 ms (30 columns); 12 leaves 189 supernodes, 5.4 MB,
+# 32 ms, 5.3 and 20 ms; 16 leaves 128, 6.8 MB, 24 ms, 3.7 and 20 ms; 24
+# leaves 92, 8.1 MB, 32 ms, 3.1 and 16 ms.  At 16 the csr-direct
+# benchmark's solve takes 23% less time and its peak RSS is 4.9% higher,
+# the larger factor held while a sweep's output exists.
+SUPERNODE = 16
 
 
 def _nested_dissection(n, adj):
@@ -287,20 +304,50 @@ def _nested_dissection(n, adj):
     return nodes[::-1], [-1 if p < 0 else last - p for p in parents[::-1]]
 
 
+def _amalgamate(nodes, parent):
+    """Relaxed supernodes of an assembly tree given in postorder, as
+    ``_nested_dissection`` returns it.
+
+    Walking the tree in postorder, each node's group is merged into its
+    parent's group while the merged group has at most SUPERNODE vertices;
+    a node wider than that stays on its own.  Each group is a connected
+    subtree, named by its top node.  Returns the groups' vertex lists, the
+    vertices in their old postorder, ordered by top node (again a
+    postorder), and each group's parent.
+    """
+    size = [len(node) for node in nodes]
+    top = list(range(len(nodes)))
+    for s, p in enumerate(parent):
+        # A node's own group is complete here: its children came before it.
+        if p >= 0 and size[s] + size[p] <= SUPERNODE:
+            size[p] += size[s]
+            top[s] = p
+    for s in reversed(range(len(nodes))):
+        top[s] = top[top[s]]
+    groups = {}
+    for s, node in enumerate(nodes):
+        groups.setdefault(top[s], []).extend(node)
+    tops = sorted(groups)
+    index = {t: g for g, t in enumerate(tops)}
+    return [groups[t] for t in tops], [-1 if parent[t] < 0 else index[top[parent[t]]] for t in tops]
+
+
 class _SparseSymbolic:
     """Pattern analysis shared read-only by every shift: a nested-dissection
-    order and its supernodes.
+    order and its relaxed supernodes.
 
     Supernode s is the contiguous range ``columns[s]`` of permuted columns
-    (a separator or a leaf of the dissection, ``start[s]:start[s + 1]``),
-    in postorder.  Its front holds those columns and ``rows[s]``, the later
-    rows its columns reach: their later neighbours and the rows of its
-    children's fronts past it.  The front is factorized dense, so the
-    factor's pattern is contained in the fronts'.  ``source`` orders the
-    data vector by supernode, entry (i, j) going to the front of
-    min(i, j), and ``scatter[s]`` gives the flat front positions of the
-    entries in ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives
-    the positions of ``rows[s]`` in the parent's front.
+    (``start[s]:start[s + 1]``): a connected subtree of the dissection's
+    assembly tree (``_amalgamate``), that is a separator or a leaf with
+    those of its descendants merged into it, in postorder.  Its front
+    holds those columns and ``rows[s]``, the later rows its columns reach:
+    their later neighbours and the rows of its children's fronts past it.
+    The front is factorized dense, so the factor's pattern is contained in
+    the fronts'.  ``source`` orders the data vector by supernode, entry
+    (i, j) going to the front of min(i, j), and ``scatter[s]`` gives the
+    flat front positions of the entries in
+    ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the positions
+    of ``rows[s]`` in the parent's front.
     """
 
     def __init__(self, n, indptr, indices):
@@ -313,8 +360,8 @@ class _SparseSymbolic:
         ar, ac = np.divmod(keys, max(n, 1))
         ptr = np.searchsorted(ar, np.arange(n + 1)).tolist()
         nbrs = ac.tolist()
-        nodes, self.parent = _nested_dissection(
-            n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)])
+        nodes, self.parent = _amalgamate(*_nested_dissection(
+            n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
 
         self.perm = np.array([v for node in nodes for v in node], dtype=np.int64)
         self.iperm = np.empty(n, dtype=np.int64)
@@ -432,6 +479,13 @@ class _SparseFactor:
             if rows.size:
                 updates[s] = front[:, k:, k:] - li @ front[:, :k, k:]
             self.blocks.append((inv, li, ui))
+
+    @property
+    def nbytes(self):
+        """Bytes held by the factor's ``inv``, ``li`` and ``ui`` blocks; a
+        ``ui`` that is a transposed view of ``li`` counts once."""
+        return sum(inv.nbytes + li.nbytes + (0 if ui.base is li else ui.nbytes)
+                   for inv, li, ui in self.blocks)
 
     def sweep(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve every shift's system, or with ``adjoint`` its conjugate

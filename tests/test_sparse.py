@@ -19,6 +19,8 @@ from feastlib.quadrature import build_contour, gauss_legendre
 from feastlib import sparse
 from feastlib.sparse import (
     LEAF,
+    SUPERNODE,
+    _nested_dissection,
     _row_classes,
     _ShiftedPattern,
     _SparseFactor,
@@ -275,7 +277,19 @@ def _patterns(rng):
     irregular = np.where(rng.random((70, 70)) < rng.random(70)[:, np.newaxis] * 0.12,
                          rng.normal(size=(70, 70)), 0.0)
     out["irregular"] = np.triu(irregular, 1) + np.triu(irregular, 1).T + np.diag(rng.normal(size=70))
+    # A hub joined to 60 vertices: one separator with 60 one-vertex
+    # children.  Drawn from no generator, so the cases above and the
+    # callers' later draws stay as they were.
+    star = np.diag(np.linspace(-2.0, 2.0, 61))
+    star[0, 1:] = star[1:, 0] = np.linspace(0.5, 1.5, 60)
+    out["star"] = star
     return out
+
+
+def _adjacency(a):
+    """Each vertex's neighbours in the pattern of ``a``, as
+    ``_SparseSymbolic`` gives them to ``_nested_dissection``."""
+    return [[w for w in np.flatnonzero(row).tolist() if w != v] for v, row in enumerate(a)]
 
 
 def _lu_no_pivoting(m):
@@ -286,7 +300,8 @@ def _lu_no_pivoting(m):
     return lu
 
 
-@pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular"])
+@pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular",
+                                  "star"])
 def test_order_and_structure_hold_the_dense_lu(rng, name):
     a = _patterns(rng)[name]
     n = len(a)
@@ -332,16 +347,71 @@ def test_factor_solves_awkward_patterns_like_dense(rng, name, symmetric):
     assert one.solve(rhs).tobytes() == batch.pick(y, 0).tobytes()
 
 
-def test_dissection_splits_parts_larger_than_a_leaf(rng):
-    pattern = _ShiftedPattern(CsrMatrix.from_dense(_grid(20, rng)), None)
+def test_dissection_splits_parts_larger_than_a_leaf(rng, monkeypatch):
+    # The dissection's own tree, before relaxed supernodes merge its nodes.
+    a = _grid(20, rng)
+    nodes, parent = _nested_dissection(len(a), _adjacency(a))
+    sizes = np.array([len(node) for node in nodes])
+    assert all(sizes[s] <= LEAF for s in range(len(nodes)) if s not in parent)
+    assert sizes.max() <= 2 * 20 and len(nodes) > 400 // LEAF
+    assert parent[-1] == -1 and parent.count(-1) == 1
+    # With no merging the supernodes are those nodes: 5,568 entries of L in
+    # 89 supernodes; the natural order's band holds about 20 * 400.
+    monkeypatch.setattr(sparse, "SUPERNODE", 0)
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
     sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
-    sizes = np.diff(sym.start)
-    leaves = [s for s in range(len(sizes)) if not sym.children[s]]
-    assert all(sizes[s] <= LEAF for s in leaves)
-    assert sizes.max() <= 2 * 20 and len(sizes) > 400 // LEAF
-    assert sym.parent[-1] == -1 and sym.parent.count(-1) == 1
-    # 5,568 entries; the natural order's band holds about 20 * 400.
+    assert sym.perm.tolist() == [v for node in nodes for v in node]
+    assert sym.parent == parent
     assert sym.nnz_l <= 6000
+
+
+@pytest.mark.parametrize("name", ["grid 20 x 20", "n=1", "diagonal", "grid", "disconnected", "arrow",
+                                  "irregular", "star"])
+def test_relaxed_supernodes_are_subtrees_of_the_dissection(rng, name):
+    a = _grid(20, rng) if name == "grid 20 x 20" else _patterns(rng)[name]
+    n = len(a)
+    nodes, parent = _nested_dissection(n, _adjacency(a))
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    assert np.array_equal(np.sort(sym.perm), np.arange(n))
+    node_of = np.empty(n, dtype=np.int64)
+    for t, node in enumerate(nodes):
+        node_of[node] = t
+    supernode_of, tops = {}, []
+    for s, cols in enumerate(sym.columns):
+        members = sorted(set(node_of[sym.perm[cols]].tolist()))
+        # Whole nodes, their vertices in the dissection's postorder.
+        assert sym.perm[cols].tolist() == [v for t in members for v in nodes[t]]
+        # A connected subtree: exactly one member's parent is outside it.
+        outside = [t for t in members if parent[t] not in members]
+        assert len(outside) == 1
+        tops.append(outside[0])
+        supernode_of.update(dict.fromkeys(members, s))
+        if len(members) > 1:
+            assert cols.stop - cols.start <= SUPERNODE
+    # Ordered by top node; a supernode's parent holds its top's parent.
+    assert tops == sorted(tops)
+    assert sym.parent == [supernode_of.get(parent[t], -1) for t in tops]
+    if name == "grid 20 x 20":
+        # 89 supernodes holding 5,568 entries of L before merging.
+        assert len(sym.columns) == 34 and sym.nnz_l == 8765
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_factor_nbytes_counts_each_block_once(rng, symmetric):
+    a = _grid(12, rng)
+    if not symmetric:
+        a = a + 1j * (np.triu(a, 1) - np.triu(a, 1).T)  # Hermitian
+    pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
+    sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
+    shifts = build_contour(gauss_legendre(4), -1.0, 2.0).z
+    factor = _SparseFactor(sym, np.stack([pattern.shifted_data(complex(z)) for z in shifts]),
+                           symmetric)
+    k = np.diff(sym.start)
+    r = np.array([rows.size for rows in sym.rows])
+    # inv and li; a Hermitian pencil's ui is a block of its own.
+    entries = np.sum(k * k + k * r) + (0 if symmetric else np.sum(k * r))
+    assert factor.nbytes == len(shifts) * entries * np.dtype(np.complex128).itemsize
 
 
 def test_transpose_view_only_for_feast_scsr(rng, monkeypatch):
@@ -704,7 +774,7 @@ def test_to_dense_and_to_banded_round_trip(rng):
 @pytest.mark.parametrize("uplo", ["F", "L"])
 def test_single_precision_on_a_grid_with_many_supernodes(rng, driver, generalized, uplo):
     # n=144: the pivot blocks are inverted in single precision (LAPACK's
-    # cgesv), over more than n / LEAF supernodes.
+    # cgesv), over more than n / SUPERNODE supernodes (15 of them).
     hermitian = driver is feast_hcsr
     a = _grid(12, rng)
     if hermitian:
@@ -720,7 +790,7 @@ def test_single_precision_on_a_grid_with_many_supernodes(rng, driver, generalize
     dtype = np.complex64 if hermitian else np.float32
     csr = lambda m: CsrMatrix.from_dense(m.astype(dtype), uplo)
     pattern = _ShiftedPattern(csr(a).expand_full(), None)
-    assert len(_SparseSymbolic(pattern.n, pattern.indptr, pattern.indices).columns) > 144 // LEAF
+    assert len(_SparseSymbolic(pattern.n, pattern.indptr, pattern.indices).columns) > 144 // SUPERNODE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = driver(csr(a), emin, emax, 18, b=None if b is None else csr(b))
