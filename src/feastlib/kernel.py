@@ -43,9 +43,31 @@ from .params import (
     validate_params,
 )
 from .quadrature import build_contour, gauss_legendre
-from .reduced import ReducedSolverError, generalized_eig, random_uniform, spd_factor
+from .reduced import ReducedSolverError, generalized_eig, spd_factor
 
 DEFAULT_SEED = 42
+
+# --- deterministic random stream (SplitMix64, counter-based) ---------------
+# The random start block draws from it.
+
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def random_uniform(seed: int, offset: int, count: int) -> np.ndarray:
+    """Deterministic uniform samples in [-1, 1).
+
+    Counter-based SplitMix64: sample i depends only on (seed, offset + i),
+    so identical arguments always reproduce identical samples regardless of
+    platform or thread count.
+    """
+    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _SM_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
+    z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -52 - 1.0
 
 
 class RciTask(enum.IntEnum):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from feastlib import ReducedSolverError, generalized_eig, spd_factor
-from feastlib.reduced import standard_eig
 
 from conftest import random_hermitian, random_spd, random_symmetric
 
@@ -119,14 +118,6 @@ def test_clustered_eigenvalues(rng):
     eps, phi = generalized_eig(aq, np.eye(6))
     assert np.allclose(np.sort(eps), np.diag(d), atol=1e-10)
     _check_pair(aq, np.eye(6), eps, phi)
-
-
-def test_standard_eig_matches_numpy(rng):
-    a = random_symmetric(15, rng)
-    d, v = standard_eig(a)
-    ref = np.linalg.eigvalsh(a)
-    assert np.abs(d - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
-    assert np.abs(a @ v - v @ np.diag(d)).max() <= 1e-10 * np.abs(a).max()
 
 
 def test_non_positive_b_raises():

@@ -1,13 +1,12 @@
-"""The reduced eigensolver's eigenvectors (inverse iteration on the
-tridiagonal, reorthogonalized within clusters) and its power-of-two scaling,
-checked against the np.linalg.eigh oracle."""
+"""The reduced eigensolver's eigenpairs (LAPACK's eigh on the Cholesky
+standard form, with Rayleigh-quotient eigenvalues), its power-of-two scaling
+and its failure path, checked against the np.linalg.eigvalsh oracle."""
 
 import numpy as np
 import pytest
 
 import feastlib as fl
-from feastlib import CsrMatrix, ReducedSolverError, generalized_eig, reduced, spd_factor
-from feastlib.reduced import standard_eig
+from feastlib import CsrMatrix, ReducedSolverError, generalized_eig, spd_factor
 
 from conftest import random_hermitian, random_spd, random_symmetric
 
@@ -61,12 +60,12 @@ def test_tridiagonal_that_splits(rng):
     e = np.abs(rng.normal(size=n - 1))
     e[[2, 3, 7]] = 0.0
     a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    lam, phi = standard_eig(a)
+    lam, phi = generalized_eig(a, np.eye(n))
     _check(a, np.eye(n), lam, phi)
     # A diagonal matrix splits everywhere; with repeated entries the split
     # blocks share eigenvalues.
     a = np.diag([2.0, 1.0, 2.0, 3.0, 1.0, 2.0])
-    lam, phi = standard_eig(a)
+    lam, phi = generalized_eig(a, np.eye(6))
     _check(a, np.eye(6), lam, phi)
     assert np.array_equal(lam, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
 
@@ -78,7 +77,7 @@ def test_tight_clusters_stay_orthogonal(rng):
     d = rng.integers(0, 3, size=n).astype(float)
     e = np.where(rng.random(n - 1) < 0.3, 0.0, 1e-9 * rng.random(n - 1))
     a = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    lam, phi = standard_eig(a)
+    lam, phi = generalized_eig(a, np.eye(n))
     _check(a, np.eye(n), lam, phi)
 
 
@@ -124,18 +123,21 @@ def test_random_pencils_against_eigh(n, kind, rng):
     b = random_spd(n, rng, complex_=hermitian)
     lam, phi = generalized_eig(a, b)
     _check(a, b, lam, phi)
-    lam, phi = standard_eig(a)
+    lam, phi = generalized_eig(a, np.eye(n))
     _check(a, np.eye(n), lam, phi)
 
 
 def test_same_input_gives_bitwise_equal_output(rng):
     state = np.random.get_state()
-    a, b = random_hermitian(30, rng), random_spd(30, rng, complex_=True)
-    first = generalized_eig(a, b)
-    second = generalized_eig(a, b)
-    assert first[0].tobytes() == second[0].tobytes()
-    assert first[1].tobytes() == second[1].tobytes()
-    # The start vectors come from a private generator.
+    # n=120 is past LAPACK's block size, so with threaded BLAS the blocked
+    # reduction runs as well as the unblocked one.
+    for n in (30, 120):
+        a, b = random_hermitian(n, rng), random_spd(n, rng, complex_=True)
+        first = generalized_eig(a, b)
+        second = generalized_eig(a, b)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1].tobytes() == second[1].tobytes()
+    # numpy's global generator is left alone.
     assert all(np.array_equal(x, y) for x, y in zip(state, np.random.get_state()))
 
 
@@ -151,11 +153,14 @@ def test_given_cholesky_factor_is_used(rng):
         generalized_eig(a, b, lower)
 
 
-def test_unconverged_inverse_iteration_raises(monkeypatch, rng):
-    # With no solves the vectors stay random, and the residual check must
-    # refuse them rather than return them.
-    monkeypatch.setattr(reduced, "_INV_MAX_SOLVES", 0)
-    with pytest.raises(ReducedSolverError, match="residual"):
+def test_lapack_failure_raises(monkeypatch, rng):
+    # A LAPACK breakdown in the reduced eigensolve must surface as
+    # ReducedSolverError, and through a driver as info -3.
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ReducedSolverError, match="did not converge"):
         generalized_eig(random_symmetric(8, rng), np.eye(8))
     a = np.diag(np.arange(1.0, 13.0)) - 0.1 * (np.eye(12, k=1) + np.eye(12, k=-1))
     result = fl.feast_sy(a, 0.5, 5.5, 8)
