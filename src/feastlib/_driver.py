@@ -42,11 +42,12 @@ class SolverOptions:
     seed: integer of the deterministic start-vector stream.
     parallel_contour: an integer of at least 1, with no effect: every
         backend factorizes all shifts as one batch in the calling thread.
-        Contour workers lost on every backend (a batch's shifts share one
-        factorization and sweep, and the numpy loops hold the GIL; 2 cores,
-        one BLAS thread: dense 0.24 s with one worker against 0.27 s with
-        two, banded 0.36 s against 0.43 s in its former 3 batches).
-    solver: 'direct' or 'iterative' (sparse backend only).
+        Contour workers lost on every backend they were tried on (a
+        batch's shifts share one factorization and sweep, and the numpy
+        loops hold the GIL; 2 cores, one BLAS thread: dense 0.24 s with one
+        worker against 0.27 s with two).
+    solver: 'direct' or 'iterative' (CSR drivers only; the band drivers
+        always use the direct solver).
     iter_tol: relative residual target (a finite real > 0) of the iterative
         inner solver.
     Other values raise ValueError naming the field.
@@ -169,17 +170,18 @@ class _Ops:
     object serves one ``run_rci`` in one thread and is not shared between
     threads.
 
-    A batch that solves all its shifts at once (dense and CSR) has ``ne``,
-    its number of shifts, ``sweep(rhs, adjoint)``, every shift's solution
-    for the (n, m) block ``rhs``, and ``pick(y, i)``, shift i's (n, m)
-    solution out of a sweep's output.  Per solve direction, the sweep of the
-    last right-hand side is held with that right-hand side: a request with
-    an equal one is served from it, any other runs a new sweep.  The sweep
-    is dropped after ``ne`` requests, so that it is not held through the
-    rest of the refinement loop.  Banded and iterative batches solve one
-    shift at a time (``_solve((batch, i), rhs, adjoint)``): a held band sweep
-    of all 8 shifts raised band-herm-gen's peak RSS by about 8 MB, and a block
-    BiCGStab ran every column until the slowest converged (30 s, not 22 s).
+    A batch that solves all its shifts at once (dense, and the CSR and band
+    drivers' multifrontal LU) has ``ne``, its number of shifts,
+    ``sweep(rhs, adjoint)``, every shift's solution for the (n, m) block
+    ``rhs``, and ``pick(y, i)``, shift i's (n, m) solution out of a sweep's
+    output.  Per solve direction, the sweep of the last right-hand side is
+    held with that right-hand side: a request with an equal one is served
+    from it, any other runs a new sweep.  The sweep is dropped after ``ne``
+    requests, so that it is not held through the rest of the refinement
+    loop.  ``_solve((batch, i), rhs, adjoint)`` may be overridden: the
+    multifrontal LU sweeps an adjoint request's shift alone, and iterative
+    batches solve one shift at a time (a block BiCGStab ran every column
+    until the slowest converged: 30 s, not 22 s).
     """
 
     def __init__(self, a, b, cdtype=None, shifts=()):

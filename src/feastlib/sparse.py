@@ -1,6 +1,7 @@
 """CSR drivers: UPLO-aware compressed sparse row storage, an internal
 complex sparse direct solver, a diagonal-preconditioned BiCGStab
-alternative, and feast_scsr / feast_hcsr.
+alternative, and feast_scsr / feast_hcsr.  The direct solver also serves
+the band drivers (``banded``), on the CSR of a band's nonzero entries.
 
 The direct solver orders the union pattern of A and B by nested dissection
 and runs one symbolic analysis on it.  The separators and leaves of the
@@ -14,14 +15,16 @@ exchange for far fewer fronts (128 against 356), because a front's cost
 there is mostly numpy call overhead.  Minimum degree, which nested
 dissection replaced, gives less fill (21,504 entries) but supernodes of
 about one column, so its factorization took one Python-level update per
-entry of L.  Each supernode's pivot block is
-inverted by LAPACK, with partial pivoting inside the block (none across
-blocks: the order is fixed by the symbolic analysis), and the factor keeps
-the inverse with F21 inv and inv F12, so that a sweep takes one matrix
-product per supernode forward and two back.  The numeric LU factorizes
+entry of L.  Where the natural order makes less fill, as on a full band
+(34,794 entries against 62,207 at n=900, kl=31), the analysis is a chain
+of SUPERNODE-column supernodes in natural order instead.  Each
+supernode's pivot block is inverted by LAPACK, with partial pivoting
+inside the block (none across blocks: the order is fixed by the symbolic
+analysis), and the factor keeps the inverse with F21 inv and inv F12, so
+that a sweep takes one matrix product per supernode forward and two back.  The numeric LU factorizes
 all contour shifts in one batch, and each triangular sweep solves every
-shift's system for the common right-hand side at once.  Every shift gets
-bitwise the factor and solution it would get alone.
+shift's system for the common right-hand side at once, or one shift's.
+Every shift gets bitwise the factor and solution it would get alone.
 """
 
 from __future__ import annotations
@@ -196,9 +199,10 @@ def _csr_block_matvec(n, classes, data, x):
     """Block multiply by the n x n CSR matrix with row classes ``classes``
     (see ``_row_classes``, full pattern) and entries ``data``.
 
-    Each class is one stacked product of its padded data rows (r, 1, w)
-    with the gathered rows of x (r, w, m); the padding multiplies a zero by
-    an appended zero row of x, so the temporaries stay O(nnz * m).
+    Each class is stacked products of its padded data rows (r, 1, w) with
+    the gathered rows of x (r, w, m), max(1, n // w) rows at a time so that
+    no gathered block is larger than x; the padding multiplies a zero by an
+    appended zero row of x.
     """
     single = x.ndim == 1
     xb = x[:, np.newaxis] if single else x
@@ -208,7 +212,10 @@ def _csr_block_matvec(n, classes, data, x):
         padded_x = np.concatenate([xb, np.zeros((1, xb.shape[1]), dtype=xb.dtype)])
         padded_data = np.append(data, 0).astype(dtype, copy=False)
         for rows, at, cols in classes:
-            y[rows] = (padded_data[at][:, np.newaxis] @ padded_x[cols])[:, 0]
+            step = max(1, n // at.shape[1])
+            for c in range(0, len(rows), step):
+                part = slice(c, c + step)
+                y[rows[part]] = (padded_data[at[part]][:, np.newaxis] @ padded_x[cols[part]])[:, 0]
     return y[:, 0] if single else y
 
 
@@ -334,7 +341,8 @@ def _amalgamate(nodes, parent):
 
 class _SparseSymbolic:
     """Pattern analysis shared read-only by every shift: a nested-dissection
-    order and its relaxed supernodes.
+    order and its relaxed supernodes or, with ``chain``, the natural order
+    in SUPERNODE-column supernodes, each the parent of the one before.
 
     Supernode s is the contiguous range ``columns[s]`` of permuted columns
     (``start[s]:start[s + 1]``): a connected subtree of the dissection's
@@ -350,7 +358,7 @@ class _SparseSymbolic:
     of ``rows[s]`` in the parent's front.
     """
 
-    def __init__(self, n, indptr, indices):
+    def __init__(self, n, indptr, indices, chain=False):
         self.n = n
         er = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         ec = np.asarray(indices, dtype=np.int64)
@@ -358,10 +366,14 @@ class _SparseSymbolic:
         off = er != ec
         keys = np.unique(np.concatenate([er[off] * n + ec[off], ec[off] * n + er[off]]))
         ar, ac = np.divmod(keys, max(n, 1))
-        ptr = np.searchsorted(ar, np.arange(n + 1)).tolist()
-        nbrs = ac.tolist()
-        nodes, self.parent = _amalgamate(*_nested_dissection(
-            n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
+        if chain:
+            nodes = [range(c, min(c + SUPERNODE, n)) for c in range(0, n, SUPERNODE)]
+            self.parent = [s + 1 for s in range(len(nodes) - 1)] + [-1]
+        else:
+            ptr = np.searchsorted(ar, np.arange(n + 1)).tolist()
+            nbrs = ac.tolist()
+            nodes, self.parent = _amalgamate(*_nested_dissection(
+                n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
 
         self.perm = np.array([v for node in nodes for v in node], dtype=np.int64)
         self.iperm = np.empty(n, dtype=np.int64)
@@ -407,6 +419,19 @@ class _SparseSymbolic:
         """Entries of L held by the supernodes, diagonal included."""
         k = np.diff(self.start)
         return int(np.sum(k * (k + 1) // 2 + k * np.array([r.size for r in self.rows])))
+
+
+def _chain_nnz_l(n, rows, cols):
+    """``nnz_l`` of the chain analysis of the pattern (rows, cols), in
+    O(nnz) without running it: in natural order, row i of L reaches back to
+    low(i), i's lowest neighbour, so i is a front row of the SUPERNODE-wide
+    supernodes low(i) // SUPERNODE to i // SUPERNODE - 1."""
+    low = np.arange(n)
+    np.minimum.at(low, rows, cols)
+    np.minimum.at(low, cols, rows)
+    k = np.diff(np.append(np.arange(0, n, SUPERNODE), n))
+    rows_held = np.arange(n) // SUPERNODE - low // SUPERNODE
+    return int(np.sum(k * (k + 1) // 2) + SUPERNODE * np.sum(rows_held))
 
 
 def _pivot_inverse(block, col):
@@ -460,15 +485,15 @@ class _SparseFactor:
         data = np.atleast_2d(data)
         self.ne = data.shape[0]
         self.dtype = data.dtype
-        src = data[:, symbolic.source]
-        bounds = symbolic.bounds
+        source, bounds = symbolic.source, symbolic.bounds
         self.blocks = []
         updates = {}
         for s, (cols, rows) in enumerate(zip(symbolic.columns, symbolic.rows)):
             k = cols.stop - cols.start
             f = k + rows.size
             front = np.zeros((self.ne, f, f), dtype=data.dtype)
-            front.reshape(self.ne, f * f)[:, symbolic.scatter[s]] = src[:, bounds[s]:bounds[s + 1]]
+            owned = source[bounds[s]:bounds[s + 1]]
+            front.reshape(self.ne, f * f)[:, symbolic.scatter[s]] = data[:, owned]
             for c in symbolic.children[s]:
                 if c in updates:
                     at = symbolic.extend[c]
@@ -487,22 +512,26 @@ class _SparseFactor:
         return sum(inv.nbytes + li.nbytes + (0 if ui.base is li else ui.nbytes)
                    for inv, li, ui in self.blocks)
 
-    def sweep(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Solve every shift's system, or with ``adjoint`` its conjugate
-        transpose, for the (n, m) block ``b``.
+    def sweep(self, b: np.ndarray, adjoint: bool = False, shift: int | None = None) -> np.ndarray:
+        """Solve every shift's system (with ``shift``, that one's only), or
+        with ``adjoint`` its conjugate transpose, for the (n, m) block ``b``.
 
-        Returns y of shape (ne, n, m) in permuted row order; ``pick`` reads
-        one shift's solution out of it.  Forward, each supernode C
+        Returns y of shape (ne, n, m), or bitwise its (1, n, m) slice for
+        ``shift``, in permuted row order; ``pick`` reads one shift's
+        solution out of it.  Forward, each supernode C
         subtracts li y[C] from its rows; back, y[C] = inv y[C] - ui y[rows]:
         one stacked product forward and two back per supernode.  The
         adjoint solve is conj(A^T \\ conj(b)), which runs the same sweeps
         over (invᵀ, uiᵀ, liᵀ), transposed views of the blocks.
         """
         sym = self.sym
-        y = np.empty((self.ne, sym.n, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
-        y[:] = b.conj()[sym.perm] if adjoint else b[sym.perm]
-        blocks = self.blocks
+        blocks, ne = self.blocks, self.ne
+        if shift is not None:
+            blocks, ne = [tuple(m[shift:shift + 1] for m in block) for block in blocks], 1
+        y = np.empty((ne, sym.n, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
+        y[:] = b[sym.perm]
         if adjoint:
+            np.conjugate(y, out=y)
             blocks = [(inv.swapaxes(1, 2), ui.swapaxes(1, 2), li.swapaxes(1, 2))
                       for inv, li, ui in blocks]
         for cols, rows, (_, li, _) in zip(sym.columns, sym.rows, blocks):
@@ -607,24 +636,35 @@ def _bicgstab(matvec, diag, b, tol):
 
 
 class _SparseOps(_Ops):
-    """Backend ops of the CSR drivers with the direct solver.
+    """Backend ops of the CSR and band drivers with the direct solver.
 
-    All contour ``shifts`` are factorized in one batch and solved by one
-    sweep per right-hand side (see ``_Ops``).  ``symmetric`` marks complex
-    symmetric shifted matrices (feast_scsr), whose factors keep each
-    ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
+    All contour ``shifts`` are factorized in one batch, on the dissection's
+    analysis or the chain's, whichever holds fewer entries of L.  Direct
+    solves are served from a held sweep of all shifts (see ``_Ops``); an
+    adjoint solve sweeps its own shift only: holding both sweeps raised
+    band-herm-gen's peak RSS from 59.3 to 63.0 MB.  ``symmetric`` marks complex
+    symmetric shifted matrices (feast_scsr, feast_sb), whose factors keep
+    each ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
     """
 
     def __init__(self, a_full, b_full, shifts, symmetric=False):
         super().__init__(a_full, b_full, shifts=shifts)
-        self.pattern = _ShiftedPattern(a_full, b_full)
+        p = self.pattern = _ShiftedPattern(a_full, b_full)
         self.symmetric = symmetric
-        self.symbolic = _SparseSymbolic(self.pattern.n, self.pattern.indptr, self.pattern.indices)
+        self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
+        if _chain_nnz_l(p.n, p.rows, p.cols) < self.symbolic.nnz_l:
+            self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
 
     def _factor(self, shifts):
         return _SparseFactor(
             self.symbolic, np.stack([self.pattern.shifted_data(z) for z in shifts]),
             self.symmetric)
+
+    def _solve(self, factor, rhs, adjoint):
+        if not adjoint:
+            return super()._solve(factor, rhs, adjoint)
+        batch, shift = factor
+        return batch.pick(batch.sweep(rhs, True, shift), 0)
 
     _multiply = staticmethod(csr_matvec)
 

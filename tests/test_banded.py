@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from feastlib import SingularMatrixError, SolverOptions, feast_hb, feast_sb, feast_sy
-from feastlib.banded import (
-    KB,
-    _band_lu_batch,
-    _BandedOps,
-    _factor_width,
-    band_lu_factor,
-    band_lu_solve,
-    band_matvec,
-    expand_band,
+from feastlib import (
+    CsrMatrix,
+    SingularMatrixError,
+    SolverOptions,
+    csr_matvec,
+    feast_hb,
+    feast_hcsr,
+    feast_sb,
+    feast_scsr,
+    feast_sy,
 )
+from feastlib.banded import band_csr, expand_band
 from feastlib.quadrature import build_contour, gauss_legendre
+from feastlib.sparse import SUPERNODE, _SparseFactor, _SparseOps
 
 from conftest import gap_interval
 
@@ -78,14 +80,13 @@ def test_band_storage_layout_from_reference_pattern():
 
 
 @pytest.mark.parametrize("uplo", ["F", "L", "U"])
-def test_expand_band_into_a_wider_band(rng, uplo):
+def test_band_csr_holds_the_nonzero_entries(rng, uplo):
     a = _random_band(7, 2, rng, complex_=True)
-    fb = expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True)
-    wide = expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True, width=4)
-    assert wide.shape == (9, 7)
-    assert np.array_equal(wide[2:7], fb)
-    assert not wide[:2].any() and not wide[7:].any()
-    assert np.array_equal(_dense_from_full_band(wide), a)
+    a[3, 2] = a[2, 3] = 0
+    a[5, 5] = np.nan
+    csr = band_csr(expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True))
+    assert csr.uplo == "F" and csr.nnz == np.count_nonzero(a)
+    assert np.array_equal(csr.to_dense(), a, equal_nan=True)
 
 
 def test_banded_spectrum_matches_dense_expansion(rng):
@@ -183,23 +184,61 @@ def test_poisoned_unused_slots_never_read(rng, uplo):
     assert np.all(np.isfinite(r.e)) and np.all(np.isfinite(r.x))
 
 
+def _band_ops(fa, shifts, fb=None, symmetric=False):
+    """The band drivers' ops on full bands (expand_band layout): the
+    multifrontal LU of z*B - A on the CSR of their nonzero entries."""
+    return _SparseOps(band_csr(fa), None if fb is None else band_csr(fb), shifts, symmetric)
+
+
+def _check_solves(fa, z, rng, rtol):
+    """Direct and adjoint solves of z*I - A (A the full band ``fa``) for one
+    right-hand side and for a block of 5, against np.linalg.solve in
+    complex128: within ``rtol`` relative, in the result type of fa and z."""
+    n = fa.shape[1]
+    ops = _band_ops(fa, [z])
+    dtype = ops.pattern.a_data.dtype
+    shifted = z * np.eye(n) - _dense_from_full_band(fa).astype(complex)
+    for m in (1, 5):
+        b = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))).astype(dtype)
+        for solve, mat in ((ops.solve, shifted), (ops.solve_adjoint, shifted.conj().T)):
+            got = solve(ops.factorize(z), b)
+            want = np.linalg.solve(mat, b)
+            assert got.shape == b.shape and got.dtype == dtype
+            assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 def test_band_lu_direct_and_adjoint(rng):
     for n, kl in ((6, 1), (12, 3), (9, 0)):
-        a = _random_band(n, kl, rng, complex_=True) + 3j * np.eye(n)
-        fb = _to_band_storage(a, kl, "F")
-        factor = band_lu_factor(expand_band(fb, kl, "F", True), kl)
-        b = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        x = band_lu_solve(factor, b)
-        assert np.abs(a @ x - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
-        xa = band_lu_solve(factor, b, adjoint=True)
-        assert np.abs(a.conj().T @ xa - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
+        fa = expand_band(_to_band_storage(_random_band(n, kl, rng, True), kl, "F"), kl, "F", True)
+        _check_solves(fa, 0.5 + 1j, rng, 1e-12)
 
 
 def test_band_matvec_matches_dense(rng):
+    """The band drivers multiply by the CSR of the band's nonzero entries."""
     a = _random_band(11, 3, rng)
     fb = expand_band(_to_band_storage(a, 3, "F"), 3, "F", False)
     x = rng.normal(size=(11, 4))
-    assert np.abs(band_matvec(fb, x) - a @ x).max() <= 1e-13
+    assert np.abs(csr_matvec(band_csr(fb), x) - a @ x).max() <= 1e-13
+
+
+@pytest.mark.parametrize("uplo", ["F", "L"])
+@pytest.mark.parametrize("hermitian", [False, True], ids=["feast_sb", "feast_hb"])
+def test_band_and_csr_drivers_agree_bitwise(rng, hermitian, uplo):
+    """feast_sb/feast_hb and feast_scsr/feast_hcsr on one generalized
+    pencil, each matrix given in its own storage holding the same nonzero
+    entries: equal e, x and res, bit for bit."""
+    n, kla, klb = 60, 4, 1
+    a = _random_band(n, kla, rng, hermitian)
+    a[10, 12] = a[12, 10] = 0
+    b = 0.5 * _random_band(n, klb, rng, hermitian) + 4 * np.eye(n)
+    emin, emax = gap_interval(sla.eigh(a, b, eigvals_only=True), 20, 31)
+    band, csr = (feast_hb, feast_hcsr) if hermitian else (feast_sb, feast_scsr)
+    got = band(_to_band_storage(a, kla, uplo), kla, emin, emax, 18, uplo=uplo,
+               b=_to_band_storage(b, klb, uplo), klb=klb)
+    want = csr(CsrMatrix.from_dense(a, uplo), emin, emax, 18, b=CsrMatrix.from_dense(b, uplo))
+    assert got.info == want.info == 0 and got.m == want.m == 12
+    for name in ("e", "x", "res"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_banded_argument_errors():
@@ -224,67 +263,12 @@ def test_bandwidth_must_be_an_integer():
         assert driver(a, np.int64(1), 0.0, 1.0, 2).info == driver(a, 1, 0.0, 1.0, 2).info != -103
 
 
-# --- shift-batched band LU ------------------------------------------------------
-
-
-def _column_band_lu_factor(fb, kl):
-    """The one-shift, column-by-column band LU the batch replaced: row
-    kv + i - j of the (3*kl+1, n) result holds A[i, j], kv = 2*kl."""
-    n = fb.shape[1]
-    kv = 2 * kl
-    ab = np.zeros((3 * kl + 1, n), dtype=np.result_type(fb.dtype, np.complex64))
-    ab[kl:, :] = fb
-    ipiv = np.arange(n)
-    ju = 0
-    for j in range(n):
-        km = min(kl, n - 1 - j)
-        jp = int(np.argmax(np.abs(ab[kv:kv + km + 1, j])))
-        if ab[kv + jp, j] == 0:
-            raise SingularMatrixError(f"zero pivot at band column {j}")
-        ipiv[j] = j + jp
-        ju = max(ju, min(j + kl + jp, n - 1))
-        if jp != 0:
-            cols = np.arange(j, ju + 1)
-            hi, lo = kv + jp + j - cols, kv + j - cols
-            ab[hi, cols], ab[lo, cols] = ab[lo, cols], ab[hi, cols]
-        if km > 0:
-            ab[kv + 1:kv + 1 + km, j] /= ab[kv, j]
-            for c in range(j + 1, ju + 1):
-                ujc = ab[kv + j - c, c]
-                if ujc != 0:
-                    ab[kv + j - c + 1:kv + j - c + 1 + km, c] -= ab[kv + 1:kv + 1 + km, j] * ujc
-    return ab, ipiv
-
-
-def _column_band_lu_solve(ab, ipiv, kl, b, adjoint):
-    """Solve with a _column_band_lu_factor result, reading U to 2*kl."""
-    n = ab.shape[1]
-    kv = 2 * kl
-    x = np.array(b, dtype=ab.dtype)
-    if not adjoint:
-        for j in range(n - 1):
-            x[[j, ipiv[j]]] = x[[ipiv[j], j]]
-            km = min(kl, n - 1 - j)
-            x[j + 1:j + 1 + km] -= ab[kv + 1:kv + 1 + km, j][:, np.newaxis] * x[j]
-        for j in range(n - 1, -1, -1):
-            x[j] /= ab[kv, j]
-            lm = min(kv, j)
-            x[j - lm:j] -= ab[kv - lm:kv, j][:, np.newaxis] * x[j]
-    else:
-        for j in range(n):
-            lm = min(kv, j)
-            x[j] -= ab[kv - lm:kv, j].conj() @ x[j - lm:j]
-            x[j] /= ab[kv, j].conjugate()
-        for j in range(n - 2, -1, -1):
-            km = min(kl, n - 1 - j)
-            x[j] -= ab[kv + 1:kv + 1 + km, j].conj() @ x[j + 1:j + 1 + km]
-            x[[j, ipiv[j]]] = x[[ipiv[j], j]]
-    return x
+# --- band pencils on the multifrontal LU ------------------------------------------
 
 
 def _dominant_band(n, kl, rng, complex_):
     """Hermitian band matrix with diagonal 10 and off-diagonal row sums
-    below 1: a shift z pivots only when z comes close to 10."""
+    below 1, in expand_band layout."""
     a = _random_band(n, kl, rng, complex_)
     np.fill_diagonal(a, 0)
     a *= 0.9 / max(np.abs(a).sum(axis=1).max(), 1e-300)
@@ -292,96 +276,45 @@ def _dominant_band(n, kl, rng, complex_):
     return expand_band(_to_band_storage(a, kl, "F"), kl, "F", complex_)
 
 
-def _shifted(ops, z, k):
-    """z*B - A of ``ops`` in expand_band layout at bandwidth k, in the
-    arithmetic of _BandedOps._factor."""
-    kl = (ops.a.shape[0] - 1) // 2
-    fb = np.zeros((2 * k + 1, ops.a.shape[1]), dtype=complex)
-    shifted = fb[k - kl:k + kl + 1]
-    shifted -= ops.a
-    if ops.b is None:
-        shifted[kl] += z
-    else:
-        shifted += z * ops.b
-    return fb
-
-
-def _diagonal_blocks(ab):
-    """Per panel of KB columns (the last one n % KB wide) of the (3*K+1, n)
-    band ``ab``: the band coordinates of its diagonal block, packed as LU
-    stores it (entry (t, u) in band row 2*K + t - u, column k0 + u), and the
-    unit-lower L and the upper U held there."""
-    k = (ab.shape[0] - 1) // 3
-    n = ab.shape[1]
-    for k0 in range(0, n, KB):
-        t, u = np.indices((min(KB, n - k0),) * 2)
-        at = 2 * k + t - u, k0 + u
-        yield at, np.tril(ab[at], -1) + np.eye(len(t)), np.triu(ab[at])
-
-
-def _check_batch_against_reference(ops, shifts, rng):
-    """The batch's LU (_band_lu_batch) is bitwise the column reference at
-    the factor's bandwidth K, up to the sign of exact zeros.  Inverting the
-    diagonal blocks (_invert_blocks) leaves every other entry of the band as
-    it was, and each stored block times the reference block is I.  The
-    solves match the row-loop reference.  Returns the LU and its pivots."""
-    kl = (ops.a.shape[0] - 1) // 2
-    n = ops.a.shape[1]
-    k = _factor_width(kl, n)
-    batch = ops._factor(shifts)
-    ab, ipiv, _ = batch
-    assert ab.shape == (3 * k + 1, len(shifts), n)
-    shifted = [_shifted(ops, z, k) for z in shifts]
-    lu = np.zeros_like(ab)
-    lu[k:] = np.stack(shifted, axis=1)
-    lu, lu_ipiv = _band_lu_batch(lu, kl)
+def _check_batch(ops, shifts, rng):
+    """Each shift of the batch solves, direct and adjoint, bitwise as its
+    one-shift factor does, and within 1e-12 relative of np.linalg.solve."""
+    n = ops.pattern.n
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    for s in range(len(shifts)):
-        want_ab, want_ipiv = _column_band_lu_factor(shifted[s], k)
-        # Equal values, bitwise apart from the sign of exact zeros.
-        assert np.array_equal(lu[:, s], want_ab)
-        assert np.array_equal(lu_ipiv[s], want_ipiv) and np.array_equal(ipiv[s], want_ipiv)
-        outside = np.ones(want_ab.shape, dtype=bool)
-        for (at, want_l, want_u), (_, inv_l, inv_u) in zip(_diagonal_blocks(want_ab),
-                                                           _diagonal_blocks(ab[:, s])):
-            outside[at] = False
-            eye = np.eye(len(want_l))
-            assert np.abs(inv_l @ want_l - eye).max() <= 1e-12
-            assert np.abs(inv_u @ want_u - eye).max() <= 1e-12
-        assert np.array_equal(ab[:, s][outside], want_ab[outside])
-        for adjoint in (False, True):
-            want = _column_band_lu_solve(want_ab, want_ipiv, k, rhs, adjoint)
-            got = band_lu_solve((batch, s), rhs, adjoint)
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    return lu, ipiv
+    handles = [ops.factorize(z) for z in shifts]
+    for handle, z in zip(handles, shifts):
+        shifted = ops.pattern.shifted_data(z)
+        alone = _SparseFactor(ops.symbolic, shifted, ops.symmetric)
+        dense = np.zeros((n, n), dtype=complex)
+        dense[ops.pattern.rows, ops.pattern.cols] = shifted
+        for solve, adjoint in ((ops.solve, False), (ops.solve_adjoint, True)):
+            got = solve(handle, rhs)
+            assert got.tobytes() == alone.solve(rhs, adjoint).tobytes()
+            want = np.linalg.solve(dense.conj().T if adjoint else dense, rhs)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("g", [1, 2, 3, 8])
 def test_batched_band_lu_matches_column_reference(rng, complex_, g):
+    """A batch of g contour shifts of a random band pencil, standard and
+    generalized, against each shift's one-shift factor and a dense solve."""
     n, kl = 40, 3
     fa = _random_band(n, kl, rng, complex_)
     fb = _random_band(n, 1, rng) + 4 * np.eye(n)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
-    for b in (None, expand_band(_to_band_storage(fb, 1, "F"), 1, "F", False, kl)):
-        ops = _BandedOps(expand_band(_to_band_storage(fa, kl, "F"), kl, "F", complex_),
-                         b, np.complex128, shifts)
-        _, ipiv = _check_batch_against_reference(ops, shifts, rng)
-        assert (ipiv != np.arange(n)).any()  # random bands pivot
+    for b in (None, expand_band(_to_band_storage(fb, 1, "F"), 1, "F", False)):
+        ops = _band_ops(expand_band(_to_band_storage(fa, kl, "F"), kl, "F", complex_),
+                        shifts, b, symmetric=not complex_)
+        _check_batch(ops, shifts, rng)
 
 
 def test_one_pivoting_shift_in_a_batch(rng):
+    """A shift next to A's cluster of eigenvalues at 10, where the shifted
+    matrix has no dominant diagonal, beside two shifts far from it."""
     n, kl = 30, 2
-    ops = _BandedOps(_dominant_band(n, kl, rng, True), None, np.complex128, ())
     shifts = [0.5j, 10.0 + 1e-3j, 2.0 + 0.5j]
-    lu, ipiv = _check_batch_against_reference(ops, shifts, rng)
-    moved = ipiv != np.arange(n)
-    assert moved[1].any() and not moved[0].any() and not moved[2].any()
-    # Only the pivoting shift fills rows above the band of A's kl and widens
-    # U; the LU's bandwidth K pads that band with zero rows.
-    above = 2 * _factor_width(kl, n) - kl
-    assert lu[:above, 1].any() and not lu[:above, 0].any() and not lu[:above, 2].any()
-    assert (ipiv[1] - np.arange(n)).max() > 0
+    _check_batch(_band_ops(_dominant_band(n, kl, rng, True), shifts), shifts, rng)
 
 
 def test_zero_pivot_in_a_batch_names_shift_and_column(rng):
@@ -389,8 +322,10 @@ def test_zero_pivot_in_a_batch_names_shift_and_column(rng):
     fa = _dominant_band(n, kl, rng, False)
     fa[:, 4] = 0
     fa[kl, 4] = 3.0  # column 4 of z - A is zero at z = 3 only
-    ops = _BandedOps(fa, None, np.complex128, [1j, 3.0, 2j])  # one batch
-    with pytest.raises(SingularMatrixError, match=r"band column 4 \(shift 1\)"):
+    ops = _band_ops(fa, [1j, 3.0, 2j])  # one batch
+    sym = ops.symbolic
+    first = sym.start[np.searchsorted(sym.start, sym.iperm[4], side="right") - 1]
+    with pytest.raises(SingularMatrixError, match=rf"sparse column {first} \(shift 1\)"):
         ops.factorize(1j)
     ops._factor([1j, 2j])  # the other shifts factorize
 
@@ -428,8 +363,8 @@ def _wide_band_ops(n=900, kl=31):
     fa[0, kl:] = fa[-1, :-kl] = -1.0
     fb = np.zeros_like(fa)
     fb[kl] = 1.0
-    shifts = build_contour(gauss_legendre(8), 0.0, 1.0).z
-    return _BandedOps(fa, fb, np.complex128, shifts), [complex(z) for z in shifts]
+    shifts = [complex(z) for z in build_contour(gauss_legendre(8), 0.0, 1.0).z]
+    return _band_ops(fa, shifts, fb), shifts
 
 
 def test_factorize_shares_one_batch():
@@ -437,116 +372,99 @@ def test_factorize_shares_one_batch():
     factorized by the first request."""
     ops, shifts = _wide_band_ops()
     handles = [ops.factorize(z) for z in shifts]
-    assert ops._batch[0].shape[1] == len(shifts)
+    assert ops._batch.ne == len(shifts)
     for i, (batch, s) in enumerate(handles):
         assert batch is ops._batch and s == i
 
 
 def test_each_shift_solves_as_its_one_shift_factor(rng):
-    """The diagonal-block inverses are made for all 8 shifts of the batch at
-    once (one of them pivots, in 3 panels), yet each shift solves bitwise as
-    its one-shift factor does, direct and adjoint, and agrees with a dense
-    solve."""
+    """Each of the 8 shifts of the batch solves bitwise as its one-shift
+    factor does, direct (from the held sweep of all shifts) and adjoint
+    (from a sweep of its own), and agrees with a dense solve."""
     ops, shifts = _wide_band_ops()
-    batch = ops._factor(shifts)
-    assert sum(len(moved) for moved in batch[2]) == 3
-    kl = (ops.a.shape[0] - 1) // 2
-    rhs = rng.normal(size=(ops.a.shape[1], 30)) + 1j * rng.normal(size=(ops.a.shape[1], 30))
-    for s, z in enumerate(shifts):
-        shifted = _shifted(ops, z, kl)
-        alone = band_lu_factor(shifted, kl)
-        dense = _dense_from_full_band(shifted)
-        for adjoint in (False, True):
-            got = band_lu_solve((batch, s), rhs, adjoint)
-            assert got.tobytes() == band_lu_solve(alone, rhs, adjoint).tobytes()
-            want = np.linalg.solve(dense.conj().T if adjoint else dense, rhs)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    n = ops.pattern.n
+    rhs = rng.normal(size=(n, 30)) + 1j * rng.normal(size=(n, 30))
+    _check_batch(ops, shifts, rng)
+    for z in shifts[:2]:
+        alone = _SparseFactor(ops.symbolic, ops.pattern.shifted_data(z))
+        for solve, adjoint in ((ops.solve, False), (ops.solve_adjoint, True)):
+            assert solve(ops.factorize(z), rhs).tobytes() == alone.solve(rhs, adjoint).tobytes()
 
 
-# --- panel-blocked band solves ---------------------------------------------------
-
-
-def _check_solves(fb, kl, rng):
-    """band_lu_solve against the row-loop reference (_column_band_lu_solve),
-    direct and adjoint, for one right-hand side and for a block of 5.  The
-    blocked solve sums in another order, so the tolerance is set by the
-    precision: 1e-12 relative in complex128, 1e-5 in complex64."""
-    rtol = 1e-12 if fb.dtype == np.complex128 else 1e-5
-    n = fb.shape[1]
-    factor = band_lu_factor(fb, kl)
-    want_ab, want_ipiv = _column_band_lu_factor(fb, kl)
-    for shape in ((n,), (n, 5)):
-        b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(fb.dtype)
-        for adjoint in (False, True):
-            want = _column_band_lu_solve(want_ab, want_ipiv, kl, b.reshape(n, -1), adjoint)
-            got = band_lu_solve(factor, b, adjoint)
-            assert got.shape == b.shape and got.dtype == fb.dtype
-            assert np.abs(got.reshape(n, -1) - want).max() <= rtol * np.abs(want).max()
-    return factor
+# --- solves of awkward band systems ------------------------------------------------
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-@pytest.mark.parametrize("n, kl", [(5, 2), (2 * KB + 5, 3), (40, 0), (20, 19), (3 * KB, 31),
-                                   (2 * KB + 9, 1), (3 * KB + 2, 7)],
+@pytest.mark.parametrize("n, kl", [(5, 2), (2 * SUPERNODE + 5, 3), (40, 0), (20, 19),
+                                   (3 * SUPERNODE, 31), (2 * SUPERNODE + 9, 1),
+                                   (3 * SUPERNODE + 2, 7)],
                          ids=["n<kb", "n%kb!=0", "kl=0", "kl=n-1", "kl>kb", "kl=1", "kl=7"])
 def test_blocked_solve_matches_row_loops(rng, dtype, n, kl):
-    a = _random_band(n, kl, rng, True) + np.eye(n)
-    fb = expand_band(_to_band_storage(a, kl, "F"), kl, "F", True).astype(dtype)
-    factor = _check_solves(fb, kl, rng)
-    (_, ipiv, moved), _ = factor
-    # Random bands pivot in most panels, which then solve with the window
-    # transforms kept at factor time.
-    assert sorted(moved[0]) == sorted({j - j % KB for j in np.flatnonzero(ipiv[0] != np.arange(n))})
-    assert kl == 0 or moved[0]
+    """Band shapes around kb = SUPERNODE, the width of the natural-order
+    chain's supernodes: the solves of z*I - A in the band's precision
+    match a dense solve, 1e-12 relative in complex128 and 1e-5 in
+    complex64."""
+    a = _random_band(n, kl, rng, True)
+    fa = expand_band(_to_band_storage(a, kl, "F"), kl, "F", True).astype(dtype)
+    _check_solves(fa, 0.5 + 1j, rng, 1e-12 if dtype == np.complex128 else 1e-5)
 
 
 def test_blocked_solve_with_pivots_inside_and_on_panel_boundaries(rng):
-    n, kl = 4 * KB + 3, 4
-    fb = _dominant_band(n, kl, rng, True)
-    # A zero diagonal forces an interchange: inside a panel, in the last
-    # column of a panel (with a row of the next panel) and in the first.
-    inside, last, first = KB + 5, 2 * KB - 1, 3 * KB
-    fb[kl, [inside, last, first]] = 0
-    (_, ipiv, moved), _ = _check_solves(fb, kl, rng)
-    pivoted = np.flatnonzero(ipiv[0] != np.arange(n))
-    assert {inside, last, first} <= set(pivoted)
-    assert ipiv[0, last] >= 2 * KB
-    assert sorted(moved[0]) == [KB, 3 * KB]
+    """Zero diagonal entries of z*I - A: the first pivot of all, exactly
+    zero (only pivoting inside its pivot block solves it), one inside a
+    supernode, one in its last column and one in the first column of the
+    next."""
+    n, kl, z = 4 * SUPERNODE + 3, 4, 2.0 + 1.0j
+    fa = _dominant_band(n, kl, rng, True)
+    sym = _band_ops(fa, [z]).symbolic
+    start = sym.start
+    assert len(start) > 4 and start[2] - start[1] > 6
+    zeros = sym.perm[[0, start[1] + 5, start[2] - 1, start[3]]]
+    fa[kl, zeros] = z
+    _check_solves(fa, z, rng, 1e-12)
 
 
 def test_blocked_solve_at_a_shift_near_an_eigenvalue(rng):
+    """z within 1e-6 of an eigenvalue (condition number about 1e7): the
+    backward error stays at rounding level, and the solution is within the
+    condition number times it of a dense solve."""
     n, kl = 60, 5
     a = _random_band(n, kl, rng, True)
-    lam = np.linalg.eigvalsh(a)[30]
-    fb = -expand_band(_to_band_storage(a, kl, "F"), kl, "F", True)
-    fb[kl] += lam + 1e-6 * (1 + 1j)  # condition number about 1e7
-    assert np.linalg.cond(_dense_from_full_band(fb)) > 1e6
-    _check_solves(fb, kl, rng)
+    z = np.linalg.eigvalsh(a)[30] + 1e-6 * (1 + 1j)
+    shifted = z * np.eye(n) - a
+    cond = np.linalg.cond(shifted)
+    assert cond > 1e6
+    ops = _band_ops(expand_band(_to_band_storage(a, kl, "F"), kl, "F", True), [z])
+    rhs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    for solve, mat in ((ops.solve, shifted), (ops.solve_adjoint, shifted.conj().T)):
+        got = solve(ops.factorize(z), rhs)
+        eps = np.finfo(float).eps
+        assert np.abs(mat @ got - rhs).max() <= 100 * eps * np.abs(mat).max() * np.abs(got).max()
+        want = np.linalg.solve(mat, rhs)
+        assert np.abs(got - want).max() <= 100 * eps * cond * np.abs(want).max()
 
 
 def test_band_factor_and_solve_memory():
-    """At n=900, kl=31 and 8 shifts (the band-herm-gen sizes), the factors
-    keep per shift what one shift's slice of the (3*kl+1, g, n) band array
-    and its pivot row take, plus at most 1% for the window transforms of
-    the panels that interchange rows (one shift here, 3 panels); blocks
-    stored for every panel would double it.  One solve of m0=30 columns
-    allocates less than one shift's band bytes at its peak."""
+    """At the band-herm-gen sizes (n=900, kl=31, 8 shifts, 30 right-hand
+    sides) the factors keep less than the band LU's (3*kl+1, 8, n) array
+    did.  A direct solve holds one sweep of all 8 shifts; an adjoint solve
+    sweeps only its own shift, allocates less than half the all-shift
+    sweep at its peak, and holds nothing."""
     ops, shifts = _wide_band_ops()
     n, kl = 900, 31
-    band = (3 * kl + 1) * n * 16
+    sweep = len(shifts) * n * 30 * 16
     rhs = np.ones((n, 30), dtype=complex)
     tracemalloc.start()
     try:
         ops.factorize(shifts[0])
         kept = tracemalloc.get_traced_memory()[0]
-        peaks = []
-        for adjoint in (False, True):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            band_lu_solve(ops.factorize(shifts[-1]), rhs, adjoint)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        ops.solve(ops.factorize(shifts[0]), rhs)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ops.solve_adjoint(ops.factorize(shifts[-1]), rhs)
+        adjoint_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert sum(len(moved) for moved in ops._batch[2]) == 3
-    assert kept / len(shifts) <= 1.01 * (band + n * 8)
-    assert max(peaks) < band
+    assert kept <= (3 * kl + 1) * len(shifts) * n * 16
+    assert ops._held[False] is not None and ops._held[True] is None
+    assert adjoint_peak < sweep / 2

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from feastlib import sparse
 from feastlib.sparse import (
     LEAF,
     SUPERNODE,
+    _chain_nnz_l,
     _nested_dissection,
     _row_classes,
     _ShiftedPattern,
@@ -397,6 +399,91 @@ def test_relaxed_supernodes_are_subtrees_of_the_dissection(rng, name):
         assert len(sym.columns) == 34 and sym.nnz_l == 8765
 
 
+def _stencil_csr(p, offsets, rng):
+    """Random symmetric values on a p x p grid, each vertex (i, j) joined to
+    (i + di, j + dj) for the (di, dj) in ``offsets``, in natural order."""
+    idx = np.arange(p * p).reshape(p, p)
+    rows, cols, values = [idx.ravel()], [idx.ravel()], [rng.normal(size=p * p)]
+    for di, dj in offsets:
+        u = idx[max(0, -di):p - max(0, di), max(0, -dj):p - max(0, dj)].ravel()
+        v = idx[max(0, di):p + min(0, di), max(0, dj):p + min(0, dj)].ravel()
+        w = rng.normal(size=u.size)
+        rows += [u, v]
+        cols += [v, u]
+        values += [w, w]
+    return CsrMatrix.from_coo(p * p, np.concatenate(rows) + 1, np.concatenate(cols) + 1,
+                              np.concatenate(values))
+
+
+def _order_cases(rng):
+    """The 40 x 40 grid's 5-point pattern, band-herm-gen's 9-point FEM
+    pattern (p = 30, n = 900, kl = 31) and a fully populated band (n = 900,
+    kl = 31), each with the nnz(L) of its natural-order chain."""
+    return {"grid 40 x 40": (_stencil_csr(40, [(0, 1), (1, 0)], rng), 75968),
+            "fem 30 x 30": (_stencil_csr(30, [(0, 1), (1, -1), (1, 0), (1, 1)], rng), 34538),
+            "full band": (_banded_csr(900, rng, hermitian=False, width=31), 34794)}
+
+
+@pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular",
+                                  "star", "grid 40 x 40", "fem 30 x 30", "full band"])
+def test_chain_count_is_the_chain_analysis_nnz_l(rng, name):
+    if name in ("grid 40 x 40", "fem 30 x 30", "full band"):
+        csr, want = _order_cases(rng)[name]
+    else:
+        csr, want = CsrMatrix.from_dense(_patterns(rng)[name]), None
+    pattern = _ShiftedPattern(csr, None)
+    chain = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices, chain=True)
+    assert chain.perm.tolist() == list(range(pattern.n))
+    assert np.all(np.diff(chain.start)[:-1] == SUPERNODE)
+    assert chain.parent == list(range(1, len(chain.columns))) + [-1]
+    assert _chain_nnz_l(pattern.n, pattern.rows, pattern.cols) == chain.nnz_l
+    assert want is None or chain.nnz_l == want
+    # The chain's factor solves as a dense solve does.
+    z = 0.3 + 1.1j
+    dense = z * np.eye(pattern.n) - csr.to_dense()
+    rhs = rng.normal(size=(pattern.n, 2)) + 1j * rng.normal(size=(pattern.n, 2))
+    want_x = np.linalg.solve(dense, rhs)
+    got = _SparseFactor(chain, pattern.shifted_data(z)).solve(rhs)
+    assert np.abs(got - want_x).max() <= 1e-11 * np.abs(want_x).max()
+
+
+@pytest.mark.parametrize("name, chain", [("grid 40 x 40", False), ("fem 30 x 30", False),
+                                         ("full band", True)])
+def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
+    csr, _ = _order_cases(rng)[name]
+    ops = _SparseOps(csr, None, [1j])
+    p = ops.pattern
+    dissection = _SparseSymbolic(p.n, p.indptr, p.indices)
+    natural = _chain_nnz_l(p.n, p.rows, p.cols)
+    assert (natural < dissection.nnz_l) == chain
+    assert ops.symbolic.nnz_l == min(natural, dissection.nnz_l)
+    assert (ops.symbolic.perm.tolist() == list(range(p.n))) == chain
+
+
+def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
+    """An adjoint request sweeps its own shift: bitwise that shift's slice of
+    the all-shift sweep, with no adjoint sweep held; direct requests are
+    still served from one held sweep of all shifts."""
+    n = 30
+    a = _banded_csr(n, rng, hermitian=True)
+    b = CsrMatrix.from_dense(np.eye(n) * 2 + np.eye(n, k=1) * 0.3 + np.eye(n, k=-1) * 0.3)
+    shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z]
+    ops = _SparseOps(a.expand_full(), b, shifts)
+    rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    handles = [ops.factorize(z) for z in shifts]
+    batch = ops._batch
+    every = batch.sweep(rhs, adjoint=True)
+    for e, handle in enumerate(handles):
+        one = batch.sweep(rhs, True, e)
+        assert one.shape == (1, n, 4) and one.tobytes() == every[e:e + 1].tobytes()
+        assert ops.solve_adjoint(handle, rhs).tobytes() == batch.pick(every, e).tobytes()
+        assert ops._held[True] is None
+        ops.solve(handle, rhs)
+        assert ops._held[False] is not None or e == len(shifts) - 1
+    direct = batch.sweep(rhs)
+    assert batch.sweep(rhs, False, 3).tobytes() == direct[3:4].tobytes()
+
+
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_factor_nbytes_counts_each_block_once(rng, symmetric):
     a = _grid(12, rng)
@@ -478,6 +565,28 @@ def test_block_matvec_padding_stays_within_twice_nnz(rng):
     assert sum(at.size for _, at, _ in classes) < 2 * csr.nnz
     x = rng.normal(size=(n, 3))
     assert np.abs(csr_matvec(csr, x) - arrow @ x).max() <= 1e-14 * (np.abs(arrow) @ np.abs(x)).max()
+
+
+def test_block_matvec_temporaries_stay_within_the_block(rng):
+    """Dense rows are gathered in chunks of at most n // w rows, so that no
+    gathered block is larger than x: with 40 dense rows of 400, the
+    multiply allocates y, the padded x and one gathered block, each the
+    size of x, besides the padded entries, where one gather of the class
+    took 40 times x."""
+    n, m = 400, 30
+    a = np.eye(n, dtype=complex)
+    a[:40] = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+    csr = CsrMatrix.from_dense(a)
+    x = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    csr_matvec(csr, x)  # the row classes are cached on first use
+    tracemalloc.start()
+    try:
+        got = csr_matvec(csr, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(got - a @ x).max() <= 1e-13 * (np.abs(a) @ np.abs(x)).max()
+    assert peak < 4 * x.nbytes + csr.values.nbytes
 
 
 def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
