@@ -21,10 +21,20 @@ of SUPERNODE-column supernodes in natural order instead.  Each
 supernode's pivot block is inverted by LAPACK, with partial pivoting
 inside the block (none across blocks: the order is fixed by the symbolic
 analysis), and the factor keeps the inverse with F21 inv and inv F12, so
-that a sweep takes one matrix product per supernode forward and two back.  The numeric LU factorizes
-all contour shifts in one batch, and each triangular sweep solves every
-shift's system for the common right-hand side at once, or one shift's.
-Every shift gets bitwise the factor and solution it would get alone.
+that a sweep takes one matrix product per supernode forward and two back.
+The numeric LU factorizes all contour shifts in one batch, and each
+triangular sweep solves every shift's system for the common right-hand
+side at once, or one shift's, with the shift axis inside each row of its
+(n, shifts, m) block.  Every shift gets bitwise the factor and solution it
+would get alone.
+
+The analysis depends only on the union pattern, so the last one made is
+kept for the process (``_analysis``): a call whose union pattern is exactly
+the last one's (new values, another interval or seed) reuses it, ordering
+and choice of order included, and any other pattern replaces it.  What
+stays held between calls is that one analysis, O(nnz) integers, all
+read-only; calls in several threads on different patterns each build
+their own.
 """
 
 from __future__ import annotations
@@ -351,17 +361,20 @@ class _SparseSymbolic:
     holds those columns and ``rows[s]``, the later rows its columns reach:
     their later neighbours and the rows of its children's fronts past it.
     The front is factorized dense, so the factor's pattern is contained in
-    the fronts'.  ``source`` orders the data vector by supernode, entry
-    (i, j) going to the front of min(i, j), and ``scatter[s]`` gives the
-    flat front positions of the entries in
-    ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the positions
-    of ``rows[s]`` in the parent's front.
+    the fronts'.  The constructor finds the order and the rows, which is
+    all ``nnz_l`` needs; the maps from the data vector into the fronts
+    (``maps``) are built on first use, so that an analysis that loses the
+    choice of order (``_analysis``) never builds them.  Every array,
+    ``indptr`` and ``indices`` of the analysed pattern included, is
+    read-only.
     """
 
     def __init__(self, n, indptr, indices, chain=False):
         self.n = n
-        er = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        ec = np.asarray(indices, dtype=np.int64)
+        self.indptr = _frozen(np.asarray(indptr, dtype=np.int64))
+        self.indices = _frozen(np.asarray(indices, dtype=np.int64))
+        er = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        ec = self.indices
         # The graph has an edge both ways for each off-diagonal entry.
         off = er != ec
         keys = np.unique(np.concatenate([er[off] * n + ec[off], ec[off] * n + er[off]]))
@@ -375,11 +388,10 @@ class _SparseSymbolic:
             nodes, self.parent = _amalgamate(*_nested_dissection(
                 n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
 
-        self.perm = np.array([v for node in nodes for v in node], dtype=np.int64)
-        self.iperm = np.empty(n, dtype=np.int64)
-        self.iperm[self.perm] = np.arange(n)
+        self.perm = _frozen(np.array([v for node in nodes for v in node], dtype=np.int64))
+        self.iperm = _frozen(np.argsort(self.perm))
         sizes = [len(node) for node in nodes]
-        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        self.start = _frozen(np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]))
         ends = self.start.tolist()
         self.columns = [slice(c0, c1) for c0, c1 in zip(ends[:-1], ends[1:])]
         self.children = [[] for _ in nodes]
@@ -394,31 +406,45 @@ class _SparseSymbolic:
         pc = pc[order]
         pptr = np.searchsorted(pa[order], self.start)
         self.rows = []
-        fronts = []
         for s, cols in enumerate(self.columns):
             reach = np.concatenate([pc[pptr[s]:pptr[s + 1]]]
                                    + [self.rows[c] for c in self.children[s]])
-            self.rows.append(np.unique(reach[reach >= cols.stop]))
-            fronts.append(np.concatenate([np.arange(cols.start, cols.stop), self.rows[s]]))
-
-        pi, pj = self.iperm[er], self.iperm[ec]
-        owner = np.repeat(np.arange(len(nodes)), sizes)[np.minimum(pi, pj)]
-        self.source = np.argsort(owner, kind="stable")
-        self.bounds = np.searchsorted(owner[self.source], np.arange(len(nodes) + 1))
-        self.scatter = []
-        self.extend = []
-        for s, front in enumerate(fronts):
-            e = self.source[self.bounds[s]:self.bounds[s + 1]]
-            self.scatter.append(np.searchsorted(front, pi[e]) * len(front)
-                                + np.searchsorted(front, pj[e]))
-            p = self.parent[s]
-            self.extend.append(None if p < 0 else np.searchsorted(fronts[p], self.rows[s]))
+            self.rows.append(_frozen(np.unique(reach[reach >= cols.stop])))
 
     @property
     def nnz_l(self):
         """Entries of L held by the supernodes, diagonal included."""
         k = np.diff(self.start)
         return int(np.sum(k * (k + 1) // 2 + k * np.array([r.size for r in self.rows])))
+
+    @functools.cached_property
+    def maps(self):
+        """``(source, bounds, scatter, extend)``: ``source`` orders the data
+        vector by supernode, entry (i, j) going to the front of min(i, j),
+        and ``scatter[s]`` gives the flat front positions of the entries in
+        ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the
+        positions of ``rows[s]`` in the parent's front (None for a root)."""
+        fronts = [np.concatenate([np.arange(cols.start, cols.stop), rows])
+                  for cols, rows in zip(self.columns, self.rows)]
+        er = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        pi, pj = self.iperm[er], self.iperm[self.indices]
+        owner = np.repeat(np.arange(len(fronts)), np.diff(self.start))[np.minimum(pi, pj)]
+        source = _frozen(np.argsort(owner, kind="stable"))
+        bounds = _frozen(np.searchsorted(owner[source], np.arange(len(fronts) + 1)))
+        scatter, extend = [], []
+        for s, front in enumerate(fronts):
+            e = source[bounds[s]:bounds[s + 1]]
+            scatter.append(_frozen(np.searchsorted(front, pi[e]) * len(front)
+                                   + np.searchsorted(front, pj[e])))
+            p = self.parent[s]
+            extend.append(None if p < 0 else _frozen(np.searchsorted(fronts[p], self.rows[s])))
+        return source, bounds, scatter, extend
+
+
+def _frozen(a):
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _chain_nnz_l(n, rows, cols):
@@ -432,6 +458,30 @@ def _chain_nnz_l(n, rows, cols):
     k = np.diff(np.append(np.arange(0, n, SUPERNODE), n))
     rows_held = np.arange(n) // SUPERNODE - low // SUPERNODE
     return int(np.sum(k * (k + 1) // 2) + SUPERNODE * np.sum(rows_held))
+
+
+# The last analysis ``_analysis`` made.  It is replaced, never changed, so a
+# call in another thread reads either the old analysis or the new one.
+_last_analysis = None
+
+
+def _analysis(p: _ShiftedPattern) -> _SparseSymbolic:
+    """The analysis of union pattern ``p``: the dissection's or the chain's,
+    whichever holds fewer entries of L.  The last analysis made is kept and
+    reused when ``p`` is exactly its pattern (``np.array_equal``, not a
+    hash), so repeated calls on one pattern (other intervals, seeds or
+    values) skip the ordering; any other pattern gets a new analysis, which
+    replaces it."""
+    global _last_analysis
+    last = _last_analysis
+    if (last is not None and last.n == p.n and np.array_equal(last.indptr, p.indptr)
+            and np.array_equal(last.indices, p.indices)):
+        return last
+    symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
+    if _chain_nnz_l(p.n, p.rows, p.cols) < symbolic.nnz_l:
+        symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
+    _last_analysis = symbolic
+    return symbolic
 
 
 def _pivot_inverse(block, col):
@@ -485,7 +535,7 @@ class _SparseFactor:
         data = np.atleast_2d(data)
         self.ne = data.shape[0]
         self.dtype = data.dtype
-        source, bounds = symbolic.source, symbolic.bounds
+        source, bounds, scatter, extend = symbolic.maps
         self.blocks = []
         updates = {}
         for s, (cols, rows) in enumerate(zip(symbolic.columns, symbolic.rows)):
@@ -493,10 +543,10 @@ class _SparseFactor:
             f = k + rows.size
             front = np.zeros((self.ne, f, f), dtype=data.dtype)
             owned = source[bounds[s]:bounds[s + 1]]
-            front.reshape(self.ne, f * f)[:, symbolic.scatter[s]] = data[:, owned]
+            front.reshape(self.ne, f * f)[:, scatter[s]] = data[:, owned]
             for c in symbolic.children[s]:
                 if c in updates:
-                    at = symbolic.extend[c]
+                    at = extend[c]
                     front[:, at[:, np.newaxis], at] += updates.pop(c)
             inv = _pivot_inverse(front[:, :k, :k], cols.start)
             li = front[:, k:, :k] @ inv
@@ -516,36 +566,42 @@ class _SparseFactor:
         """Solve every shift's system (with ``shift``, that one's only), or
         with ``adjoint`` its conjugate transpose, for the (n, m) block ``b``.
 
-        Returns y of shape (ne, n, m), or bitwise its (1, n, m) slice for
+        Returns y of shape (n, ne, m), or bitwise its (n, 1, m) slice for
         ``shift``, in permuted row order; ``pick`` reads one shift's
-        solution out of it.  Forward, each supernode C
-        subtracts li y[C] from its rows; back, y[C] = inv y[C] - ui y[rows]:
-        one stacked product forward and two back per supernode.  The
-        adjoint solve is conj(A^T \\ conj(b)), which runs the same sweeps
-        over (invᵀ, uiᵀ, liᵀ), transposed views of the blocks.
+        solution out of it.  Forward, each supernode C subtracts li y[C]
+        from its rows; back, y[C] = inv y[C] - ui y[rows]: one stacked
+        product forward and two back per supernode, each on the
+        (ne, ·, m) ``swapaxes(0, 1)`` view of the rows it reads.  With the
+        shift axis inside each row, a gather or scatter of y[rows] moves
+        whole contiguous rows of every shift: on the 40 x 40 grid, 8 shifts
+        and 30 columns, one BLAS thread on a 2-core x86-64 VM, a sweep took
+        10.7 ms against 12.5 in the (ne, n, m) layout (medians of 40
+        interleaved rounds).  The adjoint solve is conj(A^T \\ conj(b)),
+        which runs the same sweeps over (invᵀ, uiᵀ, liᵀ), transposed views
+        of the blocks.
         """
         sym = self.sym
         blocks, ne = self.blocks, self.ne
         if shift is not None:
             blocks, ne = [tuple(m[shift:shift + 1] for m in block) for block in blocks], 1
-        y = np.empty((ne, sym.n, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
-        y[:] = b[sym.perm]
+        y = np.empty((sym.n, ne, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
+        y[:] = b[sym.perm, np.newaxis]
         if adjoint:
             np.conjugate(y, out=y)
             blocks = [(inv.swapaxes(1, 2), ui.swapaxes(1, 2), li.swapaxes(1, 2))
                       for inv, li, ui in blocks]
         for cols, rows, (_, li, _) in zip(sym.columns, sym.rows, blocks):
             if rows.size:
-                y[:, rows] -= li @ y[:, cols]
+                y[rows] -= (li @ y[cols].swapaxes(0, 1)).swapaxes(0, 1)
         for cols, rows, (inv, _, ui) in zip(sym.columns[::-1], sym.rows[::-1], blocks[::-1]):
-            c = inv @ y[:, cols]
-            y[:, cols] = c - ui @ y[:, rows] if rows.size else c
+            c = inv @ y[cols].swapaxes(0, 1)
+            y[cols] = (c - ui @ y[rows].swapaxes(0, 1) if rows.size else c).swapaxes(0, 1)
         return np.conjugate(y, out=y) if adjoint else y
 
     def pick(self, y: np.ndarray, shift: int) -> np.ndarray:
         """Shift ``shift``'s (n, m) solution, in original row order, from
         the output of ``sweep``."""
-        return y[shift, self.sym.iperm]
+        return y[self.sym.iperm, shift]
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
@@ -639,21 +695,21 @@ class _SparseOps(_Ops):
     """Backend ops of the CSR and band drivers with the direct solver.
 
     All contour ``shifts`` are factorized in one batch, on the dissection's
-    analysis or the chain's, whichever holds fewer entries of L.  Direct
-    solves are served from a held sweep of all shifts (see ``_Ops``); an
-    adjoint solve sweeps its own shift only: holding both sweeps raised
-    band-herm-gen's peak RSS from 59.3 to 63.0 MB.  ``symmetric`` marks complex
-    symmetric shifted matrices (feast_scsr, feast_sb), whose factors keep
-    each ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
+    analysis or the chain's, whichever holds fewer entries of L; the
+    analysis is the stored one when the union pattern is exactly its
+    pattern (``_analysis``).  Direct solves are served from a held sweep
+    of all shifts (see ``_Ops``); an adjoint solve sweeps its own shift
+    only: holding both sweeps raised band-herm-gen's peak RSS from 59.3 to
+    63.0 MB.  ``symmetric`` marks complex symmetric shifted matrices
+    (feast_scsr, feast_sb), whose factors keep each ``ui`` block as a
+    transposed view of ``li`` (see ``_SparseFactor``).
     """
 
     def __init__(self, a_full, b_full, shifts, symmetric=False):
         super().__init__(a_full, b_full, shifts=shifts)
-        p = self.pattern = _ShiftedPattern(a_full, b_full)
+        self.pattern = _ShiftedPattern(a_full, b_full)
         self.symmetric = symmetric
-        self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
-        if _chain_nnz_l(p.n, p.rows, p.cols) < self.symbolic.nnz_l:
-            self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
+        self.symbolic = _analysis(self.pattern)
 
     def _factor(self, shifts):
         return _SparseFactor(
