@@ -27,14 +27,6 @@ triangular sweep solves every shift's system for the common right-hand
 side at once, or one shift's, with the shift axis inside each row of its
 (n, shifts, m) block.  Every shift gets bitwise the factor and solution it
 would get alone.
-
-The analysis depends only on the union pattern, so the last one made is
-kept for the process (``_analysis``): a call whose union pattern is exactly
-the last one's (new values, another interval or seed) reuses it, ordering
-and choice of order included, and any other pattern replaces it.  What
-stays held between calls is that one analysis, O(nnz) integers, all
-read-only; calls in several threads on different patterns each build
-their own.
 """
 
 from __future__ import annotations
@@ -361,20 +353,17 @@ class _SparseSymbolic:
     holds those columns and ``rows[s]``, the later rows its columns reach:
     their later neighbours and the rows of its children's fronts past it.
     The front is factorized dense, so the factor's pattern is contained in
-    the fronts'.  The constructor finds the order and the rows, which is
-    all ``nnz_l`` needs; the maps from the data vector into the fronts
-    (``maps``) are built on first use, so that an analysis that loses the
-    choice of order (``_analysis``) never builds them.  Every array,
-    ``indptr`` and ``indices`` of the analysed pattern included, is
-    read-only.
+    the fronts'.  ``source`` orders the data vector by supernode, entry
+    (i, j) going to the front of min(i, j), and ``scatter[s]`` gives the
+    flat front positions of the entries in
+    ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the positions
+    of ``rows[s]`` in the parent's front.
     """
 
     def __init__(self, n, indptr, indices, chain=False):
         self.n = n
-        self.indptr = _frozen(np.asarray(indptr, dtype=np.int64))
-        self.indices = _frozen(np.asarray(indices, dtype=np.int64))
-        er = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
-        ec = self.indices
+        er = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        ec = np.asarray(indices, dtype=np.int64)
         # The graph has an edge both ways for each off-diagonal entry.
         off = er != ec
         keys = np.unique(np.concatenate([er[off] * n + ec[off], ec[off] * n + er[off]]))
@@ -388,10 +377,11 @@ class _SparseSymbolic:
             nodes, self.parent = _amalgamate(*_nested_dissection(
                 n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
 
-        self.perm = _frozen(np.array([v for node in nodes for v in node], dtype=np.int64))
-        self.iperm = _frozen(np.argsort(self.perm))
+        self.perm = np.array([v for node in nodes for v in node], dtype=np.int64)
+        self.iperm = np.empty(n, dtype=np.int64)
+        self.iperm[self.perm] = np.arange(n)
         sizes = [len(node) for node in nodes]
-        self.start = _frozen(np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]))
+        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
         ends = self.start.tolist()
         self.columns = [slice(c0, c1) for c0, c1 in zip(ends[:-1], ends[1:])]
         self.children = [[] for _ in nodes]
@@ -406,45 +396,31 @@ class _SparseSymbolic:
         pc = pc[order]
         pptr = np.searchsorted(pa[order], self.start)
         self.rows = []
+        fronts = []
         for s, cols in enumerate(self.columns):
             reach = np.concatenate([pc[pptr[s]:pptr[s + 1]]]
                                    + [self.rows[c] for c in self.children[s]])
-            self.rows.append(_frozen(np.unique(reach[reach >= cols.stop])))
+            self.rows.append(np.unique(reach[reach >= cols.stop]))
+            fronts.append(np.concatenate([np.arange(cols.start, cols.stop), self.rows[s]]))
+
+        pi, pj = self.iperm[er], self.iperm[ec]
+        owner = np.repeat(np.arange(len(nodes)), sizes)[np.minimum(pi, pj)]
+        self.source = np.argsort(owner, kind="stable")
+        self.bounds = np.searchsorted(owner[self.source], np.arange(len(nodes) + 1))
+        self.scatter = []
+        self.extend = []
+        for s, front in enumerate(fronts):
+            e = self.source[self.bounds[s]:self.bounds[s + 1]]
+            self.scatter.append(np.searchsorted(front, pi[e]) * len(front)
+                                + np.searchsorted(front, pj[e]))
+            p = self.parent[s]
+            self.extend.append(None if p < 0 else np.searchsorted(fronts[p], self.rows[s]))
 
     @property
     def nnz_l(self):
         """Entries of L held by the supernodes, diagonal included."""
         k = np.diff(self.start)
         return int(np.sum(k * (k + 1) // 2 + k * np.array([r.size for r in self.rows])))
-
-    @functools.cached_property
-    def maps(self):
-        """``(source, bounds, scatter, extend)``: ``source`` orders the data
-        vector by supernode, entry (i, j) going to the front of min(i, j),
-        and ``scatter[s]`` gives the flat front positions of the entries in
-        ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the
-        positions of ``rows[s]`` in the parent's front (None for a root)."""
-        fronts = [np.concatenate([np.arange(cols.start, cols.stop), rows])
-                  for cols, rows in zip(self.columns, self.rows)]
-        er = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
-        pi, pj = self.iperm[er], self.iperm[self.indices]
-        owner = np.repeat(np.arange(len(fronts)), np.diff(self.start))[np.minimum(pi, pj)]
-        source = _frozen(np.argsort(owner, kind="stable"))
-        bounds = _frozen(np.searchsorted(owner[source], np.arange(len(fronts) + 1)))
-        scatter, extend = [], []
-        for s, front in enumerate(fronts):
-            e = source[bounds[s]:bounds[s + 1]]
-            scatter.append(_frozen(np.searchsorted(front, pi[e]) * len(front)
-                                   + np.searchsorted(front, pj[e])))
-            p = self.parent[s]
-            extend.append(None if p < 0 else _frozen(np.searchsorted(fronts[p], self.rows[s])))
-        return source, bounds, scatter, extend
-
-
-def _frozen(a):
-    """``a``, made read-only."""
-    a.flags.writeable = False
-    return a
 
 
 def _chain_nnz_l(n, rows, cols):
@@ -458,30 +434,6 @@ def _chain_nnz_l(n, rows, cols):
     k = np.diff(np.append(np.arange(0, n, SUPERNODE), n))
     rows_held = np.arange(n) // SUPERNODE - low // SUPERNODE
     return int(np.sum(k * (k + 1) // 2) + SUPERNODE * np.sum(rows_held))
-
-
-# The last analysis ``_analysis`` made.  It is replaced, never changed, so a
-# call in another thread reads either the old analysis or the new one.
-_last_analysis = None
-
-
-def _analysis(p: _ShiftedPattern) -> _SparseSymbolic:
-    """The analysis of union pattern ``p``: the dissection's or the chain's,
-    whichever holds fewer entries of L.  The last analysis made is kept and
-    reused when ``p`` is exactly its pattern (``np.array_equal``, not a
-    hash), so repeated calls on one pattern (other intervals, seeds or
-    values) skip the ordering; any other pattern gets a new analysis, which
-    replaces it."""
-    global _last_analysis
-    last = _last_analysis
-    if (last is not None and last.n == p.n and np.array_equal(last.indptr, p.indptr)
-            and np.array_equal(last.indices, p.indices)):
-        return last
-    symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
-    if _chain_nnz_l(p.n, p.rows, p.cols) < symbolic.nnz_l:
-        symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
-    _last_analysis = symbolic
-    return symbolic
 
 
 def _pivot_inverse(block, col):
@@ -535,7 +487,7 @@ class _SparseFactor:
         data = np.atleast_2d(data)
         self.ne = data.shape[0]
         self.dtype = data.dtype
-        source, bounds, scatter, extend = symbolic.maps
+        source, bounds = symbolic.source, symbolic.bounds
         self.blocks = []
         updates = {}
         for s, (cols, rows) in enumerate(zip(symbolic.columns, symbolic.rows)):
@@ -543,10 +495,10 @@ class _SparseFactor:
             f = k + rows.size
             front = np.zeros((self.ne, f, f), dtype=data.dtype)
             owned = source[bounds[s]:bounds[s + 1]]
-            front.reshape(self.ne, f * f)[:, scatter[s]] = data[:, owned]
+            front.reshape(self.ne, f * f)[:, symbolic.scatter[s]] = data[:, owned]
             for c in symbolic.children[s]:
                 if c in updates:
-                    at = extend[c]
+                    at = symbolic.extend[c]
                     front[:, at[:, np.newaxis], at] += updates.pop(c)
             inv = _pivot_inverse(front[:, :k, :k], cols.start)
             li = front[:, k:, :k] @ inv
@@ -575,7 +527,7 @@ class _SparseFactor:
         shift axis inside each row, a gather or scatter of y[rows] moves
         whole contiguous rows of every shift: on the 40 x 40 grid, 8 shifts
         and 30 columns, one BLAS thread on a 2-core x86-64 VM, a sweep took
-        10.7 ms against 12.5 in the (ne, n, m) layout (medians of 40
+        15.9 ms against 18.7 in the (ne, n, m) layout (medians of 40
         interleaved rounds).  The adjoint solve is conj(A^T \\ conj(b)),
         which runs the same sweeps over (invᵀ, uiᵀ, liᵀ), transposed views
         of the blocks.
@@ -695,21 +647,21 @@ class _SparseOps(_Ops):
     """Backend ops of the CSR and band drivers with the direct solver.
 
     All contour ``shifts`` are factorized in one batch, on the dissection's
-    analysis or the chain's, whichever holds fewer entries of L; the
-    analysis is the stored one when the union pattern is exactly its
-    pattern (``_analysis``).  Direct solves are served from a held sweep
-    of all shifts (see ``_Ops``); an adjoint solve sweeps its own shift
-    only: holding both sweeps raised band-herm-gen's peak RSS from 59.3 to
-    63.0 MB.  ``symmetric`` marks complex symmetric shifted matrices
-    (feast_scsr, feast_sb), whose factors keep each ``ui`` block as a
-    transposed view of ``li`` (see ``_SparseFactor``).
+    analysis or the chain's, whichever holds fewer entries of L.  Direct
+    solves are served from a held sweep of all shifts (see ``_Ops``); an
+    adjoint solve sweeps its own shift only: holding both sweeps raised
+    band-herm-gen's peak RSS from 59.3 to 63.0 MB.  ``symmetric`` marks complex
+    symmetric shifted matrices (feast_scsr, feast_sb), whose factors keep
+    each ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
     """
 
     def __init__(self, a_full, b_full, shifts, symmetric=False):
         super().__init__(a_full, b_full, shifts=shifts)
-        self.pattern = _ShiftedPattern(a_full, b_full)
+        p = self.pattern = _ShiftedPattern(a_full, b_full)
         self.symmetric = symmetric
-        self.symbolic = _analysis(self.pattern)
+        self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
+        if _chain_nnz_l(p.n, p.rows, p.cols) < self.symbolic.nnz_l:
+            self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
 
     def _factor(self, shifts):
         return _SparseFactor(

@@ -1,21 +1,15 @@
-import hashlib
-import sys
-import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from feastlib import (
     CsrMatrix,
     SolverOptions,
     csr_matvec,
-    feast_hb,
     feast_hcsr,
-    feast_sb,
     feast_scsr,
     feast_sy,
     feastinit,
@@ -464,188 +458,6 @@ def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
     assert (natural < dissection.nnz_l) == chain
     assert ops.symbolic.nnz_l == min(natural, dissection.nnz_l)
     assert (ops.symbolic.perm.tolist() == list(range(p.n))) == chain
-
-
-# sha256 (first 16 hex digits, see _analysis_digest) of the chosen analysis
-# of each _order_cases pattern, as the analysis built it when it made its
-# maps eagerly, for both orders, before comparing their nnz(L).
-_ANALYSIS_DIGESTS = {"grid 40 x 40": "9112e810a93c0e48", "fem 30 x 30": "afb97c2587826bd9",
-                     "full band": "c6ba7511342192d6"}
-
-
-def _analysis_digest(sym):
-    h = hashlib.sha256(sym.perm.tobytes())
-    h.update(np.array([(c.start, c.stop) for c in sym.columns]).tobytes())
-    source, bounds, scatter, extend = sym.maps
-    for part in (*sym.rows, *scatter, *extend, source, bounds):
-        h.update(b"-" if part is None else part.tobytes())
-    return h.hexdigest()[:16]
-
-
-@pytest.mark.parametrize("name", ["grid 40 x 40", "fem 30 x 30", "full band"])
-def test_only_the_chosen_analysis_builds_its_maps(rng, monkeypatch, name):
-    """The maps into the fronts are built once per pattern, for the order
-    that wins (the chain, on the full band), and the analysis is bitwise
-    the one the eager build made."""
-    csr, _ = _order_cases(rng)[name]
-    built = []
-    maps = _SparseSymbolic.maps.func
-    monkeypatch.setattr(_SparseSymbolic.maps, "func", lambda sym: built.append(sym) or maps(sym))
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    ops = _SparseOps(csr, None, [1j])
-    ops.factorize(1j)
-    _SparseOps(csr, None, [1j]).factorize(1j)
-    assert built == [ops.symbolic]
-    assert _analysis_digest(ops.symbolic) == _ANALYSIS_DIGESTS[name]
-
-
-def _lower_band(a, kl):
-    """Band storage, uplo='L', of the dense matrix ``a``."""
-    ab = np.zeros((kl + 1, len(a)), dtype=a.dtype)
-    for d in range(kl + 1):
-        ab[d, :len(a) - d] = np.diagonal(a, -d)
-    return ab
-
-
-def _slot_pencil(rng, hermitian, generalized, n=40, kl=3):
-    """A random band pencil (A, B or None) and an interval holding 10 of
-    its eigenvalues."""
-    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kl
-    a = np.where(band, (random_hermitian if hermitian else random_symmetric)(n, rng), 0)
-    b = None
-    if generalized:
-        b = np.where(band, 0.2 * random_symmetric(n, rng), 0) + 4 * np.eye(n)
-    return a, b, gap_interval(sla.eigh(a, b, eigvals_only=True), 10, 19)
-
-
-def _slot_call(driver, a, b, interval, kl=3):
-    """A zero-argument call of ``driver`` on the pencil (a, b), each given
-    by its lower triangle."""
-    if driver in (feast_scsr, feast_hcsr):
-        return lambda: driver(CsrMatrix.from_dense(a, "L"), *interval, 16,
-                              b=None if b is None else CsrMatrix.from_dense(b, "L"))
-    return lambda: driver(_lower_band(a, kl), kl, *interval, 16, uplo="L",
-                          b=None if b is None else _lower_band(b, kl),
-                          klb=None if b is None else kl)
-
-
-def _assert_bitwise_equal(got, want):
-    assert got.info == 0 and (got.info, got.loop, got.m) == (want.info, want.loop, want.m)
-    for name in ("e", "x", "res"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-
-@pytest.mark.parametrize("generalized", [False, True], ids=["standard", "generalized"])
-@pytest.mark.parametrize("driver", [feast_scsr, feast_hcsr, feast_sb, feast_hb],
-                         ids=lambda d: d.__name__)
-def test_warm_call_reuses_the_analysis_and_is_bitwise_the_cold_call(
-        rng, monkeypatch, driver, generalized):
-    """A second call on one pattern takes the stored analysis, and its
-    e, x, res, info and loop are bitwise those of the first call, which
-    found the slot empty."""
-    a, b, interval = _slot_pencil(rng, driver in (feast_hcsr, feast_hb), generalized)
-    call = _slot_call(driver, a, b, interval)
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    cold = call()
-    stored = sparse._last_analysis
-    warm = call()
-    assert stored is not None and sparse._last_analysis is stored
-    _assert_bitwise_equal(warm, cold)
-
-
-def test_new_values_on_one_pattern_reuse_the_analysis(rng, monkeypatch):
-    """New values on the stored pattern reuse its analysis, and the result
-    is bitwise that of a call that finds the slot empty."""
-    a, b, interval = _slot_pencil(rng, False, True)
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    _slot_call(feast_scsr, a, b, interval)()
-    stored = sparse._last_analysis
-    a2, b2, interval2 = _slot_pencil(rng, False, True)
-    call = _slot_call(feast_scsr, a2, b2, interval2)
-    warm = call()
-    assert sparse._last_analysis is stored
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    cold = call()
-    assert sparse._last_analysis is not stored
-    _assert_bitwise_equal(warm, cold)
-
-
-def test_a_new_union_pattern_gets_a_new_analysis(rng, monkeypatch):
-    """Only an exactly equal union pattern reuses the stored analysis: a
-    change in B's pattern alone, one added entry, the same row lengths
-    with other columns or another n makes a new one.  B = None and B = 2I
-    have the same union pattern."""
-    n = 30
-    a = _banded_csr(n, rng, hermitian=False, width=2)
-    grown = a.to_dense()
-    grown[0, 9] = grown[9, 0] = 0.5
-    # Rows 0, 1, 9 and 10 each gain one entry, at other columns in the two.
-    joined, crossed = a.to_dense(), a.to_dense()
-    for m, pairs in ((joined, ((0, 9), (1, 10))), (crossed, ((0, 10), (1, 9)))):
-        for i, j in pairs:
-            m[i, j] = m[j, i] = 0.5
-    wide_b = 2 * np.eye(n) + 0.1 * (np.eye(n, k=3) + np.eye(n, k=-3))
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    first = _SparseOps(a, None, [1j]).symbolic
-    assert _SparseOps(a, CsrMatrix.from_dense(2 * np.eye(n)), [1j]).symbolic is first
-    seen = [first]
-    for a_full, b_full in ((a, CsrMatrix.from_dense(wide_b)), (CsrMatrix.from_dense(grown), None),
-                           (CsrMatrix.from_dense(joined), None),
-                           (CsrMatrix.from_dense(crossed), None),
-                           (_banded_csr(n - 1, rng, hermitian=False, width=2), None)):
-        seen.append(_SparseOps(a_full, b_full, [1j]).symbolic)
-        assert sparse._last_analysis is seen[-1] and all(seen[-1] is not s for s in seen[:-1])
-    assert _SparseOps(a_full, b_full, [2j]).symbolic is seen[-1]
-
-
-def test_stored_analysis_arrays_are_read_only(rng, monkeypatch):
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    ops = _SparseOps(_banded_csr(40, rng, hermitian=True), None, [1j, 2j])
-    ops.factorize(1j)
-    sym = sparse._last_analysis
-    assert sym is ops.symbolic
-    source, bounds, scatter, extend = sym.maps
-    arrays = [sym.indptr, sym.indices, sym.perm, sym.iperm, sym.start, source, bounds,
-              *sym.rows, *scatter, *(e for e in extend if e is not None)]
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
-
-
-def test_threads_on_two_patterns_get_their_own_analysis(rng, monkeypatch):
-    """Four threads, each calling feast_scsr on one of two patterns (band
-    widths 2 and 3) in turn, with a short switch interval: whichever
-    analysis the slot holds when a call reads it, every result is bitwise
-    that of a call in one thread."""
-    calls = [_slot_call(feast_scsr, *_slot_pencil(rng, False, False, kl=kl)) for kl in (2, 3)]
-    want = [call() for call in calls]
-    monkeypatch.setattr(sparse, "_last_analysis", None)
-    bad = []
-
-    def work(first):
-        for k in range(6):
-            e = (first + k) % 2
-            try:
-                got = calls[e]()
-            except Exception as exc:  # recorded for the assertion below
-                bad.append((first, k, repr(exc)))
-                continue
-            if ((got.info, got.loop, got.x.tobytes())
-                    != (want[e].info, want[e].loop, want[e].x.tobytes())):
-                bad.append((first, k))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert bad == []
 
 
 def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
