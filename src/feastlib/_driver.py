@@ -4,8 +4,10 @@ A predefined driver is ``setup`` (kernel, argument checks, full-storage
 operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
 reverse-communication kernel to completion against it, caching each
-shift's factorization.  The ops object factorizes the contour shifts on
-their first request, in the calling thread, whatever
+shift's factorization.  The direct backends (the dense LU, and the
+multifrontal LU of the CSR and band drivers) keep a batch's factors as one
+``_BlockFactor``, whose one sweep serves both.  The ops object factorizes
+the contour shifts on their first request, in the calling thread, whatever
 ``SolverOptions.parallel_contour`` says (it has no effect; see there): an
 ops object serves one ``run_rci`` in one thread, as a kernel does.
 """
@@ -29,6 +31,15 @@ def upper_uplo(uplo):
     if uplo is None or isinstance(uplo, str):
         return (uplo or "F").upper()
     return None
+
+
+def as_operand(m):
+    """``np.asarray(m)``; a ragged nested sequence, which numpy cannot make
+    an array of, gives an empty 1-D array, which fails every shape check."""
+    try:
+        return np.asarray(m)
+    except ValueError:
+        return np.empty(0)
 
 
 class SingularMatrixError(Exception):
@@ -159,6 +170,66 @@ def _unit_scaled(block, dtype):
     return block.astype(dtype)
 
 
+class _BlockFactor:
+    """Block LU of a batch of ``ne`` shifted n x n matrices, the form of the
+    dense and the multifrontal LU.  A subclass sets ``n``, ``ne``, ``dtype``
+    and, for each shift's matrix F in its factor's row order, the blocks:
+    block j holds the columns ``columns[j]`` (a slice) and reaches the later
+    rows ``rows[j]`` (a slice or an index array), and ``blocks[j]`` is
+    (inv, li, ui) = (F11⁻¹, F21 inv, inv F12), stacks of shape (ne, ·, ·),
+    for its pivot block F11 once the blocks before it are eliminated.
+    ``orders[adjoint]`` is (into, out), (n, ne) index arrays: the rows of
+    a right-hand side gathered into F's order, and the rows of a sweep's
+    output that give the solution.
+    """
+
+    def sweep(self, b: np.ndarray, adjoint: bool = False, shift: int | None = None) -> np.ndarray:
+        """Solve every shift's system (with ``shift``, that one's only), or
+        with ``adjoint`` its conjugate transpose, for the (n, m) block ``b``.
+
+        Returns y of shape (n, ne, m), or bitwise its (n, 1, m) slice for
+        ``shift``, in F's row order, for ``pick``.  Forward, li y[cols] is
+        taken from y[rows]; back, y[cols] = inv y[cols] - ui y[rows]; each
+        product runs on the (ne, ·, m) ``swapaxes(0, 1)`` view, so y[rows]
+        moves whole rows of every shift.  The adjoint is conj(F^T \\
+        conj(b)): the same over (invᵀ, uiᵀ, liᵀ), transposed views.
+        """
+        blocks, into = self.blocks, self.orders[adjoint][0]
+        if shift is not None:
+            blocks = [tuple(m[shift:shift + 1] for m in block) for block in blocks]
+            into = into[:, shift:shift + 1]
+        dtype = np.result_type(self.dtype, b.dtype)
+        y = np.empty(into.shape + b.shape[1:], dtype=dtype)
+        # A gather straight into y: no temporary of y's size.
+        np.take(b.astype(dtype, copy=False), into, axis=0, out=y, mode="clip")
+        if adjoint:
+            np.conjugate(y, out=y)
+            blocks = [(inv.swapaxes(1, 2), ui.swapaxes(1, 2), li.swapaxes(1, 2))
+                      for inv, li, ui in blocks]
+        for cols, rows, (_, li, _) in zip(self.columns, self.rows, blocks):
+            if li.shape[1]:
+                y[rows] -= (li @ y[cols].swapaxes(0, 1)).swapaxes(0, 1)
+        for cols, rows, (inv, _, ui) in zip(self.columns[::-1], self.rows[::-1], blocks[::-1]):
+            c = inv @ y[cols].swapaxes(0, 1)
+            y[cols] = (c - ui @ y[rows].swapaxes(0, 1) if ui.shape[2] else c).swapaxes(0, 1)
+        return np.conjugate(y, out=y) if adjoint else y
+
+    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False) -> np.ndarray:
+        """Shift ``shift``'s (n, m) solution, in the original row order,
+        from the output of ``sweep`` in that direction, for all shifts or
+        for ``shift`` alone."""
+        column = shift if y.shape[1] == self.ne else 0
+        return y[self.orders[adjoint][1][:, shift], column]
+
+    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
+        if self.ne != 1:
+            raise ValueError("solve needs a one-shift factor; use sweep and pick")
+        single = b.ndim == 1
+        out = self.pick(self.sweep(b[:, np.newaxis] if single else b, adjoint), 0, adjoint)
+        return out[:, 0] if single else out
+
+
 class _Ops:
     """Backend protocol of ``run_rci``.  A backend keeps the full-storage
     operands as ``a`` and ``b`` (None: B is the identity) and adds
@@ -170,18 +241,14 @@ class _Ops:
     object serves one ``run_rci`` in one thread and is not shared between
     threads.
 
-    A batch that solves all its shifts at once (dense, and the CSR and band
-    drivers' multifrontal LU) has ``ne``, its number of shifts,
-    ``sweep(rhs, adjoint)``, every shift's solution for the (n, m) block
-    ``rhs``, and ``pick(y, i)``, shift i's (n, m) solution out of a sweep's
-    output.  Per solve direction, the sweep of the last right-hand side is
-    held with that right-hand side: a request with an equal one is served
-    from it, any other runs a new sweep.  The sweep is dropped after ``ne``
-    requests, so that it is not held through the rest of the refinement
-    loop.  ``_solve((batch, i), rhs, adjoint)`` may be overridden: the
-    multifrontal LU sweeps an adjoint request's shift alone, and iterative
-    batches solve one shift at a time (a block BiCGStab ran every column
-    until the slowest converged: 30 s, not 22 s).
+    A direct batch is a ``_BlockFactor``.  Its sweep of all shifts for the
+    last direct right-hand side is held: a request with an equal one is
+    served from it, any other runs a new sweep, and it is dropped after
+    ``ne`` requests.  An adjoint request sweeps its own shift and holds
+    nothing (holding an all-shift adjoint sweep too raised band-herm-gen's
+    peak RSS from 59.3 to 63.0 MB).  Iterative batches override ``_solve``
+    and solve a shift at a time (a block BiCGStab ran every column until
+    the slowest converged: 30 s, not 22 s).
     """
 
     def __init__(self, a, b, cdtype=None, shifts=()):
@@ -190,8 +257,8 @@ class _Ops:
         self.cdtype = cdtype
         self._shifts = [complex(z) for z in shifts]
         self._batch = None
-        # adjoint flag -> [right-hand side, sweep output, requests served]
-        self._held = {False: None, True: None}
+        # [right-hand side, direct sweep output, requests served]
+        self._held = None
 
     def factorize(self, z):
         if self._batch is None:
@@ -200,14 +267,16 @@ class _Ops:
 
     def _solve(self, factor, rhs, adjoint):
         batch, shift = factor
-        held = self._held[adjoint]
+        if adjoint:
+            return batch.pick(batch.sweep(rhs, True, shift), shift, True)
+        held = self._held
         if held is None or not np.array_equal(held[0], rhs):
             # Drop the old buffer before the sweep allocates the new one.
-            held = self._held[adjoint] = None
-            held = self._held[adjoint] = [rhs.copy(), batch.sweep(rhs, adjoint), 0]
+            held = self._held = None
+            held = self._held = [rhs.copy(), batch.sweep(rhs), 0]
         held[2] += 1
         if held[2] == batch.ne:
-            self._held[adjoint] = None
+            self._held = None
         return batch.pick(held[1], shift)
 
     def solve(self, factor, rhs):

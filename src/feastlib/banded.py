@@ -9,7 +9,7 @@ import numbers
 
 import numpy as np
 
-from ._driver import UPLOS, run_rci, setup, upper_uplo
+from ._driver import UPLOS, as_operand, run_rci, setup, upper_uplo
 from .sparse import CsrMatrix, _SparseOps, csr_asymmetry
 
 
@@ -54,13 +54,14 @@ def band_csr(fb: np.ndarray) -> CsrMatrix:
 
 def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermitian):
     uplo = upper_uplo(uplo)
-    a = np.asarray(a)
-    b = None if b is None else np.asarray(b)
+    a = as_operand(a)
+    b = None if b is None else as_operand(b)
     n = a.shape[1] if a.ndim == 2 else 0
 
     def bandwidth_ok(k):
-        # numbers.Integral covers Python and numpy integers, not None or floats.
-        return isinstance(k, numbers.Integral) and 0 <= k <= max(n - 1, 0)
+        # numbers.Integral covers Python and numpy integers, not None or
+        # floats; a bool, which it also covers, would index rows as a mask.
+        return isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < max(n, 1)
 
     def operands(dtype):
         return [None if m is None else

@@ -1,11 +1,13 @@
 """Full-storage drivers: UPLO-aware dense matrices, complex LU with partial
-pivoting for the shifted systems, and the feast_sy / feast_he entry points."""
+pivoting for the shifted systems, in the multifrontal LU's block form
+(``_driver._BlockFactor``), and the feast_sy / feast_he entry points."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
+from ._driver import (UPLOS, SingularMatrixError, _BlockFactor, _Ops, as_operand, run_rci,
+                      setup, upper_uplo)
 
 
 def asymmetry(a: np.ndarray, hermitian: bool) -> float:
@@ -28,10 +30,10 @@ def expand_uplo(a: np.ndarray, uplo: str, hermitian: bool) -> np.ndarray:
     return tri + reflect
 
 
-# Columns per panel of the blocked LU and rows per diagonal block of the
-# triangular solves.  Each panel is split in halves down to leaves of at
-# most LEAF columns; work inside a leaf is one numpy call per column for all
-# shifts, the rest is matrix products, which run in BLAS.
+# Columns per panel of the blocked LU and per block of its block form.  Each
+# panel is split in halves down to leaves of at most LEAF columns; work
+# inside a leaf is one numpy call per column for all shifts, the rest is
+# matrix products, which run in BLAS.
 NB = 48
 LEAF = 8
 
@@ -131,61 +133,42 @@ def _factor_stack(lu):
     return piv
 
 
-def _substitute(m, x, lower, unit):
-    """x <- T^-1 x in place for the lower (or upper) triangle T of each
-    matrix of the stack m, with a unit diagonal when ``unit``: a row at a
-    time inside each NB-row diagonal block, one stacked product for the rest
-    of its block column."""
-    blocks = _blocks(m.shape[1])
-    for k0, k1 in blocks if lower else reversed(blocks):
-        for k in range(k0, k1) if lower else range(k1 - 1, k0 - 1, -1):
-            done = slice(k0, k) if lower else slice(k + 1, k1)
-            x[:, k:k + 1] -= m[:, k:k + 1, done] @ x[:, done]
-            if not unit:
-                x[:, k] /= m[:, k, k, np.newaxis]
-        rest = slice(k1, None) if lower else slice(None, k0)
-        x[:, rest] -= m[:, rest, k0:k1] @ x[:, k0:k1]
+def _block_form(lu):
+    """Rewrite in place each LU of the stack lu, as _factor_stack leaves it,
+    as (inv, li, ui) = (U11⁻¹ L11⁻¹, L21 L11⁻¹, U11⁻¹ U12) per NB-column
+    block; U11⁻¹ is the unit-upper inverse of U11 with its rows scaled by
+    the diagonal, its columns scaled back.  Temporaries are NB x NB
+    blocks."""
+    n = lu.shape[1]
+    for k0, k1 in _blocks(n):
+        k = slice(k0, k1)
+        d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
+        l_inv = _unit_upper_inverse(lu[:, k, k].swapaxes(1, 2)).swapaxes(1, 2)
+        u_inv = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2)
+        for j0, j1 in _blocks(n, k1):
+            lu[:, j0:j1, k] = lu[:, j0:j1, k] @ l_inv
+            lu[:, k, j0:j1] = u_inv @ lu[:, k, j0:j1]
+        lu[:, k, k] = u_inv @ l_inv
 
 
-class _DenseFactor:
-    """LU factors of a stack of matrices, as _factor_stack leaves them:
-    ``lu`` (shifts, n, n) and the pivots."""
+class _DenseFactor(_BlockFactor):
+    """Block form (``_block_form``) of the LUs of a stack, made in place in
+    ``lu``; each NB-column block reaches all later rows.  F is PA, so a
+    direct solve gathers the right-hand side in the pivot order, and an
+    adjoint one, A^H = (PA)^H P, puts the solution's rows back from it."""
 
     def __init__(self, lu, piv):
         self.lu = lu
-        self.ne = len(piv)
-        self.order = np.array([_row_order(p) for p in piv])
-
-    def sweep(self, b, adjoint=False):
-        """Solve every shift's system, or with ``adjoint`` its conjugate
-        transpose, for the (n, m) block ``b``; returns y of shape
-        (shifts, n, m), y[s] shift s's solution.
-
-        Direct: each shift's rows of b are gathered in its pivot order, then
-        forward through L and back through U.  The adjoint solve is
-        conj(A^T \\ conj(b)) with A^T = P^T U^T L^T: forward through U^T and
-        back through L^T, the transposed views of the factors, then each
-        shift's rows scattered back to their places.
-        """
-        dtype = np.result_type(self.lu.dtype, b.dtype)
-        if not adjoint:
-            x = b[self.order].astype(dtype, copy=False)
-            _substitute(self.lu, x, lower=True, unit=True)
-            _substitute(self.lu, x, lower=False, unit=False)
-            return x
-        x = np.empty((self.ne,) + b.shape, dtype=dtype)
-        x[:] = b.conj()
-        lu_t = self.lu.swapaxes(1, 2)
-        _substitute(lu_t, x, lower=True, unit=False)
-        _substitute(lu_t, x, lower=False, unit=True)
-        y = np.empty_like(x)
-        y[np.arange(self.ne)[:, np.newaxis], self.order] = np.conjugate(x, out=x)
-        return y
-
-    @staticmethod
-    def pick(y, shift):
-        """Shift ``shift``'s (n, m) solution from the output of ``sweep``."""
-        return y[shift]
+        self.ne, self.n = lu.shape[:2]
+        self.dtype = lu.dtype
+        _block_form(lu)
+        self.columns = [slice(k0, k1) for k0, k1 in _blocks(self.n)]
+        self.rows = [slice(k.stop, None) for k in self.columns]
+        self.blocks = [(lu[:, k, k], lu[:, r, k], lu[:, k, r])
+                       for k, r in zip(self.columns, self.rows)]
+        order = np.array([_row_order(p) for p in piv]).T
+        same = np.broadcast_to(np.arange(self.n)[:, np.newaxis], order.shape)
+        self.orders = {False: (order, same), True: (same, np.argsort(order, axis=0))}
 
 
 def lu_factor(a: np.ndarray):
@@ -204,19 +187,17 @@ def lu_factor(a: np.ndarray):
 
 
 def lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Solve A x = b, or A^H x = b, from one lu_factor result; ``b`` is
-    (n,) or (n, m).  One shift's _DenseFactor.sweep."""
+    """Solve A x = b, or A^H x = b, for ``b`` of shape (n,) or (n, m) with
+    the _DenseFactor of a copy of one lu_factor result."""
     lu, piv = factor
-    b = np.asarray(b)
-    x = _DenseFactor(np.asarray(lu)[np.newaxis], piv[np.newaxis]).sweep(
-        b[:, np.newaxis] if b.ndim == 1 else b, adjoint)[0]
-    return x[:, 0] if b.ndim == 1 else x
+    return _DenseFactor(np.array(lu)[np.newaxis], np.asarray(piv)[np.newaxis]).solve(
+        np.asarray(b), adjoint)
 
 
 class _DenseOps(_Ops):
     """The one batch is the stack of all shifted matrices z B - A, written
-    straight into one (shifts, n, n) array and factorized by _factor_stack.
-    Solves are served from one sweep of the batch (see ``_Ops``)."""
+    straight into one (shifts, n, n) array, factorized by _factor_stack and
+    put in block form (``_DenseFactor``); solves as in ``_Ops``."""
 
     def _factor(self, shifts):
         n = self.a.shape[0]
@@ -235,8 +216,8 @@ class _DenseOps(_Ops):
 
 def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
     uplo = upper_uplo(uplo)
-    a = np.asarray(a)
-    b = None if b is None else np.asarray(b)
+    a = as_operand(a)
+    b = None if b is None else as_operand(b)
     kernel, options, (a_full, b_full) = setup(
         "HE" if hermitian else "SY", hermitian, (a.dtype, None if b is None else b.dtype),
         a.shape[0] if a.ndim == 2 else 0, emin, emax, m0, fpm, options, x0,

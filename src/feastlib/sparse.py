@@ -22,11 +22,11 @@ supernode's pivot block is inverted by LAPACK, with partial pivoting
 inside the block (none across blocks: the order is fixed by the symbolic
 analysis), and the factor keeps the inverse with F21 inv and inv F12, so
 that a sweep takes one matrix product per supernode forward and two back.
-The numeric LU factorizes all contour shifts in one batch, and each
-triangular sweep solves every shift's system for the common right-hand
-side at once, or one shift's, with the shift axis inside each row of its
-(n, shifts, m) block.  Every shift gets bitwise the factor and solution it
-would get alone.
+The dense LU keeps the same block form (``_driver._BlockFactor``), whose
+sweep solves every shift's system for the common right-hand side at once,
+or one shift's.  The numeric LU factorizes all contour shifts in one
+batch, and every shift gets bitwise the factor and solution it would get
+alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._driver import UPLOS, SingularMatrixError, _Ops, run_rci, setup, upper_uplo
+from ._driver import UPLOS, SingularMatrixError, _BlockFactor, _Ops, run_rci, setup, upper_uplo
 
 
 def _checked_uplo(uplo):
@@ -465,7 +465,7 @@ def _finite_inverse(m):
     return inv if np.isfinite(inv).all() else None
 
 
-class _SparseFactor:
+class _SparseFactor(_BlockFactor):
     """Multifrontal LU of shifted matrices on a shared symbolic analysis.
 
     ``data`` is one shifted data vector of shape (nnz,) or a stack of shape
@@ -479,14 +479,18 @@ class _SparseFactor:
     of ``li`` (invᵀ F12, the same to rounding), which takes no memory.
     Every operation is elementwise along the shift axis, a stacked matrix
     product or a stacked LAPACK inverse, one per shift, so each shift's
-    factor is bitwise the one it gets alone.
+    factor is bitwise the one it gets alone.  Its blocks are the
+    supernodes, so a solve gathers by ``perm`` and puts back by ``iperm``.
     """
 
     def __init__(self, symbolic: _SparseSymbolic, data: np.ndarray, symmetric=False):
-        self.sym = symbolic
         data = np.atleast_2d(data)
-        self.ne = data.shape[0]
+        self.n, self.ne = symbolic.n, data.shape[0]
         self.dtype = data.dtype
+        self.columns, self.rows = symbolic.columns, symbolic.rows
+        orders = tuple(np.broadcast_to(p[:, np.newaxis], (self.n, self.ne))
+                       for p in (symbolic.perm, symbolic.iperm))
+        self.orders = {False: orders, True: orders}
         source, bounds = symbolic.source, symbolic.bounds
         self.blocks = []
         updates = {}
@@ -513,55 +517,6 @@ class _SparseFactor:
         ``ui`` that is a transposed view of ``li`` counts once."""
         return sum(inv.nbytes + li.nbytes + (0 if ui.base is li else ui.nbytes)
                    for inv, li, ui in self.blocks)
-
-    def sweep(self, b: np.ndarray, adjoint: bool = False, shift: int | None = None) -> np.ndarray:
-        """Solve every shift's system (with ``shift``, that one's only), or
-        with ``adjoint`` its conjugate transpose, for the (n, m) block ``b``.
-
-        Returns y of shape (n, ne, m), or bitwise its (n, 1, m) slice for
-        ``shift``, in permuted row order; ``pick`` reads one shift's
-        solution out of it.  Forward, each supernode C subtracts li y[C]
-        from its rows; back, y[C] = inv y[C] - ui y[rows]: one stacked
-        product forward and two back per supernode, each on the
-        (ne, ·, m) ``swapaxes(0, 1)`` view of the rows it reads.  With the
-        shift axis inside each row, a gather or scatter of y[rows] moves
-        whole contiguous rows of every shift: on the 40 x 40 grid, 8 shifts
-        and 30 columns, one BLAS thread on a 2-core x86-64 VM, a sweep took
-        15.9 ms against 18.7 in the (ne, n, m) layout (medians of 40
-        interleaved rounds).  The adjoint solve is conj(A^T \\ conj(b)),
-        which runs the same sweeps over (invᵀ, uiᵀ, liᵀ), transposed views
-        of the blocks.
-        """
-        sym = self.sym
-        blocks, ne = self.blocks, self.ne
-        if shift is not None:
-            blocks, ne = [tuple(m[shift:shift + 1] for m in block) for block in blocks], 1
-        y = np.empty((sym.n, ne, b.shape[1]), dtype=np.result_type(self.dtype, b.dtype))
-        y[:] = b[sym.perm, np.newaxis]
-        if adjoint:
-            np.conjugate(y, out=y)
-            blocks = [(inv.swapaxes(1, 2), ui.swapaxes(1, 2), li.swapaxes(1, 2))
-                      for inv, li, ui in blocks]
-        for cols, rows, (_, li, _) in zip(sym.columns, sym.rows, blocks):
-            if rows.size:
-                y[rows] -= (li @ y[cols].swapaxes(0, 1)).swapaxes(0, 1)
-        for cols, rows, (inv, _, ui) in zip(sym.columns[::-1], sym.rows[::-1], blocks[::-1]):
-            c = inv @ y[cols].swapaxes(0, 1)
-            y[cols] = (c - ui @ y[rows].swapaxes(0, 1) if rows.size else c).swapaxes(0, 1)
-        return np.conjugate(y, out=y) if adjoint else y
-
-    def pick(self, y: np.ndarray, shift: int) -> np.ndarray:
-        """Shift ``shift``'s (n, m) solution, in original row order, from
-        the output of ``sweep``."""
-        return y[self.sym.iperm, shift]
-
-    def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
-        if self.ne != 1:
-            raise ValueError("solve needs a one-shift factor; use sweep and pick")
-        single = b.ndim == 1
-        out = self.pick(self.sweep(b[:, np.newaxis] if single else b, adjoint), 0)
-        return out[:, 0] if single else out
 
 
 # --- shifted-system assembly -------------------------------------------------
@@ -648,9 +603,8 @@ class _SparseOps(_Ops):
 
     All contour ``shifts`` are factorized in one batch, on the dissection's
     analysis or the chain's, whichever holds fewer entries of L.  Direct
-    solves are served from a held sweep of all shifts (see ``_Ops``); an
-    adjoint solve sweeps its own shift only: holding both sweeps raised
-    band-herm-gen's peak RSS from 59.3 to 63.0 MB.  ``symmetric`` marks complex
+    solves are served from a held sweep of all shifts, adjoint ones sweep
+    their own shift (see ``_Ops``).  ``symmetric`` marks complex
     symmetric shifted matrices (feast_scsr, feast_sb), whose factors keep
     each ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
     """
@@ -664,15 +618,12 @@ class _SparseOps(_Ops):
             self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
 
     def _factor(self, shifts):
-        return _SparseFactor(
-            self.symbolic, np.stack([self.pattern.shifted_data(z) for z in shifts]),
-            self.symmetric)
-
-    def _solve(self, factor, rhs, adjoint):
-        if not adjoint:
-            return super()._solve(factor, rhs, adjoint)
-        batch, shift = factor
-        return batch.pick(batch.sweep(rhs, True, shift), 0)
+        p = self.pattern
+        # Each shift's z * b_data - a_data, written in place.
+        data = np.empty((len(shifts), len(p.a_data)), dtype=p.a_data.dtype)
+        for row, z in zip(data, shifts):
+            np.subtract(np.multiply(z, p.b_data, out=row), p.a_data, out=row)
+        return _SparseFactor(self.symbolic, data, self.symmetric)
 
     _multiply = staticmethod(csr_matvec)
 

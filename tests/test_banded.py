@@ -248,6 +248,14 @@ def test_banded_argument_errors():
     assert feast_sb(np.zeros((2, 4)), 1, 0.0, 1.0, 2).info == -105  # needs 3 rows
     assert feast_sb(ab, 1, 0.0, 1.0, 2, b=np.zeros((3, 4)), klb=None).info == -106
     assert feast_sb(ab, 1, 0.0, 1.0, 2, b=np.zeros((2, 4)), klb=1).info == -108
+    # A ragged nested list has no shape; numpy's ValueError once escaped.
+    # A's code comes after the bandwidth check, which an A with no shape
+    # (n = 0) passes only with kla=0.
+    ragged = [[2.0, 2.0], [-1.0]]
+    for driver in (feast_sb, feast_hb):
+        assert driver(ragged, 0, -5.0, 5.0, 2, uplo="L").info == -105
+        assert driver([[2.0, 2.0]], 0, -5.0, 5.0, 2, uplo="L", b=ragged, klb=1).info == -108
+        assert driver([[2.0, 2.0]], 0, -5.0, 5.0, 2, uplo="L", b=[[1.0, 1.0]], klb=0).info == 0
 
 
 def test_bandwidth_must_be_an_integer():
@@ -261,6 +269,14 @@ def test_bandwidth_must_be_an_integer():
             assert driver(a, 1, 0.0, 1.0, 2, b=b.astype(dtype), klb=klb).info == -106
         # numpy integers are bandwidths too.
         assert driver(a, np.int64(1), 0.0, 1.0, 2).info == driver(a, 1, 0.0, 1.0, 2).info != -103
+    # A bool is an Integral too, but not a bandwidth: False once read as
+    # kla=0 with an all-zero band (eigenvalues [0, 0] with info 0), and True
+    # raised an uncaught ValueError.
+    for flag in (False, True):
+        assert feast_sb([[2.0, 2.0]], flag, -5.0, 5.0, 2, uplo="L").info == -103
+        assert feast_sb(ab, 1, 0.0, 1.0, 2, b=b, klb=flag).info == -106
+    r = feast_sb([[2.0, 2.0]], 0, -5.0, 5.0, 2, uplo="L")
+    assert r.info == 0 and r.e[:r.m].tolist() == [2.0, 2.0]
 
 
 # --- band pencils on the multifrontal LU ------------------------------------------
@@ -459,6 +475,7 @@ def test_band_factor_and_solve_memory():
         ops.factorize(shifts[0])
         kept = tracemalloc.get_traced_memory()[0]
         ops.solve(ops.factorize(shifts[0]), rhs)
+        held = ops._held
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         ops.solve_adjoint(ops.factorize(shifts[-1]), rhs)
@@ -466,5 +483,5 @@ def test_band_factor_and_solve_memory():
     finally:
         tracemalloc.stop()
     assert kept <= (3 * kl + 1) * len(shifts) * n * 16
-    assert ops._held[False] is not None and ops._held[True] is None
+    assert held is not None and ops._held is held
     assert adjoint_peak < sweep / 2

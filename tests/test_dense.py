@@ -144,22 +144,48 @@ def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["direct", "adjoint"])
 def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
+    """Each shift's block form and solve from the (n, shifts, m) sweep of
+    all shifts are bitwise its one-shift factor's, and a sweep of one shift
+    is bitwise its slice of the sweep of all."""
     n, g = 2 * NB + 3, 4
     mats, _ = _pivoting_stack(rng, n, g, complex_=True)
     stack = mats.copy()
     factor = _DenseFactor(stack, _factor_stack(stack))
     b = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
     y = factor.sweep(b, adjoint)
-    assert y.shape == (g, n, 5)
+    assert y.shape == (n, g, 5)
     for s in range(g):
-        x = factor.pick(y, s)
-        assert np.array_equal(x, lu_solve((stack[s], _factor_stack(mats[s:s + 1].copy())[0]),
-                                          b, adjoint))
+        one = mats[s:s + 1].copy()
+        assert _DenseFactor(one, _factor_stack(one)).lu.tobytes() == stack[s].tobytes()
+        assert factor.sweep(b, adjoint, s).tobytes() == y[:, s:s + 1].tobytes()
+        x = factor.pick(y, s, adjoint)
+        assert np.array_equal(x, lu_solve(lu_factor(mats[s]), b, adjoint))
+        assert np.array_equal(x, factor.pick(factor.sweep(b, adjoint, s), s, adjoint))
         op = mats[s].conj().T if adjoint else mats[s]
         assert np.abs(op @ x - b).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
 
 
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_block_form_holds_the_block_inverses(rng, n):
+    """For each NB-column block of PA = LU: inv = (L11 U11)^-1 on the
+    diagonal, li = L21 L11^-1 below and ui = U11^-1 U12 to the right."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    lu, piv = lu_factor(a)
+    factor = _DenseFactor(lu.copy()[np.newaxis], piv[np.newaxis])
+    lower, upper = np.tril(lu, -1) + np.eye(n), np.triu(lu)
+    for k, r, (inv, li, ui) in zip(factor.columns, factor.rows, factor.blocks):
+        l11, u11 = lower[k, k], upper[k, k]
+        want = (np.linalg.inv(l11 @ u11), lower[r, k] @ np.linalg.inv(l11),
+                np.linalg.inv(u11) @ upper[k, r])
+        for got, w in zip((inv, li, ui), want):
+            assert got.shape == (1,) + w.shape
+            assert np.abs(got[0] - w).max(initial=0) <= 1e-12 * np.abs(w).max(initial=1)
+    assert factor.columns[-1].stop == n and factor.blocks[-1][1].shape[1] == 0
+
+
 def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatch):
+    """Direct requests are served from one held sweep of all shifts; each
+    adjoint request sweeps its own shift and holds nothing."""
     n = 20
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
@@ -172,9 +198,9 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
     sweeps = []
     sweep = _DenseFactor.sweep
 
-    def counted(self, b, adjoint=False):
-        sweeps.append(adjoint)
-        return sweep(self, b, adjoint)
+    def counted(self, b, adjoint=False, shift=None):
+        sweeps.append((adjoint, shift))
+        return sweep(self, b, adjoint, shift)
 
     monkeypatch.setattr(_DenseFactor, "sweep", counted)
     factors = [ops.factorize(z) for z in shifts]
@@ -187,15 +213,17 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
     for i, k, count in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, 3)):
         check(ops.solve(factors[i], (rhs1, rhs2)[k]), i, k)
         assert len(sweeps) == count
-    check(ops.solve_adjoint(factors[0], rhs1), 0, 0, adjoint=True)
-    assert sweeps == [False, False, False, True]
+    held = ops._held
+    for i in (0, 5, 5):
+        check(ops.solve_adjoint(factors[i], rhs1), i, 0, adjoint=True)
+        assert ops._held is held
+    assert sweeps == [(False, None)] * 3 + [(True, 0), (True, 5), (True, 5)]
     # The sweep of rhs1 has served shift 3; seven more requests use it up.
     for i in (4, 5, 6, 7, 0, 1, 2):
-        assert ops._held[False] is not None
+        assert ops._held is held
         check(ops.solve(factors[i], rhs1), i, 0)
-    assert len(sweeps) == 4
-    assert ops._held[False] is None
-    assert ops._held[True] is not None
+    assert len(sweeps) == 6
+    assert ops._held is None
 
 
 def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
@@ -349,6 +377,12 @@ def test_argument_errors():
     assert feast_sy(HELLO, -5.0, 5.0, 2, uplo="Q").info == -101
     assert feast_sy(np.zeros((2, 3)), -5.0, 5.0, 2).info == -104
     assert feast_sy(HELLO, -5.0, 5.0, 2, b=np.eye(3)).info == -106
+    # A ragged nested list has no shape; numpy's ValueError once escaped.
+    ragged = [[2.0], [-1.0, 2.0]]
+    for driver in (feast_sy, feast_he):
+        assert driver(ragged, -5.0, 5.0, 2).info == -104
+        assert driver(HELLO, -5.0, 5.0, 2, b=ragged).info == -106
+        assert driver(HELLO.tolist(), -5.0, 5.0, 2, b=np.eye(2).tolist()).info == 0
 
 
 def test_scalar_matrix_returns_shape_code():

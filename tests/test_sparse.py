@@ -16,6 +16,7 @@ from feastlib import (
     info_description,
 )
 from feastlib._driver import SingularMatrixError
+from feastlib.dense import NB, _DenseOps
 from feastlib.quadrature import build_contour, gauss_legendre
 from feastlib import sparse
 from feastlib.sparse import (
@@ -217,7 +218,7 @@ def test_batched_factor_matches_one_shift_factors(rng, hermitian):
             assert all(g[e].tobytes() == w[0].tobytes() for g, w in zip(got, want))
         assert batch.pick(y, e).tobytes() == one.solve(rhs).tobytes()
         x_adj = np.linalg.solve(_shifted_dense(pattern, stack[e]).conj().T, rhs)
-        assert np.abs(batch.pick(y_adj, e) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
+        assert np.abs(batch.pick(y_adj, e, True) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
         assert np.abs(one.solve(rhs, adjoint=True) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
 
 
@@ -342,7 +343,8 @@ def test_factor_solves_awkward_patterns_like_dense(rng, name, symmetric):
     y, y_adj = batch.sweep(rhs), batch.sweep(rhs, adjoint=True)
     for e, z in enumerate(shifts):
         shifted = z * np.eye(n) - a
-        for got, mat in ((batch.pick(y, e), shifted), (batch.pick(y_adj, e), shifted.conj().T)):
+        for got, mat in ((batch.pick(y, e), shifted),
+                         (batch.pick(y_adj, e, True), shifted.conj().T)):
             want = np.linalg.solve(mat, rhs)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     one = _SparseFactor(sym, pattern.shifted_data(shifts[0]), symmetric)
@@ -463,25 +465,32 @@ def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
 def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
     """An adjoint request sweeps its own shift: bitwise that shift's slice of
     the all-shift sweep, with no adjoint sweep held; direct requests are
-    still served from one held sweep of all shifts."""
-    n = 30
+    still served from one held sweep of all shifts.  The same for the
+    multifrontal factor and the dense one (three NB-column blocks), which
+    share the sweep."""
+    n = 2 * NB + 3
     a = _banded_csr(n, rng, hermitian=True)
     b = CsrMatrix.from_dense(np.eye(n) * 2 + np.eye(n, k=1) * 0.3 + np.eye(n, k=-1) * 0.3)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z]
-    ops = _SparseOps(a.expand_full(), b, shifts)
     rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    handles = [ops.factorize(z) for z in shifts]
-    batch = ops._batch
-    every = batch.sweep(rhs, adjoint=True)
-    for e, handle in enumerate(handles):
-        one = batch.sweep(rhs, True, e)
-        assert one.shape == (n, 1, 4) and one.tobytes() == every[:, e:e + 1].tobytes()
-        assert ops.solve_adjoint(handle, rhs).tobytes() == batch.pick(every, e).tobytes()
-        assert ops._held[True] is None
-        ops.solve(handle, rhs)
-        assert ops._held[False] is not None or e == len(shifts) - 1
-    direct = batch.sweep(rhs)
-    assert batch.sweep(rhs, False, 3).tobytes() == direct[:, 3:4].tobytes()
+    for ops in (_SparseOps(a.expand_full(), b, shifts),
+                _DenseOps(a.to_dense(), b.to_dense(), np.dtype(np.complex128), shifts)):
+        handles = [ops.factorize(z) for z in shifts]
+        batch = ops._batch
+        every = batch.sweep(rhs, adjoint=True)
+        for e, handle in enumerate(handles):
+            one = batch.sweep(rhs, True, e)
+            assert one.shape == (n, 1, 4) and one.tobytes() == every[:, e:e + 1].tobytes()
+            held = ops._held
+            x = ops.solve_adjoint(handle, rhs)
+            assert x.tobytes() == batch.pick(every, e, True).tobytes()
+            assert ops._held is held
+            want = np.linalg.solve((shifts[e] * b.to_dense() - a.to_dense()).conj().T, rhs)
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+            ops.solve(handle, rhs)
+            assert ops._held is not None or e == len(shifts) - 1
+        direct = batch.sweep(rhs)
+        assert batch.sweep(rhs, False, 3).tobytes() == direct[:, 3:4].tobytes()
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
