@@ -43,14 +43,6 @@ def _blocks(n, start=0):
     return [(k0, min(k0 + NB, n)) for k0 in range(start, n, NB)]
 
 
-def _row_order(piv):
-    """Rows of A in the order of PA: the interchanges of piv applied in turn."""
-    order = list(range(len(piv)))
-    for k, p in enumerate(piv.tolist()):
-        order[k], order[p] = order[p], order[k]
-    return order
-
-
 def _unit_upper_inverse(v):
     """Inverse of the unit-upper triangle of each matrix of the stack v, a
     row at a time from the bottom."""
@@ -96,108 +88,79 @@ def _factor_panel(pt, piv, c0, c1, k0):
         pt[:, c + 1:c1, c + 1:] -= pt[:, c + 1:c1, c, np.newaxis] * pt[:, c, np.newaxis, c + 1:]
 
 
-def _factor_stack(lu):
-    """LU with partial pivoting of each matrix of the stack lu, PA = LU, in
-    place: L below each diagonal, U on and above.  Returns piv, of shape
-    (shifts, n): piv[s, k] is the row swapped with k at step k.
+class _DenseFactor(_BlockFactor):
+    """LU with partial pivoting of each matrix of the stack ``lu``, PA = LU,
+    left in place in the multifrontal LU's block form: per NB-column block,
+    (inv, li, ui) = (U11⁻¹ L11⁻¹, L21 L11⁻¹, U11⁻¹ U12), each block reaching
+    all later rows.  F is PA, so a direct solve gathers the right-hand side
+    in the pivot order, and an adjoint one, A^H = (PA)^H P, puts the
+    solution's rows back from it.
 
-    Right-looking and blocked.  Each panel of NB columns is copied out
+    One right-looking pass.  Each panel of NB columns is copied out
     transposed, so that its columns are contiguous rows, factorized there by
     _factor_panel and copied back, its row interchanges applied to whole
-    rows.  Its block row of U is then the panel's L11 inverse times A12, and
-    the trailing matrix takes the panel's update, a block column at a time,
-    so that no temporary is larger than one block column.  Every operation is
-    elementwise along the shift axis or a stacked matrix product, one
-    product per shift, so each shift's factor is bitwise the one it gets
-    alone.  Raises SingularMatrixError on an exactly singular pivot, naming
-    its column (and its shift, in a stack of more than one).
+    rows and to the row order.  Then, a block column at a time,
+    U12 = L11⁻¹ A12 in place and the trailing update A22 -= L21 U12; then,
+    a block at a time, ui and li, and inv.  U11⁻¹ is the unit-upper inverse
+    of U11 with its rows scaled by the diagonal, its columns scaled back.
+    It is made after the trailing update, so that only L11⁻¹ is held beside
+    that update's temporaries: holding both raised the dense benchmark's
+    peak RSS by about 1 MB.  No temporary is larger than one block column.
+    Every operation is elementwise along the shift axis or a stacked matrix
+    product, one product per shift, so each shift's factor is bitwise the
+    one it gets alone.  Raises SingularMatrixError on an exactly singular
+    pivot, naming its column (and its shift, in a stack of more than one).
     """
-    n = lu.shape[1]
-    shifts = np.arange(len(lu))[:, np.newaxis]
-    piv = np.empty((len(lu), n), dtype=np.intp)
-    for k0, k1 in _blocks(n):
-        panel = lu[:, k0:, k0:k1].transpose(0, 2, 1).copy()
-        _factor_panel(panel, piv[:, k0:k1], 0, k1 - k0, k0)
-        # L11^-1, the inverse of the unit-upper triangle of the panel's L11^T.
-        x = _unit_upper_inverse(panel[:, :, :k1 - k0]).swapaxes(1, 2)
-        # Interchange rows k and piv[k] in turn; the panel's columns are
-        # overwritten below.
-        pairs = np.stack(np.broadcast_arrays(np.arange(k0, k1), piv[:, k0:k1]), axis=2)
-        for pair in pairs.swapaxes(0, 1):
-            lu[shifts, pair] = lu[shifts, pair[:, ::-1]]
-        lu[:, k0:, k0:k1] = panel.transpose(0, 2, 1)
-        del panel
-        for j0, j1 in _blocks(n, k1):
-            lu[:, k0:k1, j0:j1] = x @ lu[:, k0:k1, j0:j1]
-            lu[:, k1:, j0:j1] -= lu[:, k1:, k0:k1] @ lu[:, k0:k1, j0:j1]
-    return piv
 
-
-def _block_form(lu):
-    """Rewrite in place each LU of the stack lu, as _factor_stack leaves it,
-    as (inv, li, ui) = (U11⁻¹ L11⁻¹, L21 L11⁻¹, U11⁻¹ U12) per NB-column
-    block; U11⁻¹ is the unit-upper inverse of U11 with its rows scaled by
-    the diagonal, its columns scaled back.  Temporaries are NB x NB
-    blocks."""
-    n = lu.shape[1]
-    for k0, k1 in _blocks(n):
-        k = slice(k0, k1)
-        d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
-        l_inv = _unit_upper_inverse(lu[:, k, k].swapaxes(1, 2)).swapaxes(1, 2)
-        u_inv = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2)
-        for j0, j1 in _blocks(n, k1):
-            lu[:, j0:j1, k] = lu[:, j0:j1, k] @ l_inv
-            lu[:, k, j0:j1] = u_inv @ lu[:, k, j0:j1]
-        lu[:, k, k] = u_inv @ l_inv
-
-
-class _DenseFactor(_BlockFactor):
-    """Block form (``_block_form``) of the LUs of a stack, made in place in
-    ``lu``; each NB-column block reaches all later rows.  F is PA, so a
-    direct solve gathers the right-hand side in the pivot order, and an
-    adjoint one, A^H = (PA)^H P, puts the solution's rows back from it."""
-
-    def __init__(self, lu, piv):
+    def __init__(self, lu):
         self.lu = lu
         self.ne, self.n = lu.shape[:2]
         self.dtype = lu.dtype
-        _block_form(lu)
+        shifts = np.arange(self.ne)[:, np.newaxis]
+        # Each shift's row order, in int32: enough for any n whose n x n
+        # stack fits in memory, and half the size of intp.
+        order = np.tile(np.arange(self.n, dtype=np.int32), (self.ne, 1))
+        for k0, k1 in _blocks(self.n):
+            k = slice(k0, k1)
+            panel = lu[:, k0:, k].transpose(0, 2, 1).copy()
+            # Column k's pivot row goes to pairs[:, k - k0] = (k, piv[k]).
+            pairs = np.empty((self.ne, k1 - k0, 2), dtype=np.intp)
+            pairs[:, :, 0] = np.arange(k0, k1)
+            _factor_panel(panel, pairs[:, :, 1], 0, k1 - k0, k0)
+            # L11⁻¹, the inverse of the unit-upper triangle of the panel's L11ᵀ.
+            l_inv = _unit_upper_inverse(panel[:, :, :k1 - k0]).swapaxes(1, 2)
+            # Interchange rows k and piv[k] in turn; the panel's columns are
+            # overwritten below.
+            for pair in pairs.swapaxes(0, 1):
+                lu[shifts, pair] = lu[shifts, pair[:, ::-1]]
+                order[shifts, pair] = order[shifts, pair[:, ::-1]]
+            lu[:, k0:, k] = panel.transpose(0, 2, 1)
+            del panel
+            for j0, j1 in _blocks(self.n, k1):
+                lu[:, k, j0:j1] = l_inv @ lu[:, k, j0:j1]
+                lu[:, k1:, j0:j1] -= lu[:, k1:, k] @ lu[:, k, j0:j1]
+            d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
+            u_inv = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2)
+            for j0, j1 in _blocks(self.n, k1):
+                lu[:, k, j0:j1] = u_inv @ lu[:, k, j0:j1]
+                lu[:, j0:j1, k] = lu[:, j0:j1, k] @ l_inv
+            lu[:, k, k] = u_inv @ l_inv
+            # Held through the next panel's factorization, they raise the
+            # factor's peak.
+            del l_inv, u_inv, d
         self.columns = [slice(k0, k1) for k0, k1 in _blocks(self.n)]
         self.rows = [slice(k.stop, None) for k in self.columns]
         self.blocks = [(lu[:, k, k], lu[:, r, k], lu[:, k, r])
                        for k, r in zip(self.columns, self.rows)]
-        order = np.array([_row_order(p) for p in piv]).T
+        order = order.T
         same = np.broadcast_to(np.arange(self.n)[:, np.newaxis], order.shape)
         self.orders = {False: (order, same), True: (same, np.argsort(order, axis=0))}
 
 
-def lu_factor(a: np.ndarray):
-    """LU factorization with partial pivoting, PA = LU.
-
-    Returns (lu, piv) with the unit-lower factor below the diagonal of lu,
-    U on and above, and piv[k] the row swapped with k at step k.  Raises
-    SingularMatrixError on an exactly singular pivot.  A one-matrix stack
-    of _factor_stack.  Integer or boolean input is factorized as float64;
-    floating and complex input keeps its type.
-    """
-    a = np.asarray(a)
-    lu = np.array(a, dtype=a.dtype if a.dtype.kind in "fc" else np.float64)[np.newaxis]
-    piv = _factor_stack(lu)
-    return lu[0], piv[0]
-
-
-def lu_solve(factor, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """Solve A x = b, or A^H x = b, for ``b`` of shape (n,) or (n, m) with
-    the _DenseFactor of a copy of one lu_factor result."""
-    lu, piv = factor
-    return _DenseFactor(np.array(lu)[np.newaxis], np.asarray(piv)[np.newaxis]).solve(
-        np.asarray(b), adjoint)
-
-
 class _DenseOps(_Ops):
     """The one batch is the stack of all shifted matrices z B - A, written
-    straight into one (shifts, n, n) array, factorized by _factor_stack and
-    put in block form (``_DenseFactor``); solves as in ``_Ops``."""
+    straight into one (shifts, n, n) array and factorized in place into
+    block form (``_DenseFactor``); solves as in ``_Ops``."""
 
     def _factor(self, shifts):
         n = self.a.shape[0]
@@ -209,7 +172,7 @@ class _DenseOps(_Ops):
         else:
             np.multiply(z[:, np.newaxis, np.newaxis], self.b, out=lu)
             lu -= self.a
-        return _DenseFactor(lu, _factor_stack(lu))
+        return _DenseFactor(lu)
 
     _multiply = staticmethod(np.matmul)
 

@@ -22,9 +22,10 @@ supernode's pivot block is inverted by LAPACK, with partial pivoting
 inside the block (none across blocks: the order is fixed by the symbolic
 analysis), and the factor keeps the inverse with F21 inv and inv F12, so
 that a sweep takes one matrix product per supernode forward and two back.
-The dense LU keeps the same block form (``_driver._BlockFactor``), whose
-sweep solves every shift's system for the common right-hand side at once,
-or one shift's.  The numeric LU factorizes all contour shifts in one
+The dense LU, which pivots across whole columns, factorizes straight
+into the same block form (``_driver._BlockFactor``), whose one sweep
+solves every shift's system for the common right-hand side at once, or
+one shift's.  The numeric LU factorizes all contour shifts in one
 batch, and every shift gets bitwise the factor and solution it would get
 alone.
 """
@@ -47,6 +48,25 @@ def _checked_uplo(uplo):
     return upper_uplo(uplo)
 
 
+def _integers(name, values):
+    """``values`` as an int64 array; ValueError naming ``name`` unless every
+    entry is an integer (an integer-valued float included)."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if not (kind in "iu" or kind == "f" and (np.abs(values) < 2.0**63).all()
+            and (values == np.round(values)).all()):
+        raise ValueError(f"{name} must hold integers")
+    return values.astype(np.int64)
+
+
+def _size(n):
+    """``n`` as an int; ValueError unless it is a non-negative integer."""
+    size = _integers("n", n)
+    if size.ndim or size < 0:
+        raise ValueError("n must be a non-negative integer")
+    return int(size)
+
+
 @dataclass
 class CsrMatrix:
     """Compressed sparse row matrix with 1-based index arrays.
@@ -54,7 +74,9 @@ class CsrMatrix:
     ``ia`` holds n+1 row offsets with ia[0] == 1; ``ja`` holds 1-based column
     indices, strictly increasing within each row.  ``uplo`` marks whether the
     stored entries are the full matrix or only its lower/upper triangle of a
-    symmetric/Hermitian matrix.
+    symmetric/Hermitian matrix.  ``n`` and the index arrays must hold
+    integers (integer-valued floats are accepted), else ValueError names
+    the one that does not.
     """
 
     n: int
@@ -64,8 +86,9 @@ class CsrMatrix:
     uplo: str = "F"
 
     def __post_init__(self):
-        self.ia = np.asarray(self.ia, dtype=np.int64)
-        self.ja = np.asarray(self.ja, dtype=np.int64)
+        self.n = _size(self.n)
+        self.ia = _integers("ia", self.ia)
+        self.ja = _integers("ja", self.ja)
         self.values = np.asarray(self.values)
         self.uplo = _checked_uplo(self.uplo)
         n, ia, ja = self.n, self.ia, self.ja
@@ -99,8 +122,9 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, n, rows, cols, values, uplo="F") -> "CsrMatrix":
         """Build from 1-based coordinate triplets; duplicates are summed."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        n = _size(n)
+        rows = _integers("rows", rows)
+        cols = _integers("cols", cols)
         values = np.asarray(values)
         uplo = _checked_uplo(uplo)
         if len(rows) and (rows.min() < 1 or rows.max() > n or cols.min() < 1 or cols.max() > n):

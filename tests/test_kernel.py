@@ -207,16 +207,16 @@ def test_srci_matches_dense_driver_bitwise():
     # A hand-written caller using the dense module's own factor/solve must
     # reproduce the driver's output bit for bit (same seed).
     from feastlib import feast_sy
-    from feastlib.dense import lu_factor, lu_solve
+    from feastlib.dense import _DenseFactor
 
     kernel = SymmetricRci(2, 2, -5.0, 5.0)
     factor = None
     task = kernel.step()
     while task != RciTask.DONE:
         if task == RciTask.FACTORIZE:
-            factor = lu_factor(kernel.ze * np.eye(2, dtype=complex) - HELLO)
+            factor = _DenseFactor((kernel.ze * np.eye(2, dtype=complex) - HELLO)[np.newaxis])
         elif task == RciTask.SOLVE:
-            kernel.work2[:, :kernel.m0] = lu_solve(factor, kernel.work2[:, :kernel.m0])
+            kernel.work2[:, :kernel.m0] = factor.solve(kernel.work2[:, :kernel.m0])
         elif task == RciTask.MULTIPLY_A:
             s = kernel.multiply_columns
             kernel.work1[:, s] = HELLO @ kernel.x[:, s]

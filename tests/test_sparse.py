@@ -135,6 +135,44 @@ def test_csr_validation_errors():
         CsrMatrix.from_coo(2, [1, 2], [1, 1], [1.0, 1.0], "U")
 
 
+BAD_INDICES = ([1.5, 2], [1, np.nan], [1, np.inf], [1, 1e300], [1, 2 + 0j], [True, True],
+               ["1", "2"], [1, None])
+
+
+@pytest.mark.parametrize("bad", BAD_INDICES, ids=repr)
+def test_non_integer_index_arrays_are_named(bad):
+    """A non-integer index was once truncated: ja = [1.5, 2] read as column
+    1, and feast_scsr solved that other matrix with info 0."""
+    with pytest.raises(ValueError, match="ja must hold integers"):
+        CsrMatrix(2, [1, 2, 3], bad, [1.0, 1.0])
+    with pytest.raises(ValueError, match="ia must hold integers"):
+        CsrMatrix(1, bad, [1], [1.0])
+    with pytest.raises(ValueError, match="rows must hold integers"):
+        CsrMatrix.from_coo(2, bad, [1, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="cols must hold integers"):
+        CsrMatrix.from_coo(2, [1, 2], bad, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [-1, -3, 2.5, np.nan, True, "2", None], ids=repr)
+def test_bad_size_is_named(n):
+    """CsrMatrix(-1, [], [], []) once raised IndexError."""
+    with pytest.raises(ValueError, match="n must"):
+        CsrMatrix(n, [], [], [])
+    with pytest.raises(ValueError, match="n must"):
+        CsrMatrix.from_coo(n, [], [], [])
+
+
+def test_integer_valued_float_indices_are_accepted():
+    m = CsrMatrix(np.float64(2), [1.0, 2.0, 3.0], np.array([1.0, 2.0], np.float32), [1.0, 1.0])
+    assert (m.n, m.ia.tolist(), m.ja.tolist()) == (2, [1, 2, 3], [1, 2])
+    assert type(m.n) is int and m.ia.dtype == m.ja.dtype == np.int64
+    m = CsrMatrix.from_coo(2.0, [2.0, 1.0], [1.0, 2.0], [3.0, 4.0])
+    assert m.to_dense().tolist() == [[0.0, 4.0], [3.0, 0.0]]
+    for n in (0, np.int32(0)):
+        assert CsrMatrix(n, [1], [], []).nnz == 0
+        assert CsrMatrix.from_coo(n, [], [], []).nnz == 0
+
+
 def test_from_coo_sums_duplicates():
     m = CsrMatrix.from_coo(2, [1, 1, 2], [1, 1, 2], [1.0, 1.0, 5.0])
     assert m.nnz == 2
