@@ -251,10 +251,9 @@ class _Ops:
     the slowest converged: 30 s, not 22 s).
     """
 
-    def __init__(self, a, b, cdtype=None, shifts=()):
+    def __init__(self, a, b, shifts=()):
         self.a = a
         self.b = b
-        self.cdtype = cdtype
         self._shifts = [complex(z) for z in shifts]
         self._batch = None
         # [right-hand side, direct sweep output, requests served]

@@ -10,7 +10,7 @@ import numbers
 import numpy as np
 
 from ._driver import UPLOS, as_operand, run_rci, setup, upper_uplo
-from .sparse import CsrMatrix, _SparseOps, csr_asymmetry
+from .sparse import CsrMatrix, _full_csr, _SparseOps, csr_asymmetry
 
 
 def band_required_rows(kl: int, uplo: str) -> int:
@@ -18,38 +18,23 @@ def band_required_rows(kl: int, uplo: str) -> int:
     return 2 * kl + 1 if uplo.upper() == "F" else kl + 1
 
 
-def expand_band(ab: np.ndarray, kl: int, uplo: str, hermitian: bool) -> np.ndarray:
-    """Normalize band storage to the full-band layout: a (2*kl+1, n) array
-    whose row kl+s holds the s-th subdiagonal (s<0: superdiagonal), i.e.
-    entry A[j+s, j] sits at [kl+s, j].  Unused slots are zero and never
-    read.
-    """
-    ab = np.asarray(ab)
-    n = ab.shape[1]
-    uplo = uplo.upper()
-    fb = np.zeros((2 * kl + 1, n), dtype=ab.dtype)
-    fb[kl, :] = ab[0 if uplo == "L" else kl, :]
-    for d in range(1, kl + 1):
-        if uplo == "F":
-            sup, sub = ab[kl - d, d:n], ab[kl + d, : n - d]
-        elif uplo == "L":
-            sub = ab[d, : n - d]
-            sup = sub.conj() if hermitian else sub
-        else:
-            sup = ab[kl - d, d:n]
-            sub = sup.conj() if hermitian else sup
-        fb[kl - d, d:n] = sup
-        fb[kl + d, : n - d] = sub
-    return fb
-
-
-def band_csr(fb: np.ndarray) -> CsrMatrix:
-    """The uplo='F' CsrMatrix of the nonzero entries of a full-band matrix in
-    expand_band layout, whose unused slots are zero; a NaN counts as
-    nonzero."""
-    offset, cols = np.nonzero(fb)
-    rows = cols + offset - (fb.shape[0] - 1) // 2
-    return CsrMatrix.from_coo(fb.shape[1], rows + 1, cols + 1, fb[offset, cols])
+def band_csr(ab: np.ndarray, kl: int, uplo: str) -> CsrMatrix:
+    """The uplo='F' CsrMatrix of the nonzero entries (a NaN counts as
+    nonzero) of band storage ``ab``, whose first band_required_rows rows
+    hold entry A[j+s, j] at [top+s, j], top 0 for uplo='L' and kl
+    otherwise.  The stored triangle is read into a CsrMatrix of that uplo
+    and expanded by ``CsrMatrix.expand_full``; the rows past those and the
+    slots that fall outside the matrix are left out."""
+    top = 0 if uplo.upper() == "L" else kl
+    band = ab[:band_required_rows(kl, uplo)]
+    n = band.shape[1]
+    # Row indices of the nonzero slots only: an array of them for every
+    # slot raised band-herm-gen's peak RSS by 0.35 MB.
+    diagonal, cols = np.nonzero(band != 0)
+    rows = cols + diagonal - top
+    inside = (rows >= 0) & (rows < n)
+    return CsrMatrix.from_coo(n, rows[inside] + 1, cols[inside] + 1,
+                              band[diagonal, cols][inside], uplo).expand_full()
 
 
 def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermitian):
@@ -64,8 +49,7 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
         return isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < max(n, 1)
 
     def operands(dtype):
-        return [None if m is None else
-                band_csr(expand_band(m, k, uplo, hermitian).astype(dtype, copy=False))
+        return [None if m is None else _full_csr(band_csr(m, k, uplo), dtype)
                 for m, k in ((a, kla), (b, klb))]
 
     kernel, options, (a_full, b_full) = setup(
@@ -78,7 +62,7 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
                 (-108, lambda: b is not None and (b.ndim != 2 or b.shape[1] != n
                                                   or b.shape[0] < band_required_rows(klb, uplo)))),
         operands=operands, finite=(-104, -107),
-        asymmetry=lambda i, m: csr_asymmetry(m, hermitian) if uplo == "F" else 0.0)
+        asymmetry=lambda i, m: csr_asymmetry(m) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
     return run_rci(kernel, _SparseOps(a_full, b_full, kernel.contour.z, symmetric=not hermitian))

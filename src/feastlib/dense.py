@@ -10,24 +10,23 @@ from ._driver import (UPLOS, SingularMatrixError, _BlockFactor, _Ops, as_operand
                       setup, upper_uplo)
 
 
-def asymmetry(a: np.ndarray, hermitian: bool) -> float:
-    """Largest |a[j, k] - a[k, j]| (a[k, j] conjugated when hermitian)."""
-    return float(np.abs(a - (a.conj().T if hermitian else a.T)).max(initial=0))
+def asymmetry(a: np.ndarray) -> float:
+    """Largest |a[j, k] - a[k, j]| (a[k, j] conjugated when complex)."""
+    return float(np.abs(a - a.conj().T).max(initial=0))
 
 
-def expand_uplo(a: np.ndarray, uplo: str, hermitian: bool) -> np.ndarray:
+def expand_uplo(a: np.ndarray, uplo: str) -> np.ndarray:
     """Materialize the full symmetric/Hermitian matrix from its stored part.
 
     For uplo='F' the array is used as given; for 'L'/'U' only the stored
-    triangle is referenced.
+    triangle is referenced, and reflected conjugated when complex.
     """
     uplo = uplo.upper()
     if uplo == "F":
         return np.asarray(a)
     tri = np.tril(a) if uplo == "L" else np.triu(a)
     off = tri - np.diag(np.diag(tri))
-    reflect = off.conj().T if hermitian else off.T
-    return tri + reflect
+    return tri + off.conj().T
 
 
 # Columns per panel of the blocked LU and per block of its block form.  Each
@@ -164,8 +163,8 @@ class _DenseOps(_Ops):
 
     def _factor(self, shifts):
         n = self.a.shape[0]
-        lu = np.empty((len(shifts), n, n), dtype=self.cdtype)
-        z = np.array(shifts, dtype=self.cdtype)
+        lu = np.empty((len(shifts), n, n), dtype=np.result_type(self.a, np.complex64))
+        z = np.array(shifts, dtype=lu.dtype)
         if self.b is None:
             np.negative(self.a, out=lu)
             lu.reshape(len(shifts), n * n)[:, ::n + 1] += z[:, np.newaxis]
@@ -188,13 +187,13 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
                 (-104, lambda: a.ndim != 2 or a.shape[0] != a.shape[1]),
                 (-106, lambda: b is not None and b.shape != a.shape)),
         operands=lambda dtype: [None if m is None else
-                                expand_uplo(m, uplo, hermitian).astype(dtype, copy=False)
+                                expand_uplo(m, uplo).astype(dtype, copy=False)
                                 for m in (a, b)],
         finite=(-103, -105),
-        asymmetry=lambda i, m: asymmetry(m, hermitian) if uplo == "F" else 0.0)
+        asymmetry=lambda i, m: asymmetry(m) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _DenseOps(a_full, b_full, kernel._cdtype, kernel.contour.z))
+    return run_rci(kernel, _DenseOps(a_full, b_full, kernel.contour.z))
 
 
 def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):

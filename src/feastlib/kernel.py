@@ -37,6 +37,7 @@ import numpy as np
 from .params import (
     MAX_TOL_EXP_DOUBLE,
     MAX_TOL_EXP_SINGLE,
+    FeastParams,
     check_problem,
     feastinit,
     info_classification,
@@ -195,11 +196,31 @@ def _real(value) -> float:
 
 def _integer(value) -> int:
     """int(value) for an integer-valued real number; 0, which check_problem
-    rejects with 201, for anything else, such as 20.5, None or a string."""
+    rejects with 201, for anything else, such as 20.5, None, a string or a
+    bool (True would read as 1)."""
+    if isinstance(value, (bool, np.bool_)):
+        return 0
     if isinstance(value, numbers.Integral):
         return int(value)
     real = _real(value)
     return int(real) if real.is_integer() else 0
+
+
+def _params(fpm) -> FeastParams:
+    """``fpm`` as the kernel's FeastParams: itself, feastinit() for None, or
+    FeastParams(fpm) for a sequence or 1-D array of 64 integers; ValueError
+    naming fpm for anything else."""
+    if fpm is None:
+        return feastinit()
+    if isinstance(fpm, FeastParams):
+        return fpm
+    try:
+        slots = np.asarray(fpm)
+    except ValueError:  # ragged
+        slots = np.empty(0)
+    if slots.shape != (64,) or slots.dtype.kind not in "iu":
+        raise ValueError("fpm must be a FeastParams or a sequence of 64 integers")
+    return FeastParams(slots)
 
 
 class _RciKernel:
@@ -221,7 +242,7 @@ class _RciKernel:
         self.m0 = _integer(m0)
         self.emin = _real(emin)
         self.emax = _real(emax)
-        self.fpm = fpm if fpm is not None else feastinit()
+        self.fpm = _params(fpm)
         self.seed = int(seed)
         self.block_size = block_size
         self.ze = 0j

@@ -122,8 +122,9 @@ def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
 
     Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax,
     either bound NaN or infinite, or a width Emax - Emin that overflows).
-    The kernels pass an M0 that is not an integer value as 0 and an Emin or
-    Emax that is not a real number as NaN, so these return 201 and 200 too.
+    The kernels pass an M0 that is not an integer value (a bool included) as
+    0 and an Emin or Emax that is not a real number as NaN, so these return
+    201 and 200 too.
     """
     if n <= 0:
         return 202

@@ -121,11 +121,15 @@ class CsrMatrix:
 
     @classmethod
     def from_coo(cls, n, rows, cols, values, uplo="F") -> "CsrMatrix":
-        """Build from 1-based coordinate triplets; duplicates are summed."""
+        """Build from 1-based coordinate triplets; duplicates are summed.
+        ``rows``, ``cols`` and ``values`` must be 1-D and of one length."""
         n = _size(n)
         rows = _integers("rows", rows)
         cols = _integers("cols", cols)
         values = np.asarray(values)
+        if not (values.ndim == 1 and rows.shape == cols.shape == values.shape):
+            raise ValueError("rows, cols and values must be 1-D and of one length, not of shapes "
+                             f"{rows.shape}, {cols.shape} and {values.shape}")
         uplo = _checked_uplo(uplo)
         if len(rows) and (rows.min() < 1 or rows.max() > n or cols.min() < 1 or cols.max() > n):
             raise ValueError("coordinate index out of range 1..n")
@@ -696,8 +700,8 @@ def _full_csr(m: CsrMatrix, dtype) -> CsrMatrix:
     return CsrMatrix(full.n, full.ia, full.ja, full.values.astype(dtype), "F")
 
 
-def csr_asymmetry(m: CsrMatrix, hermitian: bool) -> float:
-    """Largest |M[i, j] - M[j, i]| (M[j, i] conjugated when hermitian) of a
+def csr_asymmetry(m: CsrMatrix) -> float:
+    """Largest |M[i, j] - M[j, i]| (M[j, i] conjugated when complex) of a
     CSR matrix, an absent entry counting as zero: each stored entry is
     looked up at its mirror position among the sorted row-major keys."""
     if m.nnz == 0:
@@ -708,7 +712,7 @@ def csr_asymmetry(m: CsrMatrix, hermitian: bool) -> float:
     mirror = cols * m.n + rows
     at = np.minimum(np.searchsorted(keys, mirror), m.nnz - 1)
     partner = np.where(keys[at] == mirror, m.values[at], 0)
-    return float(np.abs(m.values - (partner.conj() if hermitian else partner)).max())
+    return float(np.abs(m.values - partner.conj()).max())
 
 
 def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
@@ -723,7 +727,7 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
                 (-106, lambda: b is not None and (not csr_b or b.n != a.n))),
         operands=lambda dtype: [None if m is None else _full_csr(m, dtype) for m in (a, b)],
         finite=(-103, -106),
-        asymmetry=lambda i, m: csr_asymmetry(m, hermitian) if (a, b)[i].uplo == "F" else 0.0)
+        asymmetry=lambda i, m: csr_asymmetry(m) if (a, b)[i].uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
     if options.solver == "iterative":

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from feastlib import (
     feast_scsr,
     feast_sy,
 )
-from feastlib.banded import band_csr, expand_band
+from feastlib.banded import band_csr
 from feastlib.quadrature import build_contour, gauss_legendre
 from feastlib.sparse import SUPERNODE, _SparseFactor, _SparseOps
 
@@ -75,8 +76,7 @@ def test_band_storage_layout_from_reference_pattern():
     assert np.array_equal(ab[0], [0.0, 5.0, 6.0, 7.0])
     assert np.array_equal(ab[1], [1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(ab[2], [5.0, 6.0, 7.0, 0.0])
-    fb = expand_band(ab, 1, "F", hermitian=False)
-    assert np.array_equal(_dense_from_full_band(fb), a)
+    assert np.array_equal(band_csr(ab, 1, "F").to_dense(), a)
 
 
 @pytest.mark.parametrize("uplo", ["F", "L", "U"])
@@ -84,7 +84,7 @@ def test_band_csr_holds_the_nonzero_entries(rng, uplo):
     a = _random_band(7, 2, rng, complex_=True)
     a[3, 2] = a[2, 3] = 0
     a[5, 5] = np.nan
-    csr = band_csr(expand_band(_to_band_storage(a, 2, uplo), 2, uplo, True))
+    csr = band_csr(_to_band_storage(a, 2, uplo), 2, uplo)
     assert csr.uplo == "F" and csr.nnz == np.count_nonzero(a)
     assert np.array_equal(csr.to_dense(), a, equal_nan=True)
 
@@ -179,15 +179,36 @@ def test_poisoned_unused_slots_never_read(rng, uplo):
     else:
         for d in range(1, 3):
             ab[2 - d, :d] = np.nan
+    # and two rows past the ones the layout needs
+    ab = np.vstack([ab, np.full((2, 10), np.nan)])
     r = feast_sb(ab, 2, emin, emax, 7, uplo=uplo)
     assert r.info == 0
     assert np.all(np.isfinite(r.e)) and np.all(np.isfinite(r.x))
 
 
+@pytest.mark.parametrize("uplo", ["F", "L", "U"])
+def test_unused_slots_are_not_cast(uplo):
+    """A single-precision pencil given a double B: values beyond float32's
+    range in B's slots outside the matrix and in a row past the layout's
+    are not cast to float32, so they raise no overflow warning."""
+    a = _to_band_storage(np.array([[2, -1], [-1, 2]], dtype=np.float32), 1, uplo)
+    b = _to_band_storage(np.eye(2), 1, uplo)
+    if uplo != "L":
+        b[0, 0] = 1e300
+    if uplo != "U":
+        b[-1, 1] = 1e300
+    b = np.vstack([b, np.full((1, 2), 1e300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = feast_sb(a, 1, -5.0, 5.0, 2, uplo=uplo, b=b, klb=1)
+    assert r.info == 0 and np.allclose(r.e, [1.0, 3.0])
+
+
 def _band_ops(fa, shifts, fb=None, symmetric=False):
-    """The band drivers' ops on full bands (expand_band layout): the
+    """The band drivers' ops on full bands (uplo='F' band storage): the
     multifrontal LU of z*B - A on the CSR of their nonzero entries."""
-    return _SparseOps(band_csr(fa), None if fb is None else band_csr(fb), shifts, symmetric)
+    fa, fb = (None if f is None else band_csr(f, (len(f) - 1) // 2, "F") for f in (fa, fb))
+    return _SparseOps(fa, fb, shifts, symmetric)
 
 
 def _check_solves(fa, z, rng, rtol):
@@ -209,16 +230,16 @@ def _check_solves(fa, z, rng, rtol):
 
 def test_band_lu_direct_and_adjoint(rng):
     for n, kl in ((6, 1), (12, 3), (9, 0)):
-        fa = expand_band(_to_band_storage(_random_band(n, kl, rng, True), kl, "F"), kl, "F", True)
+        fa = _to_band_storage(_random_band(n, kl, rng, True), kl, "F")
         _check_solves(fa, 0.5 + 1j, rng, 1e-12)
 
 
 def test_band_matvec_matches_dense(rng):
     """The band drivers multiply by the CSR of the band's nonzero entries."""
     a = _random_band(11, 3, rng)
-    fb = expand_band(_to_band_storage(a, 3, "F"), 3, "F", False)
+    csr = band_csr(_to_band_storage(a, 3, "F"), 3, "F")
     x = rng.normal(size=(11, 4))
-    assert np.abs(csr_matvec(band_csr(fb), x) - a @ x).max() <= 1e-13
+    assert np.abs(csr_matvec(csr, x) - a @ x).max() <= 1e-13
 
 
 @pytest.mark.parametrize("uplo", ["F", "L"])
@@ -284,12 +305,12 @@ def test_bandwidth_must_be_an_integer():
 
 def _dominant_band(n, kl, rng, complex_):
     """Hermitian band matrix with diagonal 10 and off-diagonal row sums
-    below 1, in expand_band layout."""
+    below 1, in uplo='F' band storage."""
     a = _random_band(n, kl, rng, complex_)
     np.fill_diagonal(a, 0)
     a *= 0.9 / max(np.abs(a).sum(axis=1).max(), 1e-300)
     np.fill_diagonal(a, 10.0)
-    return expand_band(_to_band_storage(a, kl, "F"), kl, "F", complex_)
+    return _to_band_storage(a, kl, "F")
 
 
 def _check_batch(ops, shifts, rng):
@@ -319,9 +340,8 @@ def test_batched_band_lu_matches_column_reference(rng, complex_, g):
     fa = _random_band(n, kl, rng, complex_)
     fb = _random_band(n, 1, rng) + 4 * np.eye(n)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
-    for b in (None, expand_band(_to_band_storage(fb, 1, "F"), 1, "F", False)):
-        ops = _band_ops(expand_band(_to_band_storage(fa, kl, "F"), kl, "F", complex_),
-                        shifts, b, symmetric=not complex_)
+    for b in (None, _to_band_storage(fb, 1, "F")):
+        ops = _band_ops(_to_band_storage(fa, kl, "F"), shifts, b, symmetric=not complex_)
         _check_batch(ops, shifts, rng)
 
 
@@ -421,7 +441,7 @@ def test_blocked_solve_matches_row_loops(rng, dtype, n, kl):
     match a dense solve, 1e-12 relative in complex128 and 1e-5 in
     complex64."""
     a = _random_band(n, kl, rng, True)
-    fa = expand_band(_to_band_storage(a, kl, "F"), kl, "F", True).astype(dtype)
+    fa = _to_band_storage(a, kl, "F").astype(dtype)
     _check_solves(fa, 0.5 + 1j, rng, 1e-12 if dtype == np.complex128 else 1e-5)
 
 
@@ -450,7 +470,7 @@ def test_blocked_solve_at_a_shift_near_an_eigenvalue(rng):
     shifted = z * np.eye(n) - a
     cond = np.linalg.cond(shifted)
     assert cond > 1e6
-    ops = _band_ops(expand_band(_to_band_storage(a, kl, "F"), kl, "F", True), [z])
+    ops = _band_ops(_to_band_storage(a, kl, "F"), [z])
     rhs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
     for solve, mat in ((ops.solve, shifted), (ops.solve_adjoint, shifted.conj().T)):
         got = solve(ops.factorize(z), rhs)

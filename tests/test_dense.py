@@ -198,7 +198,7 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
     n = 20
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
-    ops = _DenseOps(a, None, np.dtype(np.complex128), shifts)
+    ops = _DenseOps(a, None, shifts)
     rhs1 = rng.normal(size=(n, 3)) + 0j
     rhs2 = rng.normal(size=(n, 3)) + 0j
     expected = {(i, k, adjoint): _factor(shifts[i] * np.eye(n) - a).solve(rhs, adjoint)
@@ -242,7 +242,7 @@ def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
     n, g = 400, 8
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(g), -1.0, 1.0).z
-    ops = _DenseOps(a, None, np.dtype(np.complex128), shifts)
+    ops = _DenseOps(a, None, shifts)
     tracemalloc.start()
     try:
         factor = ops._factor(list(shifts))
@@ -287,7 +287,7 @@ def test_sweeps_keep_the_backward_error_of_partial_pivoting():
     shifts = build_contour(gauss_legendre(16), (ev[lo - 1] + ev[lo]) / 2,
                            (ev[lo + 4] + ev[lo + 5]) / 2).z
     rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    factor = _DenseOps(a, b, np.dtype(np.complex128), shifts)._factor(list(shifts))
+    factor = _DenseOps(a, b, shifts)._factor(list(shifts))
     worst = 0.0
     for adjoint in (False, True):
         y = factor.sweep(rhs, adjoint)
@@ -314,16 +314,16 @@ def test_adjoint_solve_matches_fresh_adjoint_factorization(rng):
 
 def test_expand_uplo_reads_only_stored_triangle():
     a = np.array([[2.0, np.nan], [-1.0, 2.0]])
-    full = expand_uplo(a, "L", hermitian=False)
+    full = expand_uplo(a, "L")
     assert np.array_equal(full, HELLO)
     a = np.array([[2.0, -1.0], [np.nan, 2.0]])
-    full = expand_uplo(a, "U", hermitian=False)
+    full = expand_uplo(a, "U")
     assert np.array_equal(full, HELLO)
 
 
 def test_expand_uplo_hermitian_conjugates():
     a = np.array([[2.0, 0.0], [1j, 2.0]])
-    full = expand_uplo(a, "L", hermitian=True)
+    full = expand_uplo(a, "L")
     assert full[0, 1] == -1j
 
 

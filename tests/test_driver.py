@@ -18,9 +18,12 @@ from feastlib import (
     feast_sb,
     feast_scsr,
     feast_sy,
+    FeastParams,
     feastinit,
     info_description,
 )
+from feastlib._driver import run_rci
+from feastlib.dense import _DenseOps
 
 HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
@@ -454,6 +457,7 @@ SCALAR_CALLERS = [d[0] for d in DRIVERS] + [SymmetricRci, HermitianRci]
     (-5.0, np.complex128(5.0), 2, 200), (-5.0, "5", 2, 200),
     (-5.0, 5.0, None, 201), (-5.0, 5.0, "x", 201), (-5.0, 5.0, 1.5, 201),
     (-5.0, 5.0, np.float64(0.5), 201), (-5.0, 5.0, 2j, 201),
+    (-5.0, 5.0, True, 201), (-5.0, 5.0, np.True_, 201),
     (-5.0, 5.0, 2.0, 0), (-5.0, 5.0, np.int64(2), 0), (-5.0, 5.0, np.float32(2.0), 0),
     (np.float32(-5.0), np.int32(5), 2, 0), (np.array(-5.0), 5, 2, 0),
 ], ids=lambda v: repr(v))
@@ -464,6 +468,42 @@ def test_bad_scalar_argument_returns_code(driver, emin, emax, m0, code):
     assert result.info == code
     if code:
         assert "not" in info_description(code)
+
+
+def _call_fpm(driver, fpm):
+    """Solve HELLO with a driver, or with an RCI kernel on the dense ops,
+    given ``fpm``."""
+    if driver in (SymmetricRci, HermitianRci):
+        kernel = driver(2, 2, -5.0, 5.0, fpm)
+        return run_rci(kernel, _DenseOps(HELLO.astype(kernel.x.dtype), None, kernel.contour.z))
+    return _call(driver, HELLO.astype(next(d[2] for d in DRIVERS if d[0] is driver)), fpm=fpm)
+
+
+@pytest.mark.parametrize("driver", SCALAR_CALLERS,
+                         ids=DRIVER_IDS + ["SymmetricRci", "HermitianRci"])
+def test_fpm_of_64_integers_is_read_as_feast_params(driver):
+    """A list or array of 64 integers once raised AttributeError ('slot')."""
+    fpm = feastinit()
+    fpm.set_slot(2, 4)
+    fpm.set_slot(3, 10)
+    slots = [fpm.slot(i) for i in range(1, 65)]
+    want = _call_fpm(driver, FeastParams(slots))
+    assert want.info == 0
+    for given in (slots, np.array(slots), np.array(slots, dtype=np.int32)):
+        got = _call_fpm(driver, given)
+        for name in ("e", "x", "res"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.info, got.loop, got.m) == (want.info, want.loop, want.m)
+
+
+@pytest.mark.parametrize("driver", SCALAR_CALLERS,
+                         ids=DRIVER_IDS + ["SymmetricRci", "HermitianRci"])
+@pytest.mark.parametrize("fpm", [[0] * 63, [0.0] * 64, [True] * 64, np.zeros((8, 8), int),
+                                 "x" * 64, {2: 8}, [[0] * 64, [0]], 8],
+                         ids=["63", "floats", "bools", "8x8", "str", "dict", "ragged", "int"])
+def test_fpm_that_is_not_64_integers_is_named(driver, fpm):
+    with pytest.raises(ValueError, match="fpm must be a FeastParams or a sequence of 64 integers"):
+        _call_fpm(driver, fpm)
 
 
 @pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS[:4], ids=DRIVER_IDS[:4])
