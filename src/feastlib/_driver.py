@@ -108,7 +108,10 @@ def setup(family, hermitian, dtypes, n, emin, emax, m0, fpm, options, x0, *,
     ``np.linalg.matrix_rank``), aborts with 105; the scaled block is the
     start block.  The operands are (None, None) when the kernel is done.
     """
-    options = options or SolverOptions()
+    if options is None:
+        options = SolverOptions()
+    elif not isinstance(options, SolverOptions):
+        raise ValueError(f"options must be a SolverOptions or None, not {options!r}")
     single = np.dtype(dtypes[0]) in (np.dtype(np.float32), np.dtype(np.complex64))
     precision = ("C" if single else "Z") if hermitian else ("S" if single else "D")
     kernel = (HermitianRci if hermitian else SymmetricRci)(

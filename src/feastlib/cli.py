@@ -23,6 +23,9 @@ from .params import info_classification, info_description
 from .sparse import feast_hcsr, feast_scsr
 
 
+_DTYPES = dict(s=np.float32, d=np.float64, c=np.complex64, z=np.complex128)
+
+
 def _load(prefix: str):
     cfg_path = Path(prefix + ".in")
     a_path = Path(prefix + ".A")
@@ -31,29 +34,18 @@ def _load(prefix: str):
     if not a_path.exists():
         raise FileNotFoundError(a_path)
     cfg = parse_config(cfg_path.read_text())
-    a_coo = parse_coordinate(a_path.read_text(), complex_values=cfg.is_complex)
-    b_coo = None
+    dtype = _DTYPES[cfg.precision]
+    a_csr = parse_coordinate(a_path.read_text(), dtype, cfg.uplo)
+    b_csr = None
     if cfg.problem == "g":
         b_path = Path(prefix + ".B")
         if not b_path.exists():
             raise FileNotFoundError(b_path)
-        b_coo = parse_coordinate(b_path.read_text(), complex_values=cfg.is_complex)
-    return cfg, a_coo, b_coo
+        b_csr = parse_coordinate(b_path.read_text(), dtype, cfg.uplo)
+    return cfg, a_csr, b_csr
 
 
-def _cast(values, cfg):
-    if cfg.is_complex:
-        return values.astype(np.complex64 if cfg.is_single else np.complex128)
-    return values.astype(np.float32 if cfg.is_single else np.float64)
-
-
-def _solve(cfg, a_coo, b_coo, fmt, options):
-    a_csr = a_coo.to_csr(cfg.uplo)
-    a_csr.values = _cast(a_csr.values, cfg)
-    b_csr = None
-    if b_coo is not None:
-        b_csr = b_coo.to_csr(cfg.uplo)
-        b_csr.values = _cast(b_csr.values, cfg)
+def _solve(cfg, a_csr, b_csr, fmt, options):
     common = dict(fpm=cfg.fpm, options=options)
     if fmt == "sparse":
         fn = feast_hcsr if cfg.is_complex else feast_scsr
@@ -92,7 +84,7 @@ def run_driver(prefix: str, *, options: SolverOptions | None = None,
                fmt: str = "sparse") -> int:
     """Run one batch solve with ``options`` (None: defaults); returns the exit code."""
     try:
-        cfg, a_coo, b_coo = _load(prefix)
+        cfg, a_csr, b_csr = _load(prefix)
     except FileNotFoundError as exc:
         print(f"error: input file not found: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -100,7 +92,7 @@ def run_driver(prefix: str, *, options: SolverOptions | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    result = _solve(cfg, a_coo, b_coo, fmt, options)
+    result = _solve(cfg, a_csr, b_csr, fmt, options)
     elapsed = time.perf_counter() - start
     kind = info_classification(result.info)
     if kind == "error":

@@ -24,9 +24,9 @@ def expand_uplo(a: np.ndarray, uplo: str) -> np.ndarray:
     uplo = uplo.upper()
     if uplo == "F":
         return np.asarray(a)
-    tri = np.tril(a) if uplo == "L" else np.triu(a)
-    off = tri - np.diag(np.diag(tri))
-    return tri + off.conj().T
+    if uplo == "L":
+        return np.tril(a) + np.tril(a, -1).conj().T
+    return np.triu(a) + np.triu(a, 1).conj().T
 
 
 # Columns per panel of the blocked LU and per block of its block form.  Each

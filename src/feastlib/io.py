@@ -1,4 +1,4 @@
-"""Parsers and writers for the utility-driver file formats.
+"""Parsers for the utility-driver file formats.
 
 Two formats are involved:
 
@@ -31,20 +31,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-@dataclass
-class CooMatrix:
-    """Coordinate-format matrix: 1-based triplets, duplicates preserved."""
-
-    n: int
-    nnz: int
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray  # real or complex
-
-    def to_csr(self, uplo="F") -> CsrMatrix:
-        return coo_to_csr(self, uplo)
 
 
 @dataclass
@@ -91,12 +77,15 @@ def _parse_int(tok, lineno):
         raise ParseError(f"expected an integer, got {tok!r}", lineno) from None
 
 
-def parse_coordinate(text: str, complex_values: bool = False) -> CooMatrix:
-    """Parse a coordinate-format matrix file.
+def parse_coordinate(text: str, dtype=np.float64, uplo="F") -> CsrMatrix:
+    """Parse a coordinate-format matrix file into a CsrMatrix of ``dtype``
+    holding the ``uplo`` triangle ('F' for the full matrix).
 
-    The triplet list is returned verbatim (duplicates preserved; they are
-    summed later at CSR conversion).
+    Entries are ``i j re im`` for a complex ``dtype``.  Duplicates are
+    summed after the cast to ``dtype``; an entry outside the ``uplo``
+    triangle is a ParseError.
     """
+    complex_values = np.dtype(dtype).kind == "c"
     lines = _tokens(text)
     try:
         lineno, header = next(lines)
@@ -138,25 +127,10 @@ def parse_coordinate(text: str, complex_values: bool = False) -> CooMatrix:
         count += 1
     if count < nnz:
         raise ParseError(f"file truncated: expected NNZ={nnz} entries, found {count}")
-    return CooMatrix(n, nnz, rows, cols, values)
-
-
-def write_coordinate(coo: CooMatrix) -> str:
-    """Serialize a CooMatrix back into coordinate-file text."""
-    out = [f"{coo.n} {coo.n} {coo.nnz}"]
-    cplx = np.iscomplexobj(coo.values)
-    for i, j, v in zip(coo.rows, coo.cols, coo.values):
-        if cplx:
-            out.append(f"{i} {j} {v.real:.17g} {v.imag:.17g}")
-        else:
-            out.append(f"{i} {j} {v:.17g}")
-    return "\n".join(out) + "\n"
-
-
-def coo_to_csr(coo: CooMatrix, uplo="F") -> CsrMatrix:
-    """Sorted, duplicate-summed CSR; triplets violating a declared 'L'/'U'
-    triangle are rejected."""
-    return CsrMatrix.from_coo(coo.n, coo.rows, coo.cols, coo.values, uplo)
+    try:
+        return CsrMatrix.from_coo(n, rows, cols, values.astype(dtype), uplo)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 _PROBLEMS = ("s", "g")
@@ -208,23 +182,3 @@ def parse_config(text: str) -> DriverConfig:
     for (lineno, toks), slot in zip(overrides, slots):
         cfg.fpm.set_slot(slot, _parse_int(toks[0], lineno))
     return cfg
-
-
-def write_config(cfg: DriverConfig) -> str:
-    """Serialize a DriverConfig into ``.in`` text (with the banner line)."""
-    tol_slot = 7 if cfg.is_single else 3
-    lines = [
-        f"{cfg.problem} ! standard or generalized",
-        f"{cfg.precision} ! scalar precision",
-        f"{cfg.uplo} ! UPLO",
-        f"{cfg.emin:.17g} ! Emin",
-        f"{cfg.emax:.17g} ! Emax",
-        f"{cfg.m0} ! M0",
-        "!!!!FEASTPARAM overrides",
-        f"{cfg.fpm.slot(1)} ! print runtime report",
-        f"{cfg.fpm.slot(2)} ! contour points",
-        f"{cfg.fpm.slot(tol_slot)} ! tolerance exponent",
-        f"{cfg.fpm.slot(4)} ! max refinement loops",
-        f"{cfg.fpm.slot(6)} ! convergence criterion (0 trace, 1 residual)",
-    ]
-    return "\n".join(lines) + "\n"

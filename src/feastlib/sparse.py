@@ -133,10 +133,6 @@ class CsrMatrix:
         uplo = _checked_uplo(uplo)
         if len(rows) and (rows.min() < 1 or rows.max() > n or cols.min() < 1 or cols.max() > n):
             raise ValueError("coordinate index out of range 1..n")
-        if uplo == "L" and np.any(cols > rows):
-            raise ValueError("uplo='L' triplet above the diagonal")
-        if uplo == "U" and np.any(cols < rows):
-            raise ValueError("uplo='U' triplet below the diagonal")
         keys = (rows - 1) * np.int64(n) + (cols - 1)
         uniq, inverse = np.unique(keys, return_inverse=True)
         data = np.zeros(len(uniq), dtype=values.dtype)
@@ -151,6 +147,8 @@ class CsrMatrix:
     @classmethod
     def from_dense(cls, a, uplo="F", tol=0.0) -> "CsrMatrix":
         a = np.asarray(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"a must be a square 2-D array, not of shape {a.shape}")
         uplo = _checked_uplo(uplo)
         n = a.shape[0]
         # Written so that a NaN entry is kept, not dropped as zero.

@@ -103,6 +103,18 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("uplo,entry", [("L", "1 2 -1.0"), ("U", "2 1 -1.0")])
+def test_entry_outside_the_triangle_exits_two(tmp_path, capsys, uplo, entry):
+    """An entry outside the .in file's UPLO triangle makes the file
+    malformed: exit 2 with an error line, no report."""
+    (tmp_path / "t.in").write_text(HELLO_IN.replace("F      ! storage", f"{uplo}      ! storage"))
+    (tmp_path / "t.A").write_text(f"2 2 3\n1 1 2.0\n{entry}\n2 2 2.0\n")
+    assert run_driver(str(tmp_path / "t")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "the diagonal" in captured.err
+
+
 def test_seed_determinism(hello_prefix, capsys):
     assert main([hello_prefix, "--seed", "42", "--parallel-contour", "8"]) == 0
     first = _strip_time(capsys.readouterr().out)

@@ -327,6 +327,20 @@ def test_expand_uplo_hermitian_conjugates():
     assert full[0, 1] == -1j
 
 
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+@pytest.mark.parametrize("uplo,triangle", [("L", np.tril), ("U", np.triu)], ids=["L", "U"])
+def test_bool_triangles_solve_as_the_full_matrix(driver, uplo, triangle):
+    """A bool triangle once raised TypeError (numpy boolean subtract)."""
+    a = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+    b = np.eye(3, dtype=bool)
+    full = driver(a, -1.0, 3.0, 3, b=b)
+    got = driver(triangle(a), -1.0, 3.0, 3, b=triangle(b), uplo=uplo)
+    assert full.info == got.info == 0 and full.m == 3
+    for name in ("e", "x", "res"):
+        assert getattr(got, name).tobytes() == getattr(full, name).tobytes()
+    assert (got.loop, got.m) == (full.loop, full.m)
+
+
 def test_helloworld_report_values():
     fpm = feastinit()
     r = feast_sy(HELLO, -5.0, 5.0, 2, fpm=fpm)

@@ -157,6 +157,16 @@ def test_numpy_integer_options_are_accepted():
     assert feast_sy(HELLO, -5.0, 5.0, 2, options=options).info == 0
 
 
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+@pytest.mark.parametrize("options", [{"seed": 1}, {}, 1, "x"], ids=["dict", "empty", "int", "str"])
+def test_options_that_are_not_solver_options_are_named(driver, stem, dtype, code_a, code_b,
+                                                       options):
+    """A dict, 1 or "x" once raised AttributeError ('seed'), and {} was read
+    as the defaults."""
+    with pytest.raises(ValueError, match="options must be a SolverOptions or None"):
+        _call(driver, HELLO.astype(dtype), options=options)
+
+
 @pytest.mark.parametrize("driver", [feast_sy, feast_hb, feast_scsr], ids=["SY", "HB", "SCSR"])
 def test_parallel_contour_factorizes_in_the_calling_thread(monkeypatch, driver):
     """parallel_contour=8 once ran the batches' factorizations on a pool of

@@ -2,15 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from feastlib.io import (
-    CooMatrix,
-    ParseError,
-    coo_to_csr,
-    parse_config,
-    parse_coordinate,
-    write_config,
-    write_coordinate,
-)
+from feastlib.io import ParseError, parse_config, parse_coordinate
+from feastlib.sparse import CsrMatrix
 
 HELLO_TEXT = """2 2 4
 1 1 2.0
@@ -35,19 +28,32 @@ F      ! storage
 
 
 def test_parse_helloworld_matrix():
-    coo = parse_coordinate(HELLO_TEXT)
-    assert coo.n == 2 and coo.nnz == 4
-    assert coo.rows.tolist() == [1, 1, 2, 2]
-    assert coo.cols.tolist() == [1, 2, 1, 2]
-    assert coo.values.tolist() == [2.0, -1.0, -1.0, 2.0]
-    dense = coo.to_csr().to_dense()
-    assert np.array_equal(dense, [[2.0, -1.0], [-1.0, 2.0]])
+    csr = parse_coordinate(HELLO_TEXT)
+    assert isinstance(csr, CsrMatrix) and csr.uplo == "F"
+    assert csr.n == 2 and csr.nnz == 4
+    assert csr.ia.tolist() == [1, 3, 5]
+    assert csr.ja.tolist() == [1, 2, 1, 2]
+    assert csr.values.dtype == np.float64
+    assert csr.values.tolist() == [2.0, -1.0, -1.0, 2.0]
+    assert np.array_equal(csr.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
+def test_values_take_the_requested_dtype(dtype):
+    """Values are cast to ``dtype``; a complex one reads ``i j re im``."""
+    imag = np.dtype(dtype).kind == "c"
+    text = "2 2 3\n" + "".join(f"{i} {j} {v}{' 0.5' if imag else ''}\n"
+                                for i, j, v in [(1, 1, 2.0), (2, 1, -1.0), (2, 2, 0.1)])
+    csr = parse_coordinate(text, dtype, "L")
+    assert csr.uplo == "L" and csr.values.dtype == dtype
+    expected = np.array([2.0, -1.0, 0.1]) + (0.5j if imag else 0)
+    assert np.array_equal(csr.values, expected.astype(dtype))
 
 
 def test_parse_single_entry():
-    coo = parse_coordinate("1 1 1\n1 1 5.0\n")
-    assert coo.n == 1 and coo.nnz == 1
-    assert coo.values[0] == 5.0
+    csr = parse_coordinate("1 1 1\n1 1 5.0\n")
+    assert csr.n == 1 and csr.nnz == 1
+    assert csr.values[0] == 5.0
 
 
 def test_reference_tridiagonal_offsets():
@@ -58,30 +64,31 @@ def test_reference_tridiagonal_offsets():
         lines.append(f"{i} {j} {v}")
         if i != j:
             lines.append(f"{j} {i} {v}")
-    coo = parse_coordinate("\n".join(lines))
-    csr = coo_to_csr(coo, "F")
+    csr = parse_coordinate("\n".join(lines))
     assert csr.ia.tolist() == [1, 3, 6, 9, 11]
     assert csr.ja.tolist() == [1, 2, 1, 2, 3, 2, 3, 4, 3, 4]
 
 
 def test_lower_triangle_conversion():
     text = "4 4 7\n1 1 1\n2 1 5\n2 2 2\n3 2 6\n3 3 3\n4 3 7\n4 4 4\n"
-    csr = coo_to_csr(parse_coordinate(text), "L")
+    csr = parse_coordinate(text, np.float64, "L")
     assert csr.ia.tolist() == [1, 2, 4, 6, 8]
     assert csr.ja.tolist() == [1, 1, 2, 2, 3, 3, 4]
 
 
 def test_duplicates_preserved_then_summed():
-    coo = parse_coordinate("1 1 2\n1 1 1.0\n1 1 1.0\n")
-    assert coo.nnz == 2  # verbatim triplets
-    csr = coo_to_csr(coo)
+    csr = parse_coordinate("1 1 2\n1 1 1.0\n1 1 1.0\n")
     assert csr.nnz == 1
     assert csr.values[0] == 2.0
+    # Summed in the requested precision, after the cast.
+    single = parse_coordinate("1 1 2\n1 1 0.1\n1 1 0.2\n", np.float32)
+    assert single.values.dtype == np.float32
+    assert single.values[0] == np.float32(0.1) + np.float32(0.2)
 
 
 def test_complex_coordinate_entries():
-    coo = parse_coordinate("2 2 2\n1 1 2.0 0.0\n1 2 0.0 1.0\n", complex_values=True)
-    assert coo.values[1] == 1j
+    csr = parse_coordinate("2 2 2\n1 1 2.0 0.0\n1 2 0.0 1.0\n", np.complex128)
+    assert csr.values.tolist() == [2.0, 1j]
     with pytest.raises(ParseError):
         parse_coordinate("1 1 1\n1 1 2.0 0.0\n")  # real file with 4 fields
 
@@ -130,9 +137,10 @@ def test_malformed_coordinate_header(text, message):
 
 
 def test_triangle_violation_rejected():
-    coo = parse_coordinate("2 2 1\n1 2 1.0\n")
-    with pytest.raises(ValueError):
-        coo_to_csr(coo, "L")
+    with pytest.raises(ParseError, match="uplo='L' entry above the diagonal"):
+        parse_coordinate("2 2 1\n1 2 1.0\n", np.float64, "L")
+    with pytest.raises(ParseError, match="uplo='U' entry below the diagonal"):
+        parse_coordinate("2 2 1\n2 1 1.0\n", np.float64, "U")
 
 
 def test_parse_full_config():
@@ -200,31 +208,6 @@ def test_config_errors_carry_line_numbers():
     assert err.value.line == 13
 
 
-def test_coordinate_round_trip(rng):
-    rows = np.array([1, 2, 3, 3])
-    cols = np.array([1, 1, 2, 3])
-    vals = rng.normal(size=4)
-    coo = CooMatrix(3, 4, rows, cols, vals)
-    back = parse_coordinate(write_coordinate(coo))
-    assert back.n == coo.n and back.nnz == coo.nnz
-    assert np.array_equal(back.rows, coo.rows)
-    assert np.array_equal(back.cols, coo.cols)
-    assert np.array_equal(back.values, coo.values)
-
-
-def test_complex_round_trip(rng):
-    vals = rng.normal(size=3) + 1j * rng.normal(size=3)
-    coo = CooMatrix(2, 3, np.array([1, 2, 2]), np.array([1, 1, 2]), vals)
-    back = parse_coordinate(write_coordinate(coo), complex_values=True)
-    assert np.array_equal(back.values, coo.values)
-
-
-def test_config_round_trip():
-    cfg = parse_config(CONFIG_TEXT)
-    again = parse_config(write_config(cfg))
-    assert again == cfg
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_csr_conversion_permutation_invariant(r):
@@ -235,10 +218,7 @@ def test_csr_conversion_permutation_invariant(r):
     shuffled = [triplets[i] for i in order]
 
     def build(tr):
-        rows = np.array([t[0] for t in tr])
-        cols = np.array([t[1] for t in tr])
-        vals = np.array([t[2] for t in tr])
-        return coo_to_csr(CooMatrix(3, len(tr), rows, cols, vals), "F")
+        return parse_coordinate(f"3 3 {len(tr)}\n" + "".join(f"{i} {j} {v}\n" for i, j, v in tr))
 
     a, b = build(triplets), build(shuffled)
     assert a.ia.tolist() == b.ia.tolist()

@@ -184,6 +184,16 @@ def test_mismatched_triplets_are_named(rows, cols, values):
         CsrMatrix.from_coo(2, rows, cols, values)
 
 
+@pytest.mark.parametrize("a", [np.ones((3, 2)), np.ones((2, 3)), np.array(1.0), np.ones(3),
+                               np.ones((2, 2, 2))],
+                         ids=["3x2", "2x3", "0-D", "1-D", "3-D"])
+def test_from_dense_of_a_non_square_array_is_named(a):
+    """A 3 x 2 array was once read as a 3 x 3 matrix with a zero third
+    column; a 0-D array raised IndexError."""
+    with pytest.raises(ValueError, match="a must be a square 2-D array"):
+        CsrMatrix.from_dense(a)
+
+
 def test_from_coo_sums_duplicates():
     m = CsrMatrix.from_coo(2, [1, 1, 2], [1, 1, 2], [1.0, 1.0, 5.0])
     assert m.nnz == 2
