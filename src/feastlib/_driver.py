@@ -46,21 +46,27 @@ class SingularMatrixError(Exception):
     """Exactly singular pivot or inner-solver breakdown (maps to info -2)."""
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer: not a float, None or
+    a bool (True would read as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class SolverOptions:
     """Driver-level knobs shared by all backends.
 
-    seed: integer of the deterministic start-vector stream.
-    parallel_contour: an integer of at least 1, with no effect: every
-        backend factorizes all shifts as one batch in the calling thread.
-        Contour workers lost on every backend they were tried on (a
-        batch's shifts share one factorization and sweep, and the numpy
-        loops hold the GIL; 2 cores, one BLAS thread: dense 0.24 s with one
-        worker against 0.27 s with two).
+    seed: integer (not a bool) of the deterministic start-vector stream.
+    parallel_contour: an integer (not a bool) of at least 1, with no
+        effect: every backend factorizes all shifts as one batch in the
+        calling thread.  Contour workers lost on every backend they were
+        tried on (a batch's shifts share one factorization and sweep, and
+        the numpy loops hold the GIL; 2 cores, one BLAS thread: dense
+        0.24 s with one worker against 0.27 s with two).
     solver: 'direct' or 'iterative' (CSR drivers only; the band drivers
         always use the direct solver).
-    iter_tol: relative residual target (a finite real > 0) of the iterative
-        inner solver.
+    iter_tol: relative residual target (a finite real > 0, not a bool) of
+        the iterative inner solver.
     Other values raise ValueError naming the field.
     """
 
@@ -72,14 +78,12 @@ class SolverOptions:
     def __post_init__(self):
         if self.solver not in ("direct", "iterative"):
             raise ValueError(f"solver must be 'direct' or 'iterative', not {self.solver!r}")
-        if not (isinstance(self.iter_tol, numbers.Real) and np.isfinite(self.iter_tol)
-                and self.iter_tol > 0):
+        if not (isinstance(self.iter_tol, numbers.Real) and not isinstance(self.iter_tol, bool)
+                and np.isfinite(self.iter_tol) and self.iter_tol > 0):
             raise ValueError(f"iter_tol must be a finite positive real, not {self.iter_tol!r}")
-        # numbers.Integral covers Python and numpy integers, not floats or None.
-        if not isinstance(self.seed, numbers.Integral):
+        if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, not {self.seed!r}")
-        if not (isinstance(self.parallel_contour, numbers.Integral)
-                and self.parallel_contour >= 1):
+        if not (_is_integer(self.parallel_contour) and self.parallel_contour >= 1):
             raise ValueError(
                 f"parallel_contour must be an integer of at least 1, not {self.parallel_contour!r}")
 
@@ -186,21 +190,22 @@ class _BlockFactor:
     output that give the solution.
     """
 
-    def sweep(self, b: np.ndarray, adjoint: bool = False, shift: int | None = None) -> np.ndarray:
-        """Solve every shift's system (with ``shift``, that one's only), or
-        with ``adjoint`` its conjugate transpose, for the (n, m) block ``b``.
+    def sweep(self, b: np.ndarray, adjoint: bool = False,
+              shifts: slice = slice(None)) -> np.ndarray:
+        """Solve the system of every shift in the slice ``shifts`` (all by
+        default), or with ``adjoint`` its conjugate transpose, for the
+        (n, m) block ``b``.
 
-        Returns y of shape (n, ne, m), or bitwise its (n, 1, m) slice for
-        ``shift``, in F's row order, for ``pick``.  Forward, li y[cols] is
-        taken from y[rows]; back, y[cols] = inv y[cols] - ui y[rows]; each
-        product runs on the (ne, ·, m) ``swapaxes(0, 1)`` view, so y[rows]
-        moves whole rows of every shift.  The adjoint is conj(F^T \\
-        conj(b)): the same over (invᵀ, uiᵀ, liᵀ), transposed views.
+        Returns y of shape (n, len(shifts), m), in F's row order, for
+        ``pick``; the sweep of a slice is bitwise that slice of the sweep of
+        all.  Forward, li y[cols] is taken from y[rows]; back, y[cols] =
+        inv y[cols] - ui y[rows]; each product runs on the (shifts, ·, m)
+        ``swapaxes(0, 1)`` view, so y[rows] moves whole rows of every shift.
+        The adjoint is conj(F^T \\ conj(b)): the same over (invᵀ, uiᵀ, liᵀ),
+        transposed views.
         """
-        blocks, into = self.blocks, self.orders[adjoint][0]
-        if shift is not None:
-            blocks = [tuple(m[shift:shift + 1] for m in block) for block in blocks]
-            into = into[:, shift:shift + 1]
+        blocks = [tuple(m[shifts] for m in block) for block in self.blocks]
+        into = self.orders[adjoint][0][:, shifts]
         dtype = np.result_type(self.dtype, b.dtype)
         y = np.empty(into.shape + b.shape[1:], dtype=dtype)
         # A gather straight into y: no temporary of y's size.
@@ -217,12 +222,12 @@ class _BlockFactor:
             y[cols] = (c - ui @ y[rows].swapaxes(0, 1) if ui.shape[2] else c).swapaxes(0, 1)
         return np.conjugate(y, out=y) if adjoint else y
 
-    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False) -> np.ndarray:
+    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False,
+             first: int = 0) -> np.ndarray:
         """Shift ``shift``'s (n, m) solution, in the original row order,
-        from the output of ``sweep`` in that direction, for all shifts or
-        for ``shift`` alone."""
-        column = shift if y.shape[1] == self.ne else 0
-        return y[self.orders[adjoint][1][:, shift], column]
+        from the output of ``sweep`` in that direction over the slice of
+        shifts that begins at ``first``."""
+        return y[self.orders[adjoint][1][:, shift], shift - first]
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
@@ -237,30 +242,39 @@ class _Ops:
     """Backend protocol of ``run_rci``.  A backend keeps the full-storage
     operands as ``a`` and ``b`` (None: B is the identity) and adds
     ``_factor(shifts)``, one batch of factors of z*B - A for a list of
-    contour shifts, and ``_multiply(matrix, x)``.
+    contour shifts, and ``_multiply(matrix, x)``.  ``hermitian`` marks the
+    ops of a Hermitian driver, whose kernel asks for an adjoint solve after
+    each direct one.
 
     The first ``factorize`` factorizes all ``shifts`` in one ``_factor``
     call, in the calling thread; it returns the shift's (batch, i).  One ops
     object serves one ``run_rci`` in one thread and is not shared between
     threads.
 
-    A direct batch is a ``_BlockFactor``.  Its sweep of all shifts for the
-    last direct right-hand side is held: a request with an equal one is
-    served from it, any other runs a new sweep, and it is dropped after
-    ``ne`` requests.  An adjoint request sweeps its own shift and holds
-    nothing (holding an all-shift adjoint sweep too raised band-herm-gen's
-    peak RSS from 59.3 to 63.0 MB).  Iterative batches override ``_solve``
-    and solve a shift at a time (a block BiCGStab ran every column until
-    the slowest converged: 30 s, not 22 s).
+    A direct batch is a ``_BlockFactor``, swept in groups of g consecutive
+    shifts: all ne of them for a real symmetric driver, which asks for no
+    adjoint solves, and ceil(ne/2) for a Hermitian one.  Each direction
+    holds the sweep of its last group and right-hand side.  A request of a
+    shift in that group with an equal right-hand side is served from it;
+    any other runs the sweep of the shift's group.  A held sweep is dropped
+    once it has served as many requests as its group has shifts.  So a
+    Hermitian contour pass runs two sweeps each way, and the two held
+    sweeps hold at most ne + 1 shift-slices together (holding an all-shift
+    sweep each way raised band-herm-gen's peak RSS from 59.3 to 63.0 MB).
+    Iterative batches override ``_solve`` and solve a shift at a time (a
+    block BiCGStab ran every column until the slowest converged: 30 s, not
+    22 s).
     """
 
-    def __init__(self, a, b, shifts=()):
+    def __init__(self, a, b, shifts, hermitian):
         self.a = a
         self.b = b
         self._shifts = [complex(z) for z in shifts]
+        self.hermitian = hermitian
         self._batch = None
-        # [right-hand side, direct sweep output, requests served]
-        self._held = None
+        # Per direction: [right-hand side, group's first shift, its sweep,
+        # requests served], or None.
+        self._held = {False: None, True: None}
 
     def factorize(self, z):
         if self._batch is None:
@@ -269,17 +283,20 @@ class _Ops:
 
     def _solve(self, factor, rhs, adjoint):
         batch, shift = factor
-        if adjoint:
-            return batch.pick(batch.sweep(rhs, True, shift), shift, True)
-        held = self._held
-        if held is None or not np.array_equal(held[0], rhs):
+        group = -(-batch.ne // 2) if self.hermitian else batch.ne
+        first = shift - shift % group
+        held, other = self._held[adjoint], self._held[not adjoint]
+        if held is None or held[1] != first or not np.array_equal(held[0], rhs):
             # Drop the old buffer before the sweep allocates the new one.
-            held = self._held = None
-            held = self._held = [rhs.copy(), batch.sweep(rhs), 0]
-        held[2] += 1
-        if held[2] == batch.ne:
-            self._held = None
-        return batch.pick(held[1], shift)
+            held = self._held[adjoint] = None
+            # The two directions share one copy of an equal right-hand side.
+            same = other is not None and np.array_equal(other[0], rhs)
+            y = batch.sweep(rhs, adjoint, slice(first, first + group))
+            held = self._held[adjoint] = [other[0] if same else rhs.copy(), first, y, 0]
+        held[3] += 1
+        if held[3] == held[2].shape[1]:
+            self._held[adjoint] = None
+        return batch.pick(held[2], shift, adjoint, first)
 
     def solve(self, factor, rhs):
         return self._solve(factor, rhs, False)

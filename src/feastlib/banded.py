@@ -65,7 +65,7 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
         asymmetry=lambda i, m: csr_asymmetry(m) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _SparseOps(a_full, b_full, kernel.contour.z, symmetric=not hermitian))
+    return run_rci(kernel, _SparseOps(a_full, b_full, kernel.contour.z, hermitian))
 
 
 def feast_sb(a, kla, emin, emax, m0, *, uplo="F", b=None, klb=None,

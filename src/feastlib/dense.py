@@ -193,7 +193,7 @@ def _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian):
         asymmetry=lambda i, m: asymmetry(m) if uplo == "F" else 0.0)
     if kernel.done:
         return kernel.result
-    return run_rci(kernel, _DenseOps(a_full, b_full, kernel.contour.z))
+    return run_rci(kernel, _DenseOps(a_full, b_full, kernel.contour.z, hermitian))
 
 
 def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):

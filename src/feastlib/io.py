@@ -128,7 +128,11 @@ def parse_coordinate(text: str, dtype=np.float64, uplo="F") -> CsrMatrix:
     if count < nnz:
         raise ParseError(f"file truncated: expected NNZ={nnz} entries, found {count}")
     try:
-        return CsrMatrix.from_coo(n, rows, cols, values.astype(dtype), uplo)
+        # A value, or a sum of duplicates, beyond the range of ``dtype`` is
+        # infinite, which the drivers report as a non-finite entry (-103
+        # for A, -106 for B), without numpy's overflow warning.
+        with np.errstate(over="ignore"):
+            return CsrMatrix.from_coo(n, rows, cols, values.astype(dtype), uplo)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -24,10 +24,11 @@ analysis), and the factor keeps the inverse with F21 inv and inv F12, so
 that a sweep takes one matrix product per supernode forward and two back.
 The dense LU, which pivots across whole columns, factorizes straight
 into the same block form (``_driver._BlockFactor``), whose one sweep
-solves every shift's system for the common right-hand side at once, or
-one shift's.  The numeric LU factorizes all contour shifts in one
-batch, and every shift gets bitwise the factor and solution it would get
-alone.
+solves the systems of a slice of consecutive shifts for a common
+right-hand side at once: all shifts for a real symmetric driver, half of
+them at a time, each way, for a Hermitian one (see ``_driver._Ops``).
+The numeric LU factorizes all contour shifts in one batch, and every
+shift gets bitwise the factor and solution it would get alone.
 """
 
 from __future__ import annotations
@@ -628,17 +629,16 @@ class _SparseOps(_Ops):
     """Backend ops of the CSR and band drivers with the direct solver.
 
     All contour ``shifts`` are factorized in one batch, on the dissection's
-    analysis or the chain's, whichever holds fewer entries of L.  Direct
-    solves are served from a held sweep of all shifts, adjoint ones sweep
-    their own shift (see ``_Ops``).  ``symmetric`` marks complex
-    symmetric shifted matrices (feast_scsr, feast_sb), whose factors keep
-    each ``ui`` block as a transposed view of ``li`` (see ``_SparseFactor``).
+    analysis or the chain's, whichever holds fewer entries of L, and solves
+    are served from held group sweeps (see ``_Ops``).  The shifted matrices
+    of a driver that is not ``hermitian`` (feast_scsr, feast_sb) are
+    complex symmetric, so their factors keep each ``ui`` block as a
+    transposed view of ``li`` (see ``_SparseFactor``).
     """
 
-    def __init__(self, a_full, b_full, shifts, symmetric=False):
-        super().__init__(a_full, b_full, shifts=shifts)
+    def __init__(self, a_full, b_full, shifts, hermitian):
+        super().__init__(a_full, b_full, shifts, hermitian)
         p = self.pattern = _ShiftedPattern(a_full, b_full)
-        self.symmetric = symmetric
         self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
         if _chain_nnz_l(p.n, p.rows, p.cols) < self.symbolic.nnz_l:
             self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
@@ -649,7 +649,7 @@ class _SparseOps(_Ops):
         data = np.empty((len(shifts), len(p.a_data)), dtype=p.a_data.dtype)
         for row, z in zip(data, shifts):
             np.subtract(np.multiply(z, p.b_data, out=row), p.a_data, out=row)
-        return _SparseFactor(self.symbolic, data, self.symmetric)
+        return _SparseFactor(self.symbolic, data, not self.hermitian)
 
     _multiply = staticmethod(csr_matvec)
 
@@ -659,8 +659,8 @@ class _IterativeOps(_Ops):
     batch holds each shift z's data and diagonal preconditioner for z and,
     for adjoint solves, conj(z): (z*B - A)^H = conj(z)*B - A here."""
 
-    def __init__(self, a_full, b_full, shifts, tol):
-        super().__init__(a_full, b_full, shifts=shifts)
+    def __init__(self, a_full, b_full, shifts, hermitian, tol):
+        super().__init__(a_full, b_full, shifts, hermitian)
         self.pattern = _ShiftedPattern(a_full, b_full)
         self.classes = _row_classes(self.pattern.indptr, self.pattern.indices)
         self.tol = tol
@@ -729,9 +729,9 @@ def _sparse_driver(a, b, emin, emax, m0, fpm, options, x0, hermitian):
     if kernel.done:
         return kernel.result
     if options.solver == "iterative":
-        ops = _IterativeOps(a_full, b_full, kernel.contour.z, options.iter_tol)
+        ops = _IterativeOps(a_full, b_full, kernel.contour.z, hermitian, options.iter_tol)
     else:
-        ops = _SparseOps(a_full, b_full, kernel.contour.z, symmetric=not hermitian)
+        ops = _SparseOps(a_full, b_full, kernel.contour.z, hermitian)
     return run_rci(kernel, ops)
 
 

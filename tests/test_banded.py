@@ -204,11 +204,11 @@ def test_unused_slots_are_not_cast(uplo):
     assert r.info == 0 and np.allclose(r.e, [1.0, 3.0])
 
 
-def _band_ops(fa, shifts, fb=None, symmetric=False):
+def _band_ops(fa, shifts, fb=None, hermitian=True):
     """The band drivers' ops on full bands (uplo='F' band storage): the
     multifrontal LU of z*B - A on the CSR of their nonzero entries."""
     fa, fb = (None if f is None else band_csr(f, (len(f) - 1) // 2, "F") for f in (fa, fb))
-    return _SparseOps(fa, fb, shifts, symmetric)
+    return _SparseOps(fa, fb, shifts, hermitian)
 
 
 def _check_solves(fa, z, rng, rtol):
@@ -321,7 +321,7 @@ def _check_batch(ops, shifts, rng):
     handles = [ops.factorize(z) for z in shifts]
     for handle, z in zip(handles, shifts):
         shifted = ops.pattern.shifted_data(z)
-        alone = _SparseFactor(ops.symbolic, shifted, ops.symmetric)
+        alone = _SparseFactor(ops.symbolic, shifted, symmetric=not ops.hermitian)
         dense = np.zeros((n, n), dtype=complex)
         dense[ops.pattern.rows, ops.pattern.cols] = shifted
         for solve, adjoint in ((ops.solve, False), (ops.solve_adjoint, True)):
@@ -341,7 +341,7 @@ def test_batched_band_lu_matches_column_reference(rng, complex_, g):
     fb = _random_band(n, 1, rng) + 4 * np.eye(n)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
     for b in (None, _to_band_storage(fb, 1, "F")):
-        ops = _band_ops(_to_band_storage(fa, kl, "F"), shifts, b, symmetric=not complex_)
+        ops = _band_ops(_to_band_storage(fa, kl, "F"), shifts, b, hermitian=complex_)
         _check_batch(ops, shifts, rng)
 
 
@@ -415,8 +415,8 @@ def test_factorize_shares_one_batch():
 
 def test_each_shift_solves_as_its_one_shift_factor(rng):
     """Each of the 8 shifts of the batch solves bitwise as its one-shift
-    factor does, direct (from the held sweep of all shifts) and adjoint
-    (from a sweep of its own), and agrees with a dense solve."""
+    factor does, direct and adjoint (each from the held sweep of its group
+    of 4 shifts), and agrees with a dense solve."""
     ops, shifts = _wide_band_ops()
     n = ops.pattern.n
     rhs = rng.normal(size=(n, 30)) + 1j * rng.normal(size=(n, 30))
@@ -483,9 +483,15 @@ def test_blocked_solve_at_a_shift_near_an_eigenvalue(rng):
 def test_band_factor_and_solve_memory():
     """At the band-herm-gen sizes (n=900, kl=31, 8 shifts, 30 right-hand
     sides) the factors keep less than the band LU's (3*kl+1, 8, n) array
-    did.  A direct solve holds one sweep of all 8 shifts; an adjoint solve
-    sweeps only its own shift, allocates less than half the all-shift
-    sweep at its peak, and holds nothing."""
+    did.  The Hermitian ops sweep 4 shifts at a time each way.  A direct
+    solve holds the sweep of its shift's group, half the all-shift sweep.
+    An adjoint solve of the other group, with the same right-hand side,
+    allocates at its peak its own group's sweep (another half), the
+    solution it returns (an eighth) and the products of one supernode's
+    rows (a 64th is ample), and holds its sweep.  Both held sweeps
+    together hold the all-shift sweep's 8 shift-slices and share one copy
+    of the right-hand side: as much as the all-shift direct sweep alone
+    held."""
     ops, shifts = _wide_band_ops()
     n, kl = 900, 31
     sweep = len(shifts) * n * 30 * 16
@@ -495,13 +501,17 @@ def test_band_factor_and_solve_memory():
         ops.factorize(shifts[0])
         kept = tracemalloc.get_traced_memory()[0]
         ops.solve(ops.factorize(shifts[0]), rhs)
-        held = ops._held
+        held = ops._held[False]
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        ops.solve_adjoint(ops.factorize(shifts[-1]), rhs)
+        x = ops.solve_adjoint(ops.factorize(shifts[-1]), rhs)
         adjoint_peak = tracemalloc.get_traced_memory()[1] - before
+        both = tracemalloc.get_traced_memory()[0] - kept - x.nbytes
     finally:
         tracemalloc.stop()
     assert kept <= (3 * kl + 1) * len(shifts) * n * 16
-    assert held is not None and ops._held is held
-    assert adjoint_peak < sweep / 2
+    assert held is not None and ops._held[False] is held
+    adjoint = ops._held[True]
+    assert held[2].nbytes == adjoint[2].nbytes == sweep / 2 and adjoint[0] is held[0]
+    assert adjoint_peak < sweep / 2 + sweep / 8 + sweep / 64
+    assert both < sweep + sweep / 8 + sweep / 64

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import feastlib
 from feastlib.cli import main, run_driver
 
 HELLO_IN = """s      ! problem kind
@@ -227,3 +232,22 @@ def test_warning_still_exits_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning 1" in captured.err
     assert "mode found/subspace 0 2" in captured.out
+
+
+@pytest.mark.parametrize("entries", ["1 1 1e300\n2 2 2.0\n", "1 1 3e38\n1 1 3e38\n2 2 2.0\n"],
+                         ids=["entry", "sum of duplicates"])
+def test_entry_beyond_single_precision_exits_one_under_warnings_as_errors(tmp_path, entries):
+    """An A entry, or a sum of duplicate entries, beyond float32's range in
+    a single-precision problem is infinite once cast: the module form run
+    with ``-W error`` reports -103 and exits 1, with no warning and no
+    traceback."""
+    (tmp_path / "big.in").write_text("s\ns\nF\n-5.0\n5.0\n2\n")
+    (tmp_path / "big.A").write_text(f"2 2 {entries.count(chr(10))}\n{entries}")
+    src = str(Path(feastlib.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "feastlib.cli",
+                           str(tmp_path / "big")], capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert "FEAST error -103" in done.stdout + done.stderr
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr

@@ -174,10 +174,11 @@ def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
     for s in range(g):
         one = _factor(mats[s])
         assert one.lu.tobytes() == factor.lu[s].tobytes()
-        assert factor.sweep(b, adjoint, s).tobytes() == y[:, s:s + 1].tobytes()
+        own = factor.sweep(b, adjoint, slice(s, s + 1))
+        assert own.tobytes() == y[:, s:s + 1].tobytes()
         x = factor.pick(y, s, adjoint)
         assert np.array_equal(x, one.solve(b, adjoint))
-        assert np.array_equal(x, factor.pick(factor.sweep(b, adjoint, s), s, adjoint))
+        assert np.array_equal(x, factor.pick(own, s, adjoint, first=s))
         op = mats[s].conj().T if adjoint else mats[s]
         assert np.abs(op @ x - b).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
 
@@ -193,12 +194,14 @@ def test_block_form_holds_the_block_inverses(rng, n):
 
 
 def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatch):
-    """Direct requests are served from one held sweep of all shifts; each
-    adjoint request sweeps its own shift and holds nothing."""
+    """Each direction holds the sweep of one group of shifts: all 8 for
+    the ops of a real symmetric driver, 4 for a Hermitian one's.  A request
+    of a shift of that group with an equal right-hand side is served from
+    it; any other sweeps the request's group.  A held sweep is dropped once
+    it has served as many requests as its group has shifts."""
     n = 20
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
-    ops = _DenseOps(a, None, shifts)
     rhs1 = rng.normal(size=(n, 3)) + 0j
     rhs2 = rng.normal(size=(n, 3)) + 0j
     expected = {(i, k, adjoint): _factor(shifts[i] * np.eye(n) - a).solve(rhs, adjoint)
@@ -207,32 +210,42 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
     sweeps = []
     sweep = _DenseFactor.sweep
 
-    def counted(self, b, adjoint=False, shift=None):
-        sweeps.append((adjoint, shift))
-        return sweep(self, b, adjoint, shift)
-
-    monkeypatch.setattr(_DenseFactor, "sweep", counted)
-    factors = [ops.factorize(z) for z in shifts]
-    assert all(f[0] is factors[0][0] for f in factors)
+    def counted(self, b, adjoint=False, shifts=slice(None)):
+        sweeps.append((adjoint, tuple(range(self.ne)[shifts])))
+        return sweep(self, b, adjoint, shifts)
 
     def check(x, i, k, adjoint=False):
         want = expected[i, k, adjoint]
         assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
 
-    for i, k, count in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, 3)):
-        check(ops.solve(factors[i], (rhs1, rhs2)[k]), i, k)
-        assert len(sweeps) == count
-    held = ops._held
-    for i in (0, 5, 5):
-        check(ops.solve_adjoint(factors[i], rhs1), i, 0, adjoint=True)
-        assert ops._held is held
-    assert sweeps == [(False, None)] * 3 + [(True, 0), (True, 5), (True, 5)]
-    # The sweep of rhs1 has served shift 3; seven more requests use it up.
-    for i in (4, 5, 6, 7, 0, 1, 2):
-        assert ops._held is held
-        check(ops.solve(factors[i], rhs1), i, 0)
-    assert len(sweeps) == 6
-    assert ops._held is None
+    monkeypatch.setattr(_DenseFactor, "sweep", counted)
+    for hermitian, group in ((False, 8), (True, 4)):
+        ops = _DenseOps(a, None, shifts, hermitian)
+        factors = [ops.factorize(z) for z in shifts]
+        assert all(f[0] is factors[0][0] for f in factors)
+        sweeps.clear()
+        for i, k, count in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, 3)):
+            check(ops.solve(factors[i], (rhs1, rhs2)[k]), i, k)
+            assert len(sweeps) == count
+        assert sweeps == [(False, tuple(range(group)))] * 3
+        held = ops._held[False]
+        # The sweep of rhs1 has served shift 3; group - 1 more requests of
+        # its group use it up.
+        for i in range(group - 1):
+            assert ops._held[False] is held
+            check(ops.solve(factors[i], rhs1), i, 0)
+        assert len(sweeps) == 3 and ops._held[False] is None
+        # Each direction sweeps the group of the last shift on its own; the
+        # other group is swept anew, for the Hermitian ops.
+        last = tuple(range(8 - group, 8))
+        check(ops.solve_adjoint(factors[7], rhs1), 7, 0, adjoint=True)
+        held = ops._held[True]
+        check(ops.solve(factors[7], rhs1), 7, 0)
+        assert sweeps[3:] == [(True, last), (False, last)] and ops._held[True] is held
+        check(ops.solve_adjoint(factors[0], rhs1), 0, 0, adjoint=True)
+        assert sweeps[5:] == ([(True, tuple(range(group)))] if hermitian else [])
+        # Both directions hold a sweep of rhs1 and share one copy of it.
+        assert ops._held[False][0] is ops._held[True][0]
 
 
 def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
@@ -242,7 +255,7 @@ def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
     n, g = 400, 8
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(g), -1.0, 1.0).z
-    ops = _DenseOps(a, None, shifts)
+    ops = _DenseOps(a, None, shifts, hermitian=False)
     tracemalloc.start()
     try:
         factor = ops._factor(list(shifts))
@@ -287,7 +300,7 @@ def test_sweeps_keep_the_backward_error_of_partial_pivoting():
     shifts = build_contour(gauss_legendre(16), (ev[lo - 1] + ev[lo]) / 2,
                            (ev[lo + 4] + ev[lo + 5]) / 2).z
     rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    factor = _DenseOps(a, b, shifts)._factor(list(shifts))
+    factor = _DenseOps(a, b, shifts, hermitian=False)._factor(list(shifts))
     worst = 0.0
     for adjoint in (False, True):
         y = factor.sweep(rhs, adjoint)

@@ -121,10 +121,12 @@ def test_singular_pencil_returns_minus_two(driver, stem, dtype, code_a, code_b, 
     ("parallel_contour", 0), ("parallel_contour", -3),
     ("parallel_contour", 2.5), ("parallel_contour", "2"), ("parallel_contour", None),
     ("iter_tol", "x"), ("iter_tol", None),
-    ("seed", "a"), ("seed", None), ("seed", 1.5)])
+    ("seed", "a"), ("seed", None), ("seed", 1.5),
+    ("seed", True), ("seed", False), ("parallel_contour", True), ("iter_tol", True)])
 def test_bad_solver_options_are_rejected(field, value):
     """iter_tol=-1 once ran BiCGStab to its iteration cap, overflowing, and
-    returned -2; parallel_contour=-3 ran serially."""
+    returned -2; parallel_contour=-3 ran serially; seed=True,
+    parallel_contour=True and iter_tol=True read as 1."""
     with pytest.raises(ValueError, match=field):
         SolverOptions(**{field: value})
 
@@ -485,7 +487,8 @@ def _call_fpm(driver, fpm):
     given ``fpm``."""
     if driver in (SymmetricRci, HermitianRci):
         kernel = driver(2, 2, -5.0, 5.0, fpm)
-        return run_rci(kernel, _DenseOps(HELLO.astype(kernel.x.dtype), None, kernel.contour.z))
+        return run_rci(kernel, _DenseOps(HELLO.astype(kernel.x.dtype), None, kernel.contour.z,
+                                         driver is HermitianRci))
     return _call(driver, HELLO.astype(next(d[2] for d in DRIVERS if d[0] is driver)), fpm=fpm)
 
 

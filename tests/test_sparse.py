@@ -15,8 +15,10 @@ from feastlib import (
     feastinit,
     info_description,
 )
-from feastlib._driver import SingularMatrixError
-from feastlib.dense import NB, _DenseOps
+from feastlib._driver import SingularMatrixError, _BlockFactor
+from feastlib.banded import band_csr
+from feastlib.dense import NB, _DenseFactor, _DenseOps
+from feastlib.params import ALLOWED_CONTOUR_POINTS
 from feastlib.quadrature import build_contour, gauss_legendre
 from feastlib import sparse
 from feastlib.sparse import (
@@ -512,7 +514,7 @@ def test_chain_count_is_the_chain_analysis_nnz_l(rng, name):
                                          ("full band", True)])
 def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
     csr, _ = _order_cases(rng)[name]
-    ops = _SparseOps(csr, None, [1j])
+    ops = _SparseOps(csr, None, [1j], hermitian=False)
     p = ops.pattern
     dissection = _SparseSymbolic(p.n, p.indptr, p.indices)
     natural = _chain_nnz_l(p.n, p.rows, p.cols)
@@ -522,34 +524,107 @@ def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
 
 
 def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
-    """An adjoint request sweeps its own shift: bitwise that shift's slice of
-    the all-shift sweep, with no adjoint sweep held; direct requests are
-    still served from one held sweep of all shifts.  The same for the
-    multifrontal factor and the dense one (three NB-column blocks), which
-    share the sweep."""
+    """A sweep of a slice of shifts, one shift or a group, is bitwise that
+    slice of the sweep of all, in each direction.  The Hermitian ops hold
+    one group sweep of 4 of the 8 shifts each way: each adjoint request is
+    served from the sweep of its group, bitwise the pick of the all-shift
+    sweep, and the direct requests between do not touch it.  The same for
+    the multifrontal factor and the dense one (three NB-column blocks),
+    which share the sweep."""
     n = 2 * NB + 3
     a = _banded_csr(n, rng, hermitian=True)
     b = CsrMatrix.from_dense(np.eye(n) * 2 + np.eye(n, k=1) * 0.3 + np.eye(n, k=-1) * 0.3)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z]
     rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    for ops in (_SparseOps(a.expand_full(), b, shifts),
-                _DenseOps(a.to_dense(), b.to_dense(), shifts)):
+    for ops in (_SparseOps(a.expand_full(), b, shifts, hermitian=True),
+                _DenseOps(a.to_dense(), b.to_dense(), shifts, hermitian=True)):
         handles = [ops.factorize(z) for z in shifts]
         batch = ops._batch
-        every = batch.sweep(rhs, adjoint=True)
+        every = {adjoint: batch.sweep(rhs, adjoint) for adjoint in (False, True)}
+        for adjoint, y in every.items():
+            for part in (slice(3, 4), slice(0, 4), slice(4, 8)):
+                assert batch.sweep(rhs, adjoint, part).tobytes() == y[:, part].tobytes()
         for e, handle in enumerate(handles):
-            one = batch.sweep(rhs, True, e)
-            assert one.shape == (n, 1, 4) and one.tobytes() == every[:, e:e + 1].tobytes()
-            held = ops._held
             x = ops.solve_adjoint(handle, rhs)
-            assert x.tobytes() == batch.pick(every, e, True).tobytes()
-            assert ops._held is held
+            assert x.tobytes() == batch.pick(every[True], e, True).tobytes()
             want = np.linalg.solve((shifts[e] * b.to_dense() - a.to_dense()).conj().T, rhs)
             assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+            held = ops._held[True]
+            if e % 4 == 3:
+                assert held is None
+            else:
+                assert held[1] == e - e % 4 and held[2].shape == (n, 4, 4)
             ops.solve(handle, rhs)
-            assert ops._held is not None or e == len(shifts) - 1
-        direct = batch.sweep(rhs)
-        assert batch.sweep(rhs, False, 3).tobytes() == direct[:, 3:4].tobytes()
+            assert ops._held[True] is held
+
+
+@pytest.mark.parametrize("ne", [3, 4, 5, 8])
+@pytest.mark.parametrize("driver", ["feast_he", "feast_hb", "feast_hcsr"])
+def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
+    """The ops of each Hermitian driver, over a contour of ``ne`` points
+    (odd ``ne`` gives a short last group), in the kernel's order: a direct
+    and an adjoint solve at each shift, then a direct right-hand side that
+    changes inside the first group, and an adjoint request of the last
+    shift before the first group is used up.  Every solution is bitwise the
+    one-shift factor's; each direction sweeps each group once a pass, and
+    anew for the changed right-hand side or the other group; and after
+    every request the held sweeps hold at most ceil(ne/2) shift-slices each
+    way, as tracemalloc sees."""
+    assert ne in ALLOWED_CONTOUR_POINTS
+    n, m, kl, group = 2 * NB + 3, 16, 3, -(-ne // 2)
+    dense = _banded_csr(n, rng, hermitian=True, width=kl if driver == "feast_hb" else 20
+                        ).to_dense()
+    shifts = [complex(z) for z in build_contour(gauss_legendre(ne), -1.0, 1.0).z]
+    if driver == "feast_he":
+        ops = _DenseOps(dense, None, shifts, hermitian=True)
+        alone = [_DenseFactor((z * np.eye(n) - dense)[np.newaxis]) for z in shifts]
+    else:
+        if driver == "feast_hb":
+            # Full band storage: entry A[j+s, j] at [kl+s, j].
+            ab = np.zeros((2 * kl + 1, n), dtype=complex)
+            for s in range(-kl, kl + 1):
+                ab[kl + s, max(0, -s):n - max(0, s)] = np.diagonal(dense, -s)
+            full = band_csr(ab, kl, "F")
+        else:
+            full = CsrMatrix.from_dense(dense)
+        ops = _SparseOps(full, None, shifts, hermitian=True)
+        alone = [_SparseFactor(ops.symbolic, ops.pattern.shifted_data(z)) for z in shifts]
+    r0, r1 = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(2))
+    want = {(e, k, adjoint): alone[e].solve(rhs, adjoint)
+            for e in range(ne) for k, rhs in enumerate((r0, r1)) for adjoint in (False, True)}
+    handles = [ops.factorize(z) for z in shifts]
+    sweeps = []
+    sweep = _BlockFactor.sweep
+
+    def counted(self, b, adjoint=False, shifts=slice(None)):
+        sweeps.append((adjoint, tuple(range(self.ne)[shifts])))
+        return sweep(self, b, adjoint, shifts)
+
+    monkeypatch.setattr(_BlockFactor, "sweep", counted)
+    requests = [(e, 0, adjoint) for e in range(ne) for adjoint in (False, True)]
+    requests += [(0, 0, False), (1, 1, False), (1, 1, True), (ne - 1, 1, True)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for e, k, adjoint in requests:
+            x = (ops.solve_adjoint if adjoint else ops.solve)(handles[e], (r0, r1)[k])
+            assert x.tobytes() == want[e, k, adjoint].tobytes()
+            held = [h for h in ops._held.values() if h is not None]
+            widths = [h[2].shape[1] for h in held]
+            assert max(widths, default=0) <= group and sum(widths) <= ne + 1
+            # Beyond x: the held sweeps, their one copy of the right-hand
+            # side, and under a third of a slice (8 KB) of Python objects,
+            # the sweep records above among them.
+            slices = sum(widths) + len({id(h[0]) for h in held})
+            extra = tracemalloc.get_traced_memory()[0] - base - x.nbytes
+            assert extra <= slices * n * m * 16 + 8192
+            del x
+    finally:
+        tracemalloc.stop()
+    groups = [tuple(range(first, min(first + group, ne))) for first in range(0, ne, group)]
+    first = groups[0]
+    assert sweeps == [(adjoint, g) for g in groups for adjoint in (False, True)] + [
+        (False, first), (False, first), (True, first), (True, groups[-1])]
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -661,7 +736,7 @@ def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
     n = 30
     a = _banded_csr(n, rng, hermitian=True)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
-    ops = _SparseOps(a.expand_full(), None, shifts)
+    ops = _SparseOps(a.expand_full(), None, shifts, hermitian=True)
     # The first factorizations must build one shared batch.
     handles = [ops.factorize(complex(z)) for z in shifts]
     assert all(h[0] is handles[0][0] for h in handles)
