@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import DEFAULT_SEED, HermitianRci, RciTask, SymmetricRci
-from .params import SYMMETRY_ULPS
+from .params import SYMMETRY_ULPS, _is_integer
 
 UPLOS = ("F", "L", "U")
 
@@ -44,12 +44,6 @@ def as_operand(m):
 
 class SingularMatrixError(Exception):
     """Exactly singular pivot or inner-solver breakdown (maps to info -2)."""
-
-
-def _is_integer(value):
-    """Whether ``value`` is a Python or numpy integer: not a float, None or
-    a bool (True would read as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

@@ -5,11 +5,10 @@ LU and multiplies (``sparse._SparseOps``)."""
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from ._driver import UPLOS, as_operand, run_rci, setup, upper_uplo
+from .params import _is_integer
 from .sparse import CsrMatrix, _full_csr, _SparseOps, csr_asymmetry
 
 
@@ -44,9 +43,8 @@ def _banded_driver(a, kla, b, klb, emin, emax, m0, uplo, fpm, options, x0, hermi
     n = a.shape[1] if a.ndim == 2 else 0
 
     def bandwidth_ok(k):
-        # numbers.Integral covers Python and numpy integers, not None or
-        # floats; a bool, which it also covers, would index rows as a mask.
-        return isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < max(n, 1)
+        # Not a float or None; nor a bool, which would index rows as a mask.
+        return _is_integer(k) and 0 <= k < max(n, 1)
 
     def operands(dtype):
         return [None if m is None else _full_csr(band_csr(m, k, uplo), dtype)

@@ -83,7 +83,8 @@ def parse_coordinate(text: str, dtype=np.float64, uplo="F") -> CsrMatrix:
 
     Entries are ``i j re im`` for a complex ``dtype``.  Duplicates are
     summed after the cast to ``dtype``; an entry outside the ``uplo``
-    triangle is a ParseError.
+    triangle is a ParseError, and so is a header NNZ larger than the
+    file's count of entry lines, found before NNZ entries are allocated.
     """
     complex_values = np.dtype(dtype).kind == "c"
     lines = _tokens(text)
@@ -100,6 +101,9 @@ def parse_coordinate(text: str, dtype=np.float64, uplo="F") -> CsrMatrix:
         raise ParseError(f"matrix must be square: {n1} != {n2}", lineno)
     if n1 <= 0 or nnz < 0:
         raise ParseError(f"invalid sizes N={n1} NNZ={nnz}", lineno)
+    found = sum(1 for _ in _tokens(text)) - 1
+    if nnz > found:
+        raise ParseError(f"file truncated: expected NNZ={nnz} entries, found {found}")
     n = n1
     want = 4 if complex_values else 3
     rows = np.empty(nnz, dtype=np.int64)
@@ -125,8 +129,6 @@ def parse_coordinate(text: str, dtype=np.float64, uplo="F") -> CsrMatrix:
         else:
             values[count] = _parse_float(toks[2], lineno)
         count += 1
-    if count < nnz:
-        raise ParseError(f"file truncated: expected NNZ={nnz} entries, found {count}")
     try:
         # A value, or a sum of duplicates, beyond the range of ``dtype`` is
         # infinite, which the drivers report as a non-finite entry (-103

@@ -38,6 +38,7 @@ from .params import (
     MAX_TOL_EXP_DOUBLE,
     MAX_TOL_EXP_SINGLE,
     FeastParams,
+    _is_integer,
     check_problem,
     feastinit,
     info_classification,
@@ -196,8 +197,8 @@ def _real(value) -> float:
 
 def _integer(value) -> int:
     """int(value) for an integer-valued real number; 0, which check_problem
-    rejects with 201, for anything else, such as 20.5, None, a string or a
-    bool (True would read as 1)."""
+    rejects (202 for N, 201 for M0), for anything else, such as 20.5, None,
+    a string or a bool (True would read as 1)."""
     if isinstance(value, (bool, np.bool_)):
         return 0
     if isinstance(value, numbers.Integral):
@@ -232,13 +233,22 @@ class _RciKernel:
     During a contour pass ``x`` holds the partial filtered sum, and after
     it the Ritz vectors.  On an error code ``x`` and ``e`` have no meaning;
     a rejected N, M0 or fpm, or a failed allocation (info -1), leaves
-    every array with zero columns (and rows, for an N past numpy's limit)."""
+    every array with zero columns (and rows, for an N past numpy's limit).
+    N and M0 are read alike (``_integer``).  ``seed`` must be an integer and
+    ``block_size``, the column count of each MULTIPLY task (all M0 columns
+    for None), None or an integer of at least 1, neither a bool, else
+    ValueError names it."""
 
     hermitian = False
 
     def __init__(self, n, m0, emin, emax, fpm=None, *, seed=DEFAULT_SEED,
                  block_size=None, dtype=None, routine_name=None):
-        self.n = int(n)
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer, not {seed!r}")
+        if not (block_size is None or _is_integer(block_size) and block_size >= 1):
+            raise ValueError(f"block_size must be None or an integer of at least 1, "
+                             f"not {block_size!r}")
+        self.n = _integer(n)
         self.m0 = _integer(m0)
         self.emin = _real(emin)
         self.emax = _real(emax)
@@ -348,7 +358,7 @@ class _RciKernel:
 
     def _multiply_blocks(self, task):
         m0 = self.m0
-        blk = self.block_size if self.block_size else m0
+        blk = self.block_size or m0
         start = 0
         while start < m0:
             cols = min(blk, m0 - start)

@@ -8,6 +8,7 @@ indexing in the reference notation ``fpm(i)``; the zero-indexed item access
 from __future__ import annotations
 
 import math
+import numbers
 
 # Contour point counts for which quadrature rules are supported.
 ALLOWED_CONTOUR_POINTS = (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
@@ -26,8 +27,23 @@ SYMMETRY_ULPS = 4
 _DEFAULTS = {1: 0, 2: 8, 3: 12, 4: 20, 5: 0, 6: 0, 7: 5, 14: 0}
 
 
+def _is_integer(value):
+    """Whether ``value`` is a Python or numpy integer: not a float, None, a
+    string or a bool (True would read as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _slot_value(value, name):
+    """``value`` as an int; ValueError naming ``name`` unless _is_integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 class FeastParams:
-    """The 64-slot integer control vector.
+    """The 64-slot integer control vector.  Every value given, to the
+    constructor, ``set_slot`` or item assignment, must be a Python or numpy
+    integer (not a float, a string or a bool), else ValueError names it.
 
     Slots 24 and 25 are kernel-owned while a reverse-communication solve is
     in flight (first column and column count of a pending multiply); user
@@ -43,7 +59,7 @@ class FeastParams:
             values = list(values)
             if len(values) != 64:
                 raise ValueError(f"expected 64 slots, got {len(values)}")
-            self._slots = [int(v) for v in values]
+            self._slots = [_slot_value(v, f"fpm({i})") for i, v in enumerate(values, start=1)]
 
     def slot(self, i: int) -> int:
         """1-indexed access: slot(i) == fpm(i)."""
@@ -54,14 +70,14 @@ class FeastParams:
     def set_slot(self, i: int, value: int) -> None:
         if not 1 <= i <= 64:
             raise IndexError(f"slot index {i} out of range 1..64")
-        self._slots[i - 1] = int(value)
+        self._slots[i - 1] = _slot_value(value, f"fpm({i})")
 
     # C convention: fpm[i-1] == fpm(i)
     def __getitem__(self, j: int) -> int:
         return self._slots[j]
 
     def __setitem__(self, j: int, value: int) -> None:
-        self._slots[j] = int(value)
+        self._slots[j] = _slot_value(value, f"fpm[{j}]")
 
     def __len__(self) -> int:
         return 64
@@ -122,9 +138,9 @@ def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
 
     Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax,
     either bound NaN or infinite, or a width Emax - Emin that overflows).
-    The kernels pass an M0 that is not an integer value (a bool included) as
-    0 and an Emin or Emax that is not a real number as NaN, so these return
-    201 and 200 too.
+    The kernels pass an N or M0 that is not an integer value (a bool
+    included) as 0 and an Emin or Emax that is not a real number as NaN, so
+    these return 202, 201 and 200 too.
     """
     if n <= 0:
         return 202

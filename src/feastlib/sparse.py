@@ -16,8 +16,8 @@ there is mostly numpy call overhead.  Minimum degree, which nested
 dissection replaced, gives less fill (21,504 entries) but supernodes of
 about one column, so its factorization took one Python-level update per
 entry of L.  Where the natural order makes less fill, as on a full band
-(34,794 entries against 62,207 at n=900, kl=31), the analysis is a chain
-of SUPERNODE-column supernodes in natural order instead.  Each
+(34,794 entries against 62,207 at n=900, kl=31), the one analysis switches
+to a chain of SUPERNODE-column supernodes before it builds positions.  Each
 supernode's pivot block is inverted by LAPACK, with partial pivoting
 inside the block (none across blocks: the order is fixed by the symbolic
 analysis), and the factor keeps the inverse with F21 inv and inv F12, so
@@ -369,14 +369,14 @@ def _amalgamate(nodes, parent):
 
 
 class _SparseSymbolic:
-    """Pattern analysis shared read-only by every shift: a nested-dissection
-    order and its relaxed supernodes or, with ``chain``, the natural order
-    in SUPERNODE-column supernodes, each the parent of the one before.
+    """Pattern analysis shared read-only by every shift.  The graph is built
+    once and ordered by nested dissection in relaxed supernodes or, where
+    ``_chain_nnz_l`` counts fewer entries of L (a full band), by the chain
+    ``_amalgamate`` makes of the natural-order path; then positions, once.
 
     Supernode s is the contiguous range ``columns[s]`` of permuted columns
-    (``start[s]:start[s + 1]``): a connected subtree of the dissection's
-    assembly tree (``_amalgamate``), that is a separator or a leaf with
-    those of its descendants merged into it, in postorder.  Its front
+    (``start[s]:start[s + 1]``): a connected subtree of the assembly tree
+    (``_amalgamate``), in postorder.  Its front
     holds those columns and ``rows[s]``, the later rows its columns reach:
     their later neighbours and the rows of its children's fronts past it.
     The front is factorized dense, so the factor's pattern is contained in
@@ -387,7 +387,7 @@ class _SparseSymbolic:
     of ``rows[s]`` in the parent's front.
     """
 
-    def __init__(self, n, indptr, indices, chain=False):
+    def __init__(self, n, indptr, indices):
         self.n = n
         er = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
         ec = np.asarray(indices, dtype=np.int64)
@@ -395,24 +395,37 @@ class _SparseSymbolic:
         off = er != ec
         keys = np.unique(np.concatenate([er[off] * n + ec[off], ec[off] * n + er[off]]))
         ar, ac = np.divmod(keys, max(n, 1))
-        if chain:
-            nodes = [range(c, min(c + SUPERNODE, n)) for c in range(0, n, SUPERNODE)]
-            self.parent = [s + 1 for s in range(len(nodes) - 1)] + [-1]
-        else:
-            ptr = np.searchsorted(ar, np.arange(n + 1)).tolist()
-            nbrs = ac.tolist()
-            nodes, self.parent = _amalgamate(*_nested_dissection(
-                n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)]))
+        ptr = np.searchsorted(ar, np.arange(n + 1)).tolist()
+        nbrs = ac.tolist()
+        fronts = self._order(ar, ac, *_amalgamate(*_nested_dissection(
+            n, [nbrs[ptr[v]:ptr[v + 1]] for v in range(n)])))
+        if _chain_nnz_l(n, er, ec) < self.nnz_l:
+            fronts = self._order(ar, ac, *_amalgamate([[v] for v in range(n)],
+                                                      list(range(1, n)) + [-1]))
 
+        pi, pj = self.iperm[er], self.iperm[ec]
+        owner = np.repeat(np.arange(len(fronts)), np.diff(self.start))[np.minimum(pi, pj)]
+        self.source = np.argsort(owner, kind="stable")
+        self.bounds = np.searchsorted(owner[self.source], np.arange(len(fronts) + 1))
+        self.scatter, self.extend = [], []
+        for s, front in enumerate(fronts):
+            e = self.source[self.bounds[s]:self.bounds[s + 1]]
+            self.scatter.append(np.searchsorted(front, pi[e]) * len(front)
+                                + np.searchsorted(front, pj[e]))
+            p = self.parent[s]
+            self.extend.append(None if p < 0 else np.searchsorted(fronts[p], self.rows[s]))
+
+    def _order(self, ar, ac, nodes, parent):
+        """Take the supernodes ``nodes``, a postorder, and ``parent``; returns their fronts."""
+        self.parent = parent
         self.perm = np.array([v for node in nodes for v in node], dtype=np.int64)
-        self.iperm = np.empty(n, dtype=np.int64)
-        self.iperm[self.perm] = np.arange(n)
-        sizes = [len(node) for node in nodes]
-        self.start = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        self.iperm = np.empty(self.n, dtype=np.int64)
+        self.iperm[self.perm] = np.arange(self.n)
+        self.start = np.concatenate([[0], np.cumsum([len(node) for node in nodes], dtype=np.int64)])
         ends = self.start.tolist()
         self.columns = [slice(c0, c1) for c0, c1 in zip(ends[:-1], ends[1:])]
         self.children = [[] for _ in nodes]
-        for s, p in enumerate(self.parent):
+        for s, p in enumerate(parent):
             if p >= 0:
                 self.children[p].append(s)
 
@@ -429,19 +442,7 @@ class _SparseSymbolic:
                                    + [self.rows[c] for c in self.children[s]])
             self.rows.append(np.unique(reach[reach >= cols.stop]))
             fronts.append(np.concatenate([np.arange(cols.start, cols.stop), self.rows[s]]))
-
-        pi, pj = self.iperm[er], self.iperm[ec]
-        owner = np.repeat(np.arange(len(nodes)), sizes)[np.minimum(pi, pj)]
-        self.source = np.argsort(owner, kind="stable")
-        self.bounds = np.searchsorted(owner[self.source], np.arange(len(nodes) + 1))
-        self.scatter = []
-        self.extend = []
-        for s, front in enumerate(fronts):
-            e = self.source[self.bounds[s]:self.bounds[s + 1]]
-            self.scatter.append(np.searchsorted(front, pi[e]) * len(front)
-                                + np.searchsorted(front, pj[e]))
-            p = self.parent[s]
-            self.extend.append(None if p < 0 else np.searchsorted(fronts[p], self.rows[s]))
+        return fronts
 
     @property
     def nnz_l(self):
@@ -628,8 +629,8 @@ def _bicgstab(matvec, diag, b, tol):
 class _SparseOps(_Ops):
     """Backend ops of the CSR and band drivers with the direct solver.
 
-    All contour ``shifts`` are factorized in one batch, on the dissection's
-    analysis or the chain's, whichever holds fewer entries of L, and solves
+    All contour ``shifts`` are factorized in one batch, on one symbolic
+    analysis in the order that holds fewer entries of L, and solves
     are served from held group sweeps (see ``_Ops``).  The shifted matrices
     of a driver that is not ``hermitian`` (feast_scsr, feast_sb) are
     complex symmetric, so their factors keep each ``ui`` block as a
@@ -640,8 +641,6 @@ class _SparseOps(_Ops):
         super().__init__(a_full, b_full, shifts, hermitian)
         p = self.pattern = _ShiftedPattern(a_full, b_full)
         self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices)
-        if _chain_nnz_l(p.n, p.rows, p.cols) < self.symbolic.nnz_l:
-            self.symbolic = _SparseSymbolic(p.n, p.indptr, p.indices, chain=True)
 
     def _factor(self, shifts):
         p = self.pattern

@@ -108,6 +108,19 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nnz", ["1000000000000", "100000000000000000000"])
+def test_nnz_header_past_the_file_exits_two(tmp_path, capsys, nnz):
+    """A header NNZ larger than the file's entry lines is a truncated file,
+    found before NNZ entries are allocated (which ran out of memory, or
+    past numpy's largest array, with a traceback and exit 1)."""
+    (tmp_path / "big.in").write_text(HELLO_IN)
+    (tmp_path / "big.A").write_text(HELLO_A.replace("2 2 4", f"2 2 {nnz}"))
+    assert run_driver(str(tmp_path / "big")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"file truncated: expected NNZ={nnz}" in captured.err
+
+
 @pytest.mark.parametrize("uplo,entry", [("L", "1 2 -1.0"), ("U", "2 1 -1.0")])
 def test_entry_outside_the_triangle_exits_two(tmp_path, capsys, uplo, entry):
     """An entry outside the .in file's UPLO triangle makes the file

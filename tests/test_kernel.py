@@ -472,6 +472,40 @@ def test_validation_errors_on_init():
     assert SymmetricRci(4, 2, -1.0, 1.0, fpm=fpm).info == 102
 
 
+@pytest.mark.parametrize("kernel", [SymmetricRci, HermitianRci])
+def test_n_is_read_as_m0_is(kernel):
+    """An N that is not an integer value is 202: 2.5 once gave 2-row blocks
+    and info 0, True read as 1 and "4" as 4, and None raised TypeError.
+    Integer-valued floats and numpy integers are read as their integer."""
+    for n in (2.5, True, np.True_, "4", None, 4j):
+        rci = kernel(n, 2, -5.0, 5.0)
+        assert (rci.info, rci.done, rci.step()) == (202, True, RciTask.DONE), n
+        assert rci.result.x.shape == (0, 0)
+    for n in (2.0, np.float32(2.0), np.int8(2)):
+        rci = kernel(n, 2, -5.0, 5.0)
+        assert (rci.info, rci.n) == (0, 2) and rci.x.shape == (2, 2)
+
+
+@pytest.mark.parametrize("kernel", [SymmetricRci, HermitianRci])
+def test_seed_and_block_size_are_checked(rng, kernel):
+    """block_size=-1 once asked for multiplies of -1 columns forever, "2"
+    raised TypeError at the first multiply and 2.5 gave fractional column
+    starts; a seed of 2.7 read as 2, True as 1, and None raised TypeError.
+    Numpy integers are taken as the Python integers they equal."""
+    for block_size in (0, -1, 2.5, 2.0, "2", True, np.True_):
+        with pytest.raises(ValueError, match="block_size must be None or an integer"):
+            kernel(4, 2, -5.0, 5.0, block_size=block_size)
+    for seed in (2.7, 2.0, True, None, "42"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            kernel(4, 2, -5.0, 5.0, seed=seed)
+    a = random_symmetric(10, rng)
+    emin, emax = gap_interval(np.linalg.eigvalsh(a), 2, 5)
+    want = ScriptedCaller(kernel(10, 8, emin, emax, seed=7, block_size=3), a).run()
+    got = ScriptedCaller(kernel(10, 8, emin, emax, seed=np.int64(7), block_size=np.int32(3)),
+                         a).run()
+    assert got.x.tobytes() == want.x.tobytes() and got.info == want.info
+
+
 @pytest.mark.parametrize("make,info", [
     (lambda: feast_sy(np.eye(2), 0.0, 2.0, 10**16), 201),
     (lambda: SymmetricRci(0, 10**16, 0.0, 1.0).result, 202),

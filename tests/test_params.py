@@ -153,6 +153,25 @@ def test_params_bad_constructor():
             feastinit().set_slot(i, 1)
 
 
+def test_slot_values_must_be_integers():
+    """set_slot(2, 8.7) once stored 8, which feast_sy then solved with, and
+    fpm[1] = "12" stored 12.  Numpy integers are stored as ints."""
+    fpm = feastinit()
+    for value in (8.7, 8.0, np.float64(4.9), "12", True, np.True_, None):
+        with pytest.raises(ValueError, match=r"fpm\(2\) must be an integer"):
+            fpm.set_slot(2, value)
+        with pytest.raises(ValueError, match=r"fpm\[1\] must be an integer"):
+            fpm[1] = value
+        with pytest.raises(ValueError, match=r"fpm\(3\) must be an integer"):
+            FeastParams([0, 8, value] + [0] * 61)
+    assert fpm == feastinit()
+    fpm = FeastParams(np.arange(64, dtype=np.int32))
+    fpm.set_slot(2, np.int64(16))
+    fpm[2] = np.uint8(10)
+    assert [type(v) for v in (fpm.slot(1), fpm.slot(2), fpm.slot(3))] == [int, int, int]
+    assert (fpm.slot(1), fpm.slot(2), fpm.slot(3), fpm.slot(64)) == (0, 16, 10, 63)
+
+
 def test_info_classification_table():
     assert info_classification(0) == "success"
     for w in (1, 2, 3, 4):

@@ -421,8 +421,11 @@ def test_dissection_splits_parts_larger_than_a_leaf(rng, monkeypatch):
     assert sizes.max() <= 2 * 20 and len(nodes) > 400 // LEAF
     assert parent[-1] == -1 and parent.count(-1) == 1
     # With no merging the supernodes are those nodes: 5,568 entries of L in
-    # 89 supernodes; the natural order's band holds about 20 * 400.
+    # 89 supernodes; the natural order's band holds about 20 * 400.  (The
+    # chain's count, which would divide by a zero SUPERNODE, is forced past
+    # the dissection's.)
     monkeypatch.setattr(sparse, "SUPERNODE", 0)
+    monkeypatch.setattr(sparse, "_chain_nnz_l", lambda n, rows, cols: float("inf"))
     pattern = _ShiftedPattern(CsrMatrix.from_dense(a), None)
     sym = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
     assert sym.perm.tolist() == [v for node in nodes for v in node]
@@ -489,13 +492,15 @@ def _order_cases(rng):
 
 @pytest.mark.parametrize("name", ["n=1", "diagonal", "grid", "disconnected", "arrow", "irregular",
                                   "star", "grid 40 x 40", "fem 30 x 30", "full band"])
-def test_chain_count_is_the_chain_analysis_nnz_l(rng, name):
+def test_chain_count_is_the_chain_analysis_nnz_l(rng, monkeypatch, name):
     if name in ("grid 40 x 40", "fem 30 x 30", "full band"):
         csr, want = _order_cases(rng)[name]
     else:
         csr, want = CsrMatrix.from_dense(_patterns(rng)[name]), None
     pattern = _ShiftedPattern(csr, None)
-    chain = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices, chain=True)
+    # A count below any analysis's forces the chain.
+    monkeypatch.setattr(sparse, "_chain_nnz_l", lambda n, rows, cols: -1)
+    chain = _SparseSymbolic(pattern.n, pattern.indptr, pattern.indices)
     assert chain.perm.tolist() == list(range(pattern.n))
     assert np.all(np.diff(chain.start)[:-1] == SUPERNODE)
     assert chain.parent == list(range(1, len(chain.columns))) + [-1]
@@ -512,15 +517,43 @@ def test_chain_count_is_the_chain_analysis_nnz_l(rng, name):
 
 @pytest.mark.parametrize("name, chain", [("grid 40 x 40", False), ("fem 30 x 30", False),
                                          ("full band", True)])
-def test_sparse_ops_take_the_order_with_less_fill(rng, name, chain):
+def test_sparse_ops_take_the_order_with_less_fill(rng, monkeypatch, name, chain):
     csr, _ = _order_cases(rng)[name]
     ops = _SparseOps(csr, None, [1j], hermitian=False)
     p = ops.pattern
-    dissection = _SparseSymbolic(p.n, p.indptr, p.indices)
+    # A count above any analysis's forces the dissection.
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "_chain_nnz_l", lambda n, rows, cols: float("inf"))
+        dissection = _SparseSymbolic(p.n, p.indptr, p.indices)
     natural = _chain_nnz_l(p.n, p.rows, p.cols)
     assert (natural < dissection.nnz_l) == chain
     assert ops.symbolic.nnz_l == min(natural, dissection.nnz_l)
     assert (ops.symbolic.perm.tolist() == list(range(p.n))) == chain
+
+
+def test_sparse_ops_build_one_analysis(rng, monkeypatch):
+    """On the full band, where the chain wins, ``_SparseOps`` constructs
+    one ``_SparseSymbolic``, whose arrays are those of the forced chain's."""
+    csr, _ = _order_cases(rng)["full band"]
+    built = []
+
+    class Counted(_SparseSymbolic):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "_SparseSymbolic", Counted)
+        got = _SparseOps(csr, None, [1j], hermitian=False).symbolic
+    assert len(built) == 1
+    monkeypatch.setattr(sparse, "_chain_nnz_l", lambda n, rows, cols: -1)
+    want = _SparseSymbolic(*built[0])
+    assert got.parent == want.parent and got.columns == want.columns
+    for name in ("perm", "iperm", "start", "source", "bounds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("rows", "scatter", "extend"):
+        assert all(g is w is None or np.array_equal(g, w)
+                   for g, w in zip(getattr(got, name), getattr(want, name), strict=True)), name
 
 
 def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
