@@ -1,6 +1,6 @@
-"""Full-storage drivers: UPLO-aware dense matrices, complex LU with partial
-pivoting for the shifted systems, in the multifrontal LU's block form
-(``_driver._BlockFactor``), and the feast_sy / feast_he entry points."""
+"""Full-storage drivers: UPLO-aware dense matrices, a left-looking complex LU
+with partial pivoting of the shifted systems, written as it goes in the
+multifrontal LU's block form (``_driver._BlockFactor``), and feast_sy/he."""
 
 from __future__ import annotations
 
@@ -53,6 +53,12 @@ def _unit_upper_inverse(v):
     return y
 
 
+def _check(ok, what):
+    """Raise SingularMatrixError for ``what`` unless every shift is ``ok``."""
+    if not ok.all():
+        raise SingularMatrixError(what + (f" (shift {np.argmin(ok)})" if len(ok) > 1 else ""))
+
+
 def _factor_panel(pt, piv, c0, c1, k0):
     """Factorize columns c0:c1 of the panel held transposed in ``pt``,
     (shifts, w, r) with pt[s, c, i] = A_s[k0 + i, k0 + c], from row c0 down;
@@ -75,10 +81,7 @@ def _factor_panel(pt, piv, c0, c1, k0):
     for c in range(c0, c1):
         p = c + np.argmax(np.abs(pt[:, c, c:]), axis=1)
         pivot = pt[shifts, c, p]
-        if not pivot.all():
-            s = int(np.argmin(pivot != 0))
-            raise SingularMatrixError(f"zero pivot at column {k0 + c}"
-                                      + (f" (shift {s})" if len(pt) > 1 else ""))
+        _check(pivot != 0, f"zero pivot at column {k0 + c}")
         piv[:, c] = k0 + p
         column = pt[shifts, :, p]
         pt[shifts, :, p] = pt[:, :, c]
@@ -95,20 +98,22 @@ class _DenseFactor(_BlockFactor):
     in the pivot order, and an adjoint one, A^H = (PA)^H P, puts the
     solution's rows back from it.
 
-    One right-looking pass.  Each panel of NB columns is copied out
-    transposed, so that its columns are contiguous rows, factorized there by
-    _factor_panel and copied back, its row interchanges applied to whole
-    rows and to the row order.  Then, a block column at a time,
-    U12 = L11⁻¹ A12 in place and the trailing update A22 -= L21 U12; then,
-    a block at a time, ui and li, and inv.  U11⁻¹ is the unit-upper inverse
-    of U11 with its rows scaled by the diagonal, its columns scaled back.
-    It is made after the trailing update, so that only L11⁻¹ is held beside
-    that update's temporaries: holding both raised the dense benchmark's
-    peak RSS by about 1 MB.  No temporary is larger than one block column.
-    Every operation is elementwise along the shift axis or a stacked matrix
-    product, one product per shift, so each shift's factor is bitwise the
-    one it gets alone.  Raises SingularMatrixError on an exactly singular
-    pivot, naming its column (and its shift, in a stack of more than one).
+    One left-looking (Crout) pass over NB-column panels.  Each block's row
+    is kept as A' = L11 U12 until the end, so that li A' = L21 U12: one
+    product, li A' over the blocks to its left, brings a panel's columns
+    up to date as they are copied out transposed (contiguous rows) for
+    _factor_panel, and one more, once they are copied back, its row.  Its
+    row interchanges, composed into one permutation of the rows that
+    move, go to the row order and, NB columns at a time, to the columns
+    outside it.  li and inv then fill the panel's columns; U11⁻¹ is the
+    unit-upper inverse of U11 with its rows scaled by the diagonal, its
+    columns scaled back.  A last product per block makes ui = inv A'.
+    Beside the panel's copy, no temporary is larger than one block column.
+    Every operation is elementwise along the shift axis or a stacked
+    matrix product, one product per shift, so each shift's factor is
+    bitwise the one it gets alone.  Raises SingularMatrixError, with no
+    floating-point warning, on an exactly singular pivot or a non-finite
+    factor entry (an overflow or NaN), naming its column or rows and shift.
     """
 
     def __init__(self, lu):
@@ -119,34 +124,40 @@ class _DenseFactor(_BlockFactor):
         # Each shift's row order, in int32: enough for any n whose n x n
         # stack fits in memory, and half the size of intp.
         order = np.tile(np.arange(self.n, dtype=np.int32), (self.ne, 1))
-        for k0, k1 in _blocks(self.n):
-            k = slice(k0, k1)
-            panel = lu[:, k0:, k].transpose(0, 2, 1).copy()
-            # Column k's pivot row goes to pairs[:, k - k0] = (k, piv[k]).
-            pairs = np.empty((self.ne, k1 - k0, 2), dtype=np.intp)
-            pairs[:, :, 0] = np.arange(k0, k1)
-            _factor_panel(panel, pairs[:, :, 1], 0, k1 - k0, k0)
-            # L11⁻¹, the inverse of the unit-upper triangle of the panel's L11ᵀ.
-            l_inv = _unit_upper_inverse(panel[:, :, :k1 - k0]).swapaxes(1, 2)
-            # Interchange rows k and piv[k] in turn; the panel's columns are
-            # overwritten below.
-            for pair in pairs.swapaxes(0, 1):
-                lu[shifts, pair] = lu[shifts, pair[:, ::-1]]
-                order[shifts, pair] = order[shifts, pair[:, ::-1]]
-            lu[:, k0:, k] = panel.transpose(0, 2, 1)
-            del panel
-            for j0, j1 in _blocks(self.n, k1):
-                lu[:, k, j0:j1] = l_inv @ lu[:, k, j0:j1]
-                lu[:, k1:, j0:j1] -= lu[:, k1:, k] @ lu[:, k, j0:j1]
-            d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
-            u_inv = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2)
-            for j0, j1 in _blocks(self.n, k1):
-                lu[:, k, j0:j1] = u_inv @ lu[:, k, j0:j1]
-                lu[:, j0:j1, k] = lu[:, j0:j1, k] @ l_inv
-            lu[:, k, k] = u_inv @ l_inv
-            # Held through the next panel's factorization, they raise the
-            # factor's peak.
-            del l_inv, u_inv, d
+        with np.errstate(all="ignore"):
+            for k0, k1 in _blocks(self.n):
+                k, w = slice(k0, k1), k1 - k0
+                # The panel, transposed: its columns less li A', one product.
+                panel = lu[:, :k0, k].transpose(0, 2, 1) @ lu[:, k0:, :k0].transpose(0, 2, 1)
+                np.subtract(lu[:, k0:, k].transpose(0, 2, 1), panel, out=panel)
+                # Column k's pivot row goes to pairs[:, k - k0] = (k, piv[k]).
+                pairs = np.tile(np.arange(k0, k1)[:, np.newaxis], (self.ne, 1, 2))
+                _factor_panel(panel, pairs[:, :, 1], 0, w, k0)
+                lu[:, k0:, k] = panel.transpose(0, 2, 1)
+                # L11⁻¹, the inverse of the unit-upper triangle of the panel's L11ᵀ.
+                l_inv = _unit_upper_inverse(panel[:, :, :w]).swapaxes(1, 2)
+                del panel
+                # Interchanging rows k and piv[k] in turn moves row source[r]
+                # to row r.  rows: the rows that move, then rows that stay,
+                # as many for each shift; then source[:, i] moves to rows[:, i].
+                source = np.tile(np.arange(self.n), (self.ne, 1))
+                for pair in pairs.swapaxes(0, 1):
+                    source[shifts, pair] = source[shifts, pair[:, ::-1]]
+                moves = source != np.arange(self.n)
+                rows = np.argsort(~moves, axis=1, kind="stable")[:, :moves.sum(axis=1).max()]
+                source = source[shifts, rows]
+                order[shifts, rows] = order[shifts, source]
+                for j0, j1 in _blocks(k0) + _blocks(self.n, k1):
+                    lu[shifts, rows, j0:j1] = lu[shifts, source, j0:j1]
+                lu[:, k1:, k] = lu[:, k1:, k] @ l_inv
+                d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
+                lu[:, k, k] = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2) @ l_inv
+                if k0:
+                    lu[:, k, k1:] -= lu[:, k, :k0] @ lu[:, :k0, k1:]
+            for k0, k1 in _blocks(self.n):
+                lu[:, k0:k1, k1:] = lu[:, k0:k1, k0:k1] @ lu[:, k0:k1, k1:]
+                _check(np.isfinite(lu[:, k0:k1]).all(axis=(1, 2)),
+                       f"non-finite factor entry in rows {k0}:{k1}")
         self.columns = [slice(k0, k1) for k0, k1 in _blocks(self.n)]
         self.rows = [slice(k.stop, None) for k in self.columns]
         self.blocks = [(lu[:, k, k], lu[:, r, k], lu[:, k, r])

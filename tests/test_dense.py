@@ -150,6 +150,36 @@ def test_stacked_lu_is_bitwise_the_one_shift_lu(rng, n, g, complex_):
             assert np.flatnonzero(order != np.arange(n))[0] == cols[s]
 
 
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_composed_interchanges_match_the_reference(rng, n):
+    """Column diagonally dominant matrices with rows interchanged, which
+    GEPP interchanges back: none in shift 0, two row pairs in shift 1 (in
+    the last block when n = 2 NB + 3), and in shift 2 the last row, of the
+    last block, and the row before it with rows 0 and 2 of the first panel.
+    Each shift's factor is bitwise its one-shift factor, and its row order
+    and block form are the unblocked reference's."""
+    mats = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)) + 4 * n * np.eye(n)
+    swaps = ([], [(1, n // 2), (n - 3, n - 2)], [(0, n - 1), (2, n - 2)])
+    for s, pairs in enumerate(swaps):
+        for i, j in pairs:
+            if 0 <= min(i, j) and max(i, j) < n:
+                mats[s, [i, j]] = mats[s, [j, i]]
+    factor = _DenseFactor(mats.copy())
+    for s in range(3):
+        ref_lu, ref_piv = _unblocked_lu_factor(mats[s])
+        order = _row_order(ref_piv)
+        assert np.array_equal(factor.orders[False][0][:, s], order)
+        assert np.array_equal(factor.orders[True][1][:, s], np.argsort(order))
+        one = _factor(mats[s])
+        assert factor.lu[s].tobytes() == one.lu.tobytes()
+        _assert_block_form(one, ref_lu)
+    moved = [np.flatnonzero(factor.orders[False][0][:, s] != np.arange(n)) for s in range(3)]
+    assert moved[0].size == 0
+    if n > 1:
+        assert moved[1].size == 4
+        assert factor.orders[False][0][[0, 2], 2].tolist() == [n - 1, n - 2]
+
+
 @pytest.mark.parametrize("column", [0, LEAF, NB - 1, NB + 1, 2 * NB + 2])
 def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
     n = 2 * NB + 3
@@ -251,7 +281,9 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
 def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
     # Beyond the stack itself, the factorization holds at most one panel,
     # copied out transposed (one (g, n, NB) block column), and the product
-    # temporaries of the panel's halves or of one trailing block column.
+    # temporaries of the panel's halves or of one panel's column or row
+    # update.  Gathering a panel's row interchanges in one piece, before
+    # its copy is freed, reached 2.97 block columns on this stack.
     n, g = 400, 8
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(g), -1.0, 1.0).z

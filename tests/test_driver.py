@@ -116,6 +116,25 @@ def test_singular_pencil_returns_minus_two(driver, stem, dtype, code_a, code_b, 
     assert _call(driver, a, b, options=SolverOptions(parallel_contour=workers)).info == -2
 
 
+@pytest.mark.parametrize("driver,stem,dtype,code_a,code_b", DRIVERS, ids=DRIVER_IDS)
+def test_pencil_at_subnormal_scale_returns_minus_two(driver, stem, dtype, code_a, code_b):
+    """A = diag(1..5) 1e-310 on [0.5, 5.5] 1e-310: the shifted pivots are
+    subnormal, and dividing by them overflows.  The dense LU once let the
+    overflow warn (an error under -W error) and ended in info -3; every
+    driver returns -2 without a warning, as the CSR and band ones did."""
+    d = np.arange(1.0, 6.0).astype(dtype) * 1e-310
+    emin, emax = 0.5e-310, 5.5e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if driver in (feast_sy, feast_he):
+            result = driver(np.diag(d), emin, emax, 5)
+        elif driver in (feast_sb, feast_hb):
+            result = driver(d[np.newaxis], 0, emin, emax, 5)
+        else:
+            result = driver(CsrMatrix.from_dense(np.diag(d)), emin, emax, 5)
+    assert result.info == -2
+
+
 @pytest.mark.parametrize("field,value", [
     ("iter_tol", 0.0), ("iter_tol", -1.0), ("iter_tol", np.nan), ("iter_tol", np.inf),
     ("parallel_contour", 0), ("parallel_contour", -3),
