@@ -4,12 +4,12 @@ A predefined driver is ``setup`` (kernel, argument checks, full-storage
 operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
 reverse-communication kernel to completion against it, caching each
-shift's factorization.  The direct backends (the dense LU, and the
-multifrontal LU of the CSR and band drivers) keep a batch's factors as one
-``_BlockFactor``, whose one sweep serves both.  The ops object factorizes
-the contour shifts on their first request, in the calling thread, whatever
-``SolverOptions.parallel_contour`` says (it has no effect; see there): an
-ops object serves one ``run_rci`` in one thread, as a kernel does.
+shift's factorization.  A batch of factors is a ``_BlockFactor`` (the
+multifrontal LU of the CSR and band drivers) or a ``dense._DenseFactor``.
+The ops object factorizes the contour shifts on their first request, in
+the calling thread, whatever ``SolverOptions.parallel_contour`` says (it
+has no effect; see there): an ops object serves one ``run_rci`` in one
+thread, as a kernel does.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def _unit_scaled(block, dtype):
 
 class _BlockFactor:
     """Block LU of a batch of ``ne`` shifted n x n matrices, the form of the
-    dense and the multifrontal LU.  A subclass sets ``n``, ``ne``, ``dtype``
-    and, for each shift's matrix F in its factor's row order, the blocks:
+    multifrontal LU (``sparse._SparseFactor``).  A subclass sets ``n``,
+    ``ne``, ``dtype`` and, for each shift's matrix F in its factor's row
+    order, the blocks:
     block j holds the columns ``columns[j]`` (a slice) and reaches the later
     rows ``rows[j]`` (a slice or an index array), and ``blocks[j]`` is
     (inv, li, ui) = (F11⁻¹, F21 inv, inv F12), stacks of shape (ne, ·, ·),
@@ -245,16 +246,18 @@ class _Ops:
     object serves one ``run_rci`` in one thread and is not shared between
     threads.
 
-    A direct batch is a ``_BlockFactor``, swept in groups of g consecutive
-    shifts: all ne of them for a real symmetric driver, which asks for no
-    adjoint solves, and ceil(ne/2) for a Hermitian one.  Each direction
-    holds the sweep of its last group and right-hand side.  A request of a
-    shift in that group with an equal right-hand side is served from it;
-    any other runs the sweep of the shift's group.  A held sweep is dropped
-    once it has served as many requests as its group has shifts.  So a
-    Hermitian contour pass runs two sweeps each way, and the two held
-    sweeps hold at most ne + 1 shift-slices together (holding an all-shift
-    sweep each way raised band-herm-gen's peak RSS from 59.3 to 63.0 MB).
+    A direct batch (a ``_BlockFactor`` or a ``dense._DenseFactor``, each
+    with ``ne``, ``sweep`` and ``pick``) is swept in groups of g
+    consecutive shifts: all ne of them for a real symmetric driver, which
+    asks for no adjoint solves, and ceil(ne/2) for a Hermitian one.  Each
+    direction holds the sweep of its last group and right-hand side.  A
+    request of a shift in that group with an equal right-hand side is
+    served from it; any other runs the sweep of the shift's group.  A held
+    sweep is dropped once it has served as many requests as its group has
+    shifts.  So a Hermitian contour pass runs two sweeps each way, and the
+    two held sweeps hold at most ne + 1 shift-slices together (holding an
+    all-shift sweep each way raised band-herm-gen's peak RSS from 59.3 to
+    63.0 MB).
     Iterative batches override ``_solve`` and solve a shift at a time (a
     block BiCGStab ran every column until the slowest converged: 30 s, not
     22 s).

@@ -1,13 +1,20 @@
-"""Full-storage drivers: UPLO-aware dense matrices, a left-looking complex LU
-with partial pivoting of the shifted systems, written as it goes in the
-multifrontal LU's block form (``_driver._BlockFactor``), and feast_sy/he."""
+"""Full-storage drivers: UPLO-aware dense matrices, feast_sy/he, and the
+shifted systems of all contour shifts from one reduction per solve.
+
+A blocked Householder reduction gives A = Q T Qᴴ for a standard problem,
+and B = L Lᴴ, L⁻¹ A L⁻ᴴ = Q T Qᴴ for a generalized one, with T real
+symmetric tridiagonal for both drivers.  With W = Q (W = L⁻ᴴ Q),
+(z B - A)⁻¹ = W (z I - T)⁻¹ Wᴴ for every shift z, and each shift costs one
+O(n) pivot-free LDLᵀ of z I - T (``_DenseFactor``): the classic many-shift
+method (Laub, IEEE Trans. Autom. Control 26(2), 1981), in place of one
+O(n³) LU per shift."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._driver import (UPLOS, SingularMatrixError, _BlockFactor, _Ops, as_operand, run_rci,
-                      setup, upper_uplo)
+from ._driver import (UPLOS, SingularMatrixError, _Ops, as_operand, run_rci, setup,
+                      upper_uplo)
 
 
 def asymmetry(a: np.ndarray) -> float:
@@ -29,160 +36,207 @@ def expand_uplo(a: np.ndarray, uplo: str) -> np.ndarray:
     return np.triu(a) + np.triu(a, 1).conj().T
 
 
-# Columns per panel of the blocked LU and per block of its block form.  Each
-# panel is split in halves down to leaves of at most LEAF columns; work
-# inside a leaf is one numpy call per column for all shifts, the rest is
-# matrix products, which run in BLAS.
-NB = 48
-LEAF = 8
+# Columns per panel of the reduction.  A panel's reflectors reach the
+# trailing matrix in one rank-2*PANEL matrix product, and W in two.
+PANEL = 32
 
 
-def _blocks(n, start=0):
-    """[k0, k1) ranges of NB indices (the last may be shorter) from start to n."""
-    return [(k0, min(k0 + NB, n)) for k0 in range(start, n, NB)]
+def _reflector(x):
+    """(v, tau, beta) with v[0] = 1 and tau real, such that the reflector
+    I - tau v vᴴ maps x to beta e1; (None, 0, x[0]) when x[1:] is zero.
+    x is scaled by max|x| first, so that its norm neither overflows nor
+    underflows (np.linalg.norm overflowed at 2^600)."""
+    tail = np.abs(x[1:]).max(initial=0)
+    if not tail:
+        return None, 0.0, x[0]
+    s = max(tail, abs(x[0]))
+    y = x / s
+    norm = np.sqrt(np.vdot(y, y).real)
+    head = abs(y[0])
+    phase = y[0] / head if head else 1.0
+    v = y / (y[0] + phase * norm)
+    v[0] = 1
+    return v, 1.0 + head / norm, -phase * norm * s
 
 
-def _unit_upper_inverse(v):
-    """Inverse of the unit-upper triangle of each matrix of the stack v, a
-    row at a time from the bottom."""
-    w = v.shape[-1]
-    y = np.zeros_like(v)
-    y[:, range(w), range(w)] = 1
-    for r in range(w - 2, -1, -1):
-        y[:, r:r + 1, r + 1:] = -(v[:, r:r + 1, r + 1:] @ y[:, r + 1:, r + 1:])
-    return y
+def _block_reflector(vt, tau):
+    """The upper triangle T with H_0 ... H_(w-1) = I - V T Vᴴ, V = vt.T, for
+    the reflectors H_i = I - tau[i] v_i v_iᴴ of vt's rows (LAPACK's xLARFT,
+    forward and columnwise)."""
+    gram = vt.conj() @ vt.T
+    t = np.zeros_like(gram)
+    for i, ti in enumerate(tau):
+        t[i, i] = ti
+        t[:i, i] = -ti * (t[:i, :i] @ gram[:i, i])
+    return t
 
 
-def _check(ok, what):
-    """Raise SingularMatrixError for ``what`` unless every shift is ``ok``."""
-    if not ok.all():
-        raise SingularMatrixError(what + (f" (shift {np.argmin(ok)})" if len(ok) > 1 else ""))
+def _tridiagonalize(a):
+    """(d, e, q): the Hermitian ``a`` (full storage) is q T qᴴ, with T
+    real symmetric tridiagonal, d its diagonal and e its off-diagonal; q
+    overwrites ``a``.
 
-
-def _factor_panel(pt, piv, c0, c1, k0):
-    """Factorize columns c0:c1 of the panel held transposed in ``pt``,
-    (shifts, w, r) with pt[s, c, i] = A_s[k0 + i, k0 + c], from row c0 down;
-    its columns left of c0 are factorized and their updates applied.  Column
-    c's pivot row goes to piv[:, c].
-
-    Halves recursively: the left half is factorized, the right half's U12
-    is the left's L11 inverse times A12 and its A22 takes their product,
-    then the right half is factorized.  A leaf of at most LEAF columns is
-    factorized a column at a time, each step one call for all shifts.
+    Blocked Householder reduction (LAPACK's xSYTRD/xHETRD, lower): a
+    panel's columns are brought up to date from its earlier reflectors'
+    (v, w) pairs as they are reached, and the trailing matrix once per
+    panel, a -= V Wᴴ + W Vᴴ (Golub & Van Loan, Matrix Computations,
+    §8.3).  q = H_0 ... H_(n-2) is accumulated backward, one block
+    reflector per panel, on the rows and columns the panel reaches.  The
+    reflectors leave complex off-diagonal entries for a complex ``a``;
+    scaling q's columns by unit phases makes them real and non-negative.
     """
-    if c1 - c0 > LEAF:
-        h = (c0 + c1) // 2
-        _factor_panel(pt, piv, c0, h, k0)
-        pt[:, h:c1, c0:h] = pt[:, h:c1, c0:h] @ _unit_upper_inverse(pt[:, c0:h, c0:h])
-        pt[:, h:c1, h:] -= pt[:, h:c1, c0:h] @ pt[:, c0:h, h:]
-        _factor_panel(pt, piv, h, c1, k0)
-        return
-    shifts = np.arange(len(pt))
-    for c in range(c0, c1):
-        p = c + np.argmax(np.abs(pt[:, c, c:]), axis=1)
-        pivot = pt[shifts, c, p]
-        _check(pivot != 0, f"zero pivot at column {k0 + c}")
-        piv[:, c] = k0 + p
-        column = pt[shifts, :, p]
-        pt[shifts, :, p] = pt[:, :, c]
-        pt[:, :, c] = column
-        pt[:, c, c + 1:] /= pivot[:, np.newaxis]
-        pt[:, c + 1:c1, c + 1:] -= pt[:, c + 1:c1, c, np.newaxis] * pt[:, c, np.newaxis, c + 1:]
+    n = len(a)
+    d = np.empty(n, dtype=a.real.dtype)
+    e = np.zeros(max(n - 1, 0), dtype=a.dtype)
+    panels = []
+    for j0 in range(0, n - 1, PANEL):
+        j1 = min(j0 + PANEL, n - 1)
+        # Row i holds reflector j0 + i over rows j0 + 1 on, and its w.
+        vt = np.zeros((j1 - j0, n - j0 - 1), dtype=a.dtype)
+        wt = np.zeros_like(vt)
+        tau = np.zeros(j1 - j0, dtype=d.dtype)
+        for i, k in enumerate(range(j0, j1)):
+            column = a[k, k:].conj()
+            if i:
+                column -= (vt[:i, i - 1:].T @ wt[:i, i - 1].conj()
+                           + wt[:i, i - 1:].T @ vt[:i, i - 1].conj())
+            d[k] = column[0].real
+            v, tau[i], e[k] = _reflector(column[1:])
+            if tau[i]:
+                # p = tau (A v) for the matrix as this panel has left it.
+                p = a[k + 1:, k + 1:] @ v
+                if i:
+                    vh = v.conj()
+                    p -= (vt[:i, i:].T @ np.conj(wt[:i, i:] @ vh)
+                          + wt[:i, i:].T @ np.conj(vt[:i, i:] @ vh))
+                p *= tau[i]
+                p -= (tau[i] / 2 * np.vdot(v, p)) * v
+                vt[i, i:] = v
+                wt[i, i:] = p
+        c = j1 - j0 - 1
+        a[j1:, j1:] -= np.concatenate((vt, wt))[:, c:].T @ np.concatenate((wt, vt))[:, c:].conj()
+        panels.append((j0, vt, tau))
+    d[n - 1] = a[n - 1, n - 1].real
+    q = a
+    q[...] = 0
+    np.fill_diagonal(q, 1)
+    for j0, vt, tau in reversed(panels):
+        block = q[j0 + 1:, j0 + 1:]
+        block -= vt.T @ (_block_reflector(vt, tau) @ (vt.conj() @ block))
+    modulus = np.abs(e)
+    phase = np.ones(n, dtype=a.dtype)
+    phase[1:] = np.cumprod(np.divide(e, modulus, out=np.ones_like(e), where=modulus > 0))
+    q *= phase
+    return d, modulus, q
 
 
-class _DenseFactor(_BlockFactor):
-    """LU with partial pivoting of each matrix of the stack ``lu``, PA = LU,
-    left in place in the multifrontal LU's block form: per NB-column block,
-    (inv, li, ui) = (U11⁻¹ L11⁻¹, L21 L11⁻¹, U11⁻¹ U12), each block reaching
-    all later rows.  F is PA, so a direct solve gathers the right-hand side
-    in the pivot order, and an adjoint one, A^H = (PA)^H P, puts the
-    solution's rows back from it.
+def _product(w, x):
+    """w @ x; a real ``w`` takes a complex ``x``'s real and imaginary
+    parts side by side, in one real product."""
+    if np.iscomplexobj(w) or not np.iscomplexobj(x):
+        return w @ x
+    return (w @ x.view(x.real.dtype)).view(x.dtype)
 
-    One left-looking (Crout) pass over NB-column panels.  Each block's row
-    is kept as A' = L11 U12 until the end, so that li A' = L21 U12: one
-    product, li A' over the blocks to its left, brings a panel's columns
-    up to date as they are copied out transposed (contiguous rows) for
-    _factor_panel, and one more, once they are copied back, its row.  Its
-    row interchanges, composed into one permutation of the rows that
-    move, go to the row order and, NB columns at a time, to the columns
-    outside it.  li and inv then fill the panel's columns; U11⁻¹ is the
-    unit-upper inverse of U11 with its rows scaled by the diagonal, its
-    columns scaled back.  A last product per block makes ui = inv A'.
-    Beside the panel's copy, no temporary is larger than one block column.
-    Every operation is elementwise along the shift axis or a stacked
-    matrix product, one product per shift, so each shift's factor is
-    bitwise the one it gets alone.  Raises SingularMatrixError, with no
-    floating-point warning, on an exactly singular pivot or a non-finite
-    factor entry (an overflow or NaN), naming its column or rows and shift.
+
+class _DenseFactor:
+    """(z B - A)⁻¹ = W (s (z I - T))⁻¹ Wᴴ for every shift z, with s = ±1
+    (see ``_DenseOps``).  Each shift's complex symmetric tridiagonal
+    s (z I - T) is kept as its pivot-free LDLᵀ: reciprocal pivots ``dinv``,
+    (n, ne), and multipliers ``l``, (n - 1, ne).  |Im d_i| >= Im z > 0, so
+    no pivot vanishes in exact arithmetic.  A W, T, reciprocal pivot or
+    multiplier that is not finite (an overflow, as pivots at the underflow
+    threshold give, or a NaN) raises SingularMatrixError, naming the shift,
+    with no floating-point warning.  An adjoint solve, of conj(z) B - A,
+    takes the conjugated LDLᵀ and the same W.
     """
 
-    def __init__(self, lu):
-        self.lu = lu
-        self.ne, self.n = lu.shape[:2]
-        self.dtype = lu.dtype
-        shifts = np.arange(self.ne)[:, np.newaxis]
-        # Each shift's row order, in int32: enough for any n whose n x n
-        # stack fits in memory, and half the size of intp.
-        order = np.tile(np.arange(self.n, dtype=np.int32), (self.ne, 1))
+    def __init__(self, w, d, e, sign, shifts):
+        self.w = w
+        self.n, self.ne = len(d), len(shifts)
         with np.errstate(all="ignore"):
-            for k0, k1 in _blocks(self.n):
-                k, w = slice(k0, k1), k1 - k0
-                # The panel, transposed: its columns less li A', one product.
-                panel = lu[:, :k0, k].transpose(0, 2, 1) @ lu[:, k0:, :k0].transpose(0, 2, 1)
-                np.subtract(lu[:, k0:, k].transpose(0, 2, 1), panel, out=panel)
-                # Column k's pivot row goes to pairs[:, k - k0] = (k, piv[k]).
-                pairs = np.tile(np.arange(k0, k1)[:, np.newaxis], (self.ne, 1, 2))
-                _factor_panel(panel, pairs[:, :, 1], 0, w, k0)
-                lu[:, k0:, k] = panel.transpose(0, 2, 1)
-                # L11⁻¹, the inverse of the unit-upper triangle of the panel's L11ᵀ.
-                l_inv = _unit_upper_inverse(panel[:, :, :w]).swapaxes(1, 2)
-                del panel
-                # Interchanging rows k and piv[k] in turn moves row source[r]
-                # to row r.  rows: the rows that move, then rows that stay,
-                # as many for each shift; then source[:, i] moves to rows[:, i].
-                source = np.tile(np.arange(self.n), (self.ne, 1))
-                for pair in pairs.swapaxes(0, 1):
-                    source[shifts, pair] = source[shifts, pair[:, ::-1]]
-                moves = source != np.arange(self.n)
-                rows = np.argsort(~moves, axis=1, kind="stable")[:, :moves.sum(axis=1).max()]
-                source = source[shifts, rows]
-                order[shifts, rows] = order[shifts, source]
-                for j0, j1 in _blocks(k0) + _blocks(self.n, k1):
-                    lu[shifts, rows, j0:j1] = lu[shifts, source, j0:j1]
-                lu[:, k1:, k] = lu[:, k1:, k] @ l_inv
-                d = lu[:, k, k].diagonal(axis1=1, axis2=2)[:, :, np.newaxis]
-                lu[:, k, k] = _unit_upper_inverse(lu[:, k, k] / d) / d.swapaxes(1, 2) @ l_inv
-                if k0:
-                    lu[:, k, k1:] -= lu[:, k, :k0] @ lu[:, :k0, k1:]
-            for k0, k1 in _blocks(self.n):
-                lu[:, k0:k1, k1:] = lu[:, k0:k1, k0:k1] @ lu[:, k0:k1, k1:]
-                _check(np.isfinite(lu[:, k0:k1]).all(axis=(1, 2)),
-                       f"non-finite factor entry in rows {k0}:{k1}")
-        self.columns = [slice(k0, k1) for k0, k1 in _blocks(self.n)]
-        self.rows = [slice(k.stop, None) for k in self.columns]
-        self.blocks = [(lu[:, k, k], lu[:, r, k], lu[:, k, r])
-                       for k, r in zip(self.columns, self.rows)]
-        order = order.T
-        same = np.broadcast_to(np.arange(self.n)[:, np.newaxis], order.shape)
-        self.orders = {False: (order, same), True: (same, np.argsort(order, axis=0))}
+            z = np.asarray(shifts, dtype=np.result_type(d, np.complex64))
+            diagonal = sign * (z - d[:, np.newaxis])
+            off = -sign * e
+            self.dinv = np.empty_like(diagonal)
+            self.l = np.empty_like(diagonal[1:])
+            pivot = diagonal[0]
+            for i in range(self.n - 1):
+                self.dinv[i] = 1 / pivot
+                self.l[i] = off[i] * self.dinv[i]
+                pivot = diagonal[i + 1] - off[i] * self.l[i]
+            self.dinv[-1] = 1 / pivot
+        if not (np.isfinite(w).all() and np.isfinite(d).all() and np.isfinite(e).all()):
+            raise SingularMatrixError("non-finite entry of the reduction")
+        ok = np.isfinite(self.dinv).all(axis=0) & np.isfinite(self.l).all(axis=0)
+        if not ok.all():
+            raise SingularMatrixError("non-finite pivot" + (
+                f" (shift {np.argmin(ok)})" if self.ne > 1 else ""))
+
+    def sweep(self, b: np.ndarray, adjoint: bool = False,
+              shifts: slice = slice(None)) -> np.ndarray:
+        """Solve the system of every shift in the slice ``shifts`` (all by
+        default), or with ``adjoint`` its conjugate transpose, for the
+        (n, m) block ``b``; returns y of shape (n, len(shifts), m), for
+        ``pick``.
+
+        One product by Wᴴ serves all shifts; the substitutions run along
+        n, each step elementwise over (shifts, columns); then one product
+        by W per shift.  So each shift's solution is bitwise the one its
+        one-shift factor gives, and the sweep of a slice bitwise that slice
+        of the sweep of all.
+        """
+        l, dinv = self.l[:, shifts], self.dinv[:, shifts]
+        if adjoint:
+            l, dinv = l.conj(), dinv.conj()
+        c = np.conj(_product(self.w.T, np.conj(b)))
+        y = np.empty((self.n,) + dinv.shape[1:] + b.shape[1:],
+                     dtype=np.result_type(dinv, b))
+        y[...] = c[:, np.newaxis]
+        for i in range(1, self.n):
+            y[i] -= l[i - 1, :, np.newaxis] * y[i - 1]
+        y *= dinv[:, :, np.newaxis]
+        for i in range(self.n - 2, -1, -1):
+            y[i] -= l[i, :, np.newaxis] * y[i + 1]
+        return _product(self.w, y.swapaxes(0, 1)).swapaxes(0, 1)
+
+    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False,
+             first: int = 0) -> np.ndarray:
+        """Shift ``shift``'s (n, m) solution from the output of ``sweep``
+        over the slice of shifts that begins at ``first``: a new array, as
+        a view would keep the whole sweep alive after ``_Ops`` drops it."""
+        return y[:, shift - first].copy()
+
+
+def _definite_cholesky(b):
+    """(s, L) with s B = L Lᴴ: s = 1 for a positive definite B, -1 for a
+    negative definite one; SingularMatrixError for any other B."""
+    for sign in (1, -1):
+        try:
+            return sign, np.linalg.cholesky(sign * b)
+        except np.linalg.LinAlgError:
+            pass
+    raise SingularMatrixError("B is not definite")
 
 
 class _DenseOps(_Ops):
-    """The one batch is the stack of all shifted matrices z B - A, written
-    straight into one (shifts, n, n) array and factorized in place into
-    block form (``_DenseFactor``); solves as in ``_Ops``."""
+    """Dense backend: ``_factor`` reduces the pencil once for all shifts
+    (see the module docstring); solves as in ``_Ops``.  A negative definite
+    B is reduced as the pencil (-A, -B), with s = -1 negating the
+    solutions."""
 
     def _factor(self, shifts):
-        n = self.a.shape[0]
-        lu = np.empty((len(shifts), n, n), dtype=np.result_type(self.a, np.complex64))
-        z = np.array(shifts, dtype=lu.dtype)
-        if self.b is None:
-            np.negative(self.a, out=lu)
-            lu.reshape(len(shifts), n * n)[:, ::n + 1] += z[:, np.newaxis]
-        else:
-            np.multiply(z[:, np.newaxis, np.newaxis], self.b, out=lu)
-            lu -= self.a
-        return _DenseFactor(lu)
+        with np.errstate(all="ignore"):
+            if self.b is None:
+                sign, a = 1, self.a.copy()
+            else:
+                sign, lower = _definite_cholesky(self.b)
+                inverse = np.linalg.inv(lower)
+                a = inverse @ (sign * self.a) @ inverse.conj().T
+                a = (a + a.conj().T) / 2
+            d, e, w = _tridiagonalize(a)
+            if self.b is not None:
+                w = inverse.conj().T @ w
+        return _DenseFactor(w, d, e, sign, shifts)
 
     _multiply = staticmethod(np.matmul)
 
@@ -213,6 +267,9 @@ def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=
 
     ``a``/``b`` are full-storage arrays whose referenced triangle is selected
     by ``uplo``; ``m0`` is the working subspace size.  Returns EigenResult.
+    The shifted systems are solved from one real tridiagonal reduction of
+    the pencil (see ``_DenseOps``); a B that is not definite returns -2, a
+    negative definite one -3.
     """
     return _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian=False)
 
@@ -220,8 +277,8 @@ def feast_sy(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=
 def feast_he(a, emin, emax, m0, *, uplo="F", b=None, fpm=None, options=None, x0=None):
     """Hermitian analogue of feast_sy for complex matrices.
 
-    Adjoint linear solves are served from the direct LU factorization
-    (U^H L^H with conjugated pivot application), so the kernel never asks
+    The reduction makes T real here too, so an adjoint solve takes the
+    conjugated LDLᵀ of z I - T and the same W, and the kernel never asks
     for a separate adjoint factorization.
     """
     return _dense_driver(a, b, emin, emax, m0, uplo, fpm, options, x0, hermitian=True)

@@ -272,7 +272,7 @@ class _RciKernel:
         self._cdtype = np.dtype(np.complex64 if self._single else np.complex128)
         self.routine_name = routine_name or self._default_routine_name()
 
-        self.info = (check_problem(self.n, self.m0, self.emin, self.emax)
+        self.info = (check_problem(self.n, self.m0, self.emin, self.emax, self._rdtype)
                      or validate_params(self.fpm))
         if self.info == 0:
             try:

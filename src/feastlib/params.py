@@ -7,8 +7,9 @@ indexing in the reference notation ``fpm(i)``; the zero-indexed item access
 
 from __future__ import annotations
 
-import math
 import numbers
+
+import numpy as np
 
 # Contour point counts for which quadrature rules are supported.
 ALLOWED_CONTOUR_POINTS = (3, 4, 5, 6, 8, 10, 12, 16, 20, 24, 32, 40, 48)
@@ -133,11 +134,12 @@ def validate_params(fpm: FeastParams) -> int:
     return 0
 
 
-def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
+def check_problem(n: int, m0: int, emin: float, emax: float, dtype=np.float64) -> int:
     """Validate problem size, subspace size and search interval.
 
-    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax,
-    either bound NaN or infinite, or a width Emax - Emin that overflows).
+    Precedence: 202 (bad N), then 201 (bad M0), then 200 (Emin >= Emax, or
+    Emin, Emax or the width Emax - Emin NaN or infinite in the working
+    precision ``dtype``: float32 cannot hold Emin=-1e39, which float64 can).
     The kernels pass an N or M0 that is not an integer value (a bool
     included) as 0 and an Emin or Emax that is not a real number as NaN, so
     these return 202, 201 and 200 too.
@@ -146,7 +148,9 @@ def check_problem(n: int, m0: int, emin: float, emax: float) -> int:
         return 202
     if m0 > n or m0 <= 0:
         return 201
-    if not math.isfinite(float(emax) - float(emin)) or emin >= emax:
+    with np.errstate(over="ignore"):
+        bounds = np.array([emin, emax, float(emax) - float(emin)]).astype(dtype)
+    if not np.isfinite(bounds).all() or emin >= emax:
         return 200
     return 0
 
@@ -166,7 +170,7 @@ def info_description(info: int) -> str:
         202: "Problem with size of the system N (N<=0)",
         201: "Problem with size of subspace M0 (M0>N or M0<=0, or not an integer)",
         200: "Problem with Emin,Emax (Emin>=Emax, not finite real numbers, "
-             "or Emax-Emin not finite)",
+             "or Emax-Emin not finite, in the working precision)",
         4: "Only the subspace has been returned using fpm(14)=1",
         3: "Size of the subspace M0 is too small (M0<=M)",
         2: "No Convergence (#iteration loops>fpm(4))",

@@ -22,9 +22,8 @@ supernode's pivot block is inverted by LAPACK, with partial pivoting
 inside the block (none across blocks: the order is fixed by the symbolic
 analysis), and the factor keeps the inverse with F21 inv and inv F12, so
 that a sweep takes one matrix product per supernode forward and two back.
-The dense LU, which pivots across whole columns, factorizes straight
-into the same block form (``_driver._BlockFactor``), whose one sweep
-solves the systems of a slice of consecutive shifts for a common
+The factor keeps this block form (``_driver._BlockFactor``), whose one
+sweep solves the systems of a slice of consecutive shifts for a common
 right-hand side at once: all shifts for a real symmetric driver, half of
 them at a time, each way, for a Hermitian one (see ``_driver._Ops``).
 The numeric LU factorizes all contour shifts in one batch, and every

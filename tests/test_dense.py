@@ -1,226 +1,130 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from feastlib import SingularMatrixError, SolverOptions, feast_he, feast_sy, feastinit
-from feastlib.dense import (
-    LEAF,
-    NB,
-    _DenseFactor,
-    _DenseOps,
-    expand_uplo,
-)
+from feastlib import SingularMatrixError, SolverOptions, dense, feast_he, feast_sy, feastinit
+from feastlib.dense import PANEL, _DenseFactor, _DenseOps, expand_uplo
 from feastlib.quadrature import build_contour, gauss_legendre
 
-from conftest import gap_interval, random_hermitian, random_symmetric
+from conftest import gap_interval, random_hermitian, random_spd, random_symmetric
 
 HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
-def _factor(a):
-    """The one-shift _DenseFactor of a copy of ``a``."""
-    return _DenseFactor(np.array(a)[np.newaxis])
+def _one_shift(a, b, z):
+    """The dense backend's factor of the one shift ``z``."""
+    return _DenseOps(a, b, [z], hermitian=True)._factor([z])
 
 
-def test_lu_solve_random_complex(rng):
-    for n in (1, 2, 5, 20):
-        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        x = _factor(a).solve(b)
-        assert np.abs(a @ x - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
+def _solve(factor, rhs, adjoint=False):
+    """A one-shift factor's solution for ``rhs``."""
+    return factor.pick(factor.sweep(rhs, adjoint), 0, adjoint)
 
 
-def _unblocked_lu_factor(a):
-    """Reference: the column-by-column LU with one rank-1 update per step."""
-    lu = np.array(a, copy=True)
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0:
-            raise SingularMatrixError(f"zero pivot at column {k}")
-        piv[k] = p
-        if p != k:
-            lu[[k, p], :] = lu[[p, k], :]
-        if k + 1 < n:
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, piv
+def _pencil(rng, n, kind):
+    """(A, B) of a random pencil: real or complex, B None (standard) or
+    positive definite (generalized)."""
+    complex_ = kind.startswith("complex")
+    a = random_hermitian(n, rng) if complex_ else random_symmetric(n, rng)
+    b = random_spd(n, rng, complex_) if kind.endswith("generalized") else None
+    return a, b
 
 
-def _row_order(piv):
-    """Rows of A in the order of PA: the interchanges of piv applied in turn."""
-    order = list(range(len(piv)))
-    for k, p in enumerate(piv.tolist()):
-        order[k], order[p] = order[p], order[k]
-    return np.array(order)
-
-
-def _assert_block_form(factor, lu):
-    """For each NB-column block of PA = LU, with L and U from ``lu``:
-    inv = (L11 U11)^-1 on the diagonal, li = L21 L11^-1 below and
-    ui = U11^-1 U12 to the right, each within 1e-12."""
-    n = len(lu)
-    lower, upper = np.tril(lu, -1) + np.eye(n), np.triu(lu)
-    for k, r, (inv, li, ui) in zip(factor.columns, factor.rows, factor.blocks):
-        l11, u11 = lower[k, k], upper[k, k]
-        want = (np.linalg.inv(l11 @ u11), lower[r, k] @ np.linalg.inv(l11),
-                np.linalg.inv(u11) @ upper[k, r])
-        for got, w in zip((inv, li, ui), want):
-            assert got.shape == (1,) + w.shape
-            assert np.abs(got[0] - w).max(initial=0) <= 1e-12 * np.abs(w).max(initial=1)
-
-
-BLOCK_EDGE_SIZES = (1, NB - 1, NB, NB + 1, 2 * NB + 3)
-
-
-@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
-@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_blocked_lu_matches_unblocked_reference(rng, n, complex_):
-    a = rng.normal(size=(n, n))
-    if complex_:
-        a = a + 1j * rng.normal(size=(n, n))
-    factor = _factor(a)
-    ref_lu, ref_piv = _unblocked_lu_factor(a)
-    assert np.array_equal(factor.orders[False][0][:, 0], _row_order(ref_piv))
-    assert np.array_equal(factor.orders[True][1][:, 0], np.argsort(_row_order(ref_piv)))
-    _assert_block_form(factor, ref_lu)
-
-    b = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    for adjoint, op in ((False, a), (True, a.conj().T)):
-        x = factor.solve(b, adjoint=adjoint)
-        scale = np.abs(op).max() * np.abs(x).max() * n
-        assert np.abs(op @ x - b).max() <= 1e-12 * scale
-        x0 = factor.solve(b[:, 0], adjoint=adjoint)
-        assert x0.shape == (n,)
-        assert np.abs(x0 - x[:, 0]).max() <= 1e-12 * np.abs(x).max()
-
-
-@pytest.mark.parametrize("column", [0, NB - 1, NB + 1, 2 * NB + 2])
-def test_blocked_lu_zero_column_names_the_reference_column(rng, column):
-    n = 2 * NB + 3
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a[:, column] = 0
-    with pytest.raises(SingularMatrixError) as ref:
-        _unblocked_lu_factor(a)
-    with pytest.raises(SingularMatrixError) as blocked:
-        _factor(a)
-    assert str(blocked.value) == str(ref.value) == f"zero pivot at column {column}"
+PENCILS = ["real-standard", "real-generalized", "complex-standard", "complex-generalized"]
+# Panel edges of the reduction: one column (no reflector), two (one
+# trivial reflector), one past a panel, and four panels.
+PANEL_EDGE_SIZES = (1, 2, PANEL + 1, 3 * PANEL + 3)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
-def test_lu_factor_keeps_inexact_dtype(dtype):
-    factor = _factor(HELLO.astype(dtype))
-    assert factor.lu.dtype == factor.dtype == dtype
-    x = factor.solve(np.ones(2, dtype=dtype))
-    assert x.dtype == dtype
-    assert np.abs(x - 1).max() <= 2 * np.finfo(dtype).eps
+def test_factor_keeps_the_working_precision(dtype):
+    """W keeps the operand's type, the pivots and solutions are complex in
+    its precision, and the solve is accurate to that precision."""
+    z = 1.5 + 0.5j
+    factor = _one_shift(HELLO.astype(dtype), None, z)
+    assert factor.w.dtype == dtype
+    assert factor.dinv.dtype == np.result_type(dtype, np.complex64)
+    x = _solve(factor, np.ones((2, 1), dtype=np.result_type(dtype, np.complex64)))
+    assert x.dtype == np.result_type(dtype, np.complex64)
+    residual = (z * np.eye(2) - HELLO) @ x - 1
+    assert np.abs(residual).max() <= 8 * np.finfo(dtype).eps
 
 
-def _pivoting_stack(rng, n, g, complex_):
-    """g diagonally dominant n x n matrices, which factorize without row
-    interchanges, except that matrix s has a zero diagonal entry at column
-    cols[s] (different columns for different s), where it must pivot."""
-    cols = [(5 * s + 2) % max(n - 1, 1) for s in range(g)]
-    mats = rng.normal(size=(g, n, n)) + 4 * n * np.eye(n)
-    if complex_:
-        mats = mats + 1j * rng.normal(size=(g, n, n))
-    if n > 1:
-        for s, c in enumerate(cols):
-            mats[s, c, c] = 0
-    return mats, cols
-
-
-@pytest.mark.parametrize("n", (1, LEAF, LEAF + 1, NB, NB + 1, 2 * NB + 3))
+@pytest.mark.parametrize("n", PANEL_EDGE_SIZES)
 @pytest.mark.parametrize("g", (1, 3, 8))
-@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
-def test_stacked_lu_is_bitwise_the_one_shift_lu(rng, n, g, complex_):
-    mats, cols = _pivoting_stack(rng, n, g, complex_)
-    factor = _DenseFactor(mats.copy())
-    for s in range(g):
-        one = _factor(mats[s])
-        assert factor.lu[s].tobytes() == one.lu.tobytes()
-        for adjoint in (False, True):
-            for got, want in zip(factor.orders[adjoint], one.orders[adjoint]):
-                assert np.array_equal(got[:, s], want[:, 0])
-        if n > 1:
-            # The first interchange is at the zeroed diagonal entry.
-            order = factor.orders[False][0][:, s]
-            assert np.flatnonzero(order != np.arange(n))[0] == cols[s]
+@pytest.mark.parametrize("kind", PENCILS)
+def test_stacked_factor_is_bitwise_the_one_shift_factor(rng, n, g, kind):
+    """The factor of g shifts holds, for each shift, bitwise the W, the
+    reciprocal pivots and the multipliers of its one-shift factor, and
+    (z B - A) W (z I - T)⁻¹ Wᴴ is the identity."""
+    a, b = _pencil(rng, n, kind)
+    shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
+    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
+    assert (factor.ne, factor.n) == (g, n)
+    for s, z in enumerate(shifts):
+        one = _one_shift(a, b, z)
+        assert one.w.tobytes() == factor.w.tobytes()
+        assert one.dinv[:, 0].tobytes() == factor.dinv[:, s].tobytes()
+        assert one.l[:, 0].tobytes() == factor.l[:, s].tobytes()
+    op = shifts[-1] * (np.eye(n) if b is None else b) - a
+    inverse = _solve(_one_shift(a, b, shifts[-1]), np.eye(n, dtype=complex))
+    assert np.abs(op @ inverse - np.eye(n)).max() <= 1e-12 * np.abs(op).sum(axis=1).max() * (
+        np.abs(inverse).max())
 
 
-@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
-def test_composed_interchanges_match_the_reference(rng, n):
-    """Column diagonally dominant matrices with rows interchanged, which
-    GEPP interchanges back: none in shift 0, two row pairs in shift 1 (in
-    the last block when n = 2 NB + 3), and in shift 2 the last row, of the
-    last block, and the row before it with rows 0 and 2 of the first panel.
-    Each shift's factor is bitwise its one-shift factor, and its row order
-    and block form are the unblocked reference's."""
-    mats = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n)) + 4 * n * np.eye(n)
-    swaps = ([], [(1, n // 2), (n - 3, n - 2)], [(0, n - 1), (2, n - 2)])
-    for s, pairs in enumerate(swaps):
-        for i, j in pairs:
-            if 0 <= min(i, j) and max(i, j) < n:
-                mats[s, [i, j]] = mats[s, [j, i]]
-    factor = _DenseFactor(mats.copy())
-    for s in range(3):
-        ref_lu, ref_piv = _unblocked_lu_factor(mats[s])
-        order = _row_order(ref_piv)
-        assert np.array_equal(factor.orders[False][0][:, s], order)
-        assert np.array_equal(factor.orders[True][1][:, s], np.argsort(order))
-        one = _factor(mats[s])
-        assert factor.lu[s].tobytes() == one.lu.tobytes()
-        _assert_block_form(one, ref_lu)
-    moved = [np.flatnonzero(factor.orders[False][0][:, s] != np.arange(n)) for s in range(3)]
-    assert moved[0].size == 0
-    if n > 1:
-        assert moved[1].size == 4
-        assert factor.orders[False][0][[0, 2], 2].tolist() == [n - 1, n - 2]
+def test_non_finite_pivot_of_the_second_shift_names_it():
+    """z I - T is exactly singular at a real shift on an eigenvalue of T:
+    its reciprocal pivot is not finite, which raises SingularMatrixError
+    naming the shift, with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrixError) as err:
+            _DenseFactor(np.eye(2), np.array([2.0, 2.0]), np.array([1.0]), 1,
+                         [1j, 3.0, 2 + 1j])
+    assert str(err.value) == "non-finite pivot (shift 1)"
 
 
-@pytest.mark.parametrize("column", [0, LEAF, NB - 1, NB + 1, 2 * NB + 2])
-def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
-    n = 2 * NB + 3
-    mats = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
-    mats[1, :, column] = 0
-    with pytest.raises(SingularMatrixError) as err:
-        _DenseFactor(mats)
-    assert str(err.value) == f"zero pivot at column {column} (shift 1)"
+def test_b_that_is_not_definite(rng):
+    """A negative definite B is reduced as the pencil (-A, -B), and the
+    solutions negated; an indefinite B raises SingularMatrixError."""
+    n = 12
+    a, b = random_symmetric(n, rng), random_spd(n, rng)
+    shifts = [1 + 1j, -2 + 0.5j]
+    rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    factor = _DenseOps(a, -b, shifts, hermitian=True)._factor(shifts)
+    for adjoint in (False, True):
+        y = factor.sweep(rhs, adjoint)
+        for s, z in enumerate(shifts):
+            op = z * -b - a
+            want = np.linalg.solve(op.conj().T if adjoint else op, rhs)
+            assert np.abs(factor.pick(y, s, adjoint) - want).max() <= 1e-12 * np.abs(want).max()
+    indefinite = np.diag(np.r_[np.ones(n - 1), -1.0])
+    with pytest.raises(SingularMatrixError, match="B is not definite"):
+        _DenseOps(a, indefinite, shifts, hermitian=True)._factor(shifts)
 
 
 @pytest.mark.parametrize("adjoint", [False, True], ids=["direct", "adjoint"])
 def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
-    """Each shift's block form and solve from the (n, shifts, m) sweep of
-    all shifts are bitwise its one-shift factor's, and a sweep of one shift
-    is bitwise its slice of the sweep of all."""
-    n, g = 2 * NB + 3, 4
-    mats, _ = _pivoting_stack(rng, n, g, complex_=True)
-    factor = _DenseFactor(mats.copy())
-    b = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
-    y = factor.sweep(b, adjoint)
+    """Each shift's solution from the (n, shifts, m) sweep of all shifts is
+    bitwise its one-shift factor's, and a sweep of one shift is bitwise its
+    slice of the sweep of all."""
+    n, g = 3 * PANEL + 3, 4
+    a, b = _pencil(rng, n, "complex-generalized")
+    shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
+    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
+    rhs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    y = factor.sweep(rhs, adjoint)
     assert y.shape == (n, g, 5)
-    for s in range(g):
-        one = _factor(mats[s])
-        assert one.lu.tobytes() == factor.lu[s].tobytes()
-        own = factor.sweep(b, adjoint, slice(s, s + 1))
+    for s, z in enumerate(shifts):
+        own = factor.sweep(rhs, adjoint, slice(s, s + 1))
         assert own.tobytes() == y[:, s:s + 1].tobytes()
         x = factor.pick(y, s, adjoint)
-        assert np.array_equal(x, one.solve(b, adjoint))
+        assert x.tobytes() == _solve(_one_shift(a, b, z), rhs, adjoint).tobytes()
         assert np.array_equal(x, factor.pick(own, s, adjoint, first=s))
-        op = mats[s].conj().T if adjoint else mats[s]
-        assert np.abs(op @ x - b).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
-
-
-@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
-def test_block_form_holds_the_block_inverses(rng, n):
-    """The blocks' inverses against the unblocked reference's L and U, and
-    the blocks cover all n columns, the last reaching no later rows."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    factor = _factor(a)
-    _assert_block_form(factor, _unblocked_lu_factor(a)[0])
-    assert factor.columns[-1].stop == n and factor.blocks[-1][1].shape[1] == 0
+        op = (z * b - a).conj().T if adjoint else z * b - a
+        assert np.abs(op @ x - rhs).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
 
 
 def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatch):
@@ -234,7 +138,7 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
     rhs1 = rng.normal(size=(n, 3)) + 0j
     rhs2 = rng.normal(size=(n, 3)) + 0j
-    expected = {(i, k, adjoint): _factor(shifts[i] * np.eye(n) - a).solve(rhs, adjoint)
+    expected = {(i, k, adjoint): _solve(_one_shift(a, None, shifts[i]), rhs, adjoint)
                 for i in range(len(shifts)) for k, rhs in enumerate((rhs1, rhs2))
                 for adjoint in (False, True)}
     sweeps = []
@@ -278,12 +182,11 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
         assert ops._held[False][0] is ops._held[True][0]
 
 
-def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
-    # Beyond the stack itself, the factorization holds at most one panel,
-    # copied out transposed (one (g, n, NB) block column), and the product
-    # temporaries of the panel's halves or of one panel's column or row
-    # update.  Gathering a panel's row interchanges in one piece, before
-    # its copy is freed, reached 2.97 block columns on this stack.
+def test_factor_holds_one_matrix_beside_its_pivots(rng):
+    """The factor of 8 shifts holds one n x n W, real for a real pencil,
+    beside O(n) values per shift.  The reduction's copy of A becomes W,
+    and its temporaries and reflectors peak at under two more n x n
+    matrices."""
     n, g = 400, 8
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(g), -1.0, 1.0).z
@@ -294,11 +197,127 @@ def test_stacked_factor_temporaries_stay_within_two_block_columns(rng):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    stack = factor.lu.nbytes
-    block_column = g * n * NB * np.dtype(np.complex128).itemsize
-    assert stack == g * n * n * 16
-    assert peak - stack < 2 * block_column
-    assert current - stack < 0.1 * block_column
+    matrix = n * n * 8
+    assert factor.w.nbytes == matrix
+    assert current < matrix + 4 * n * g * 16
+    assert peak < 3 * matrix
+
+
+def _laplacian(p):
+    """The 2-D 5-point Laplacian on a p x p grid (the dense benchmark's
+    matrix at p=20) and its eigenvalues, ascending."""
+    t = 2 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)
+    one = 2 - 2 * np.cos(np.arange(1, p + 1) * np.pi / (p + 1))
+    return np.kron(t, np.eye(p)) + np.kron(np.eye(p), t), np.sort((one[:, None] + one).ravel())
+
+
+def _first_gap(evals, wanted=20):
+    """(emin, emax): emax at the middle of the first gap after the
+    ``wanted``-th eigenvalue, emin that half gap below the smallest."""
+    k = wanted - 1
+    while evals[k + 1] - evals[k] <= 1e-9 * abs(evals[-1]):
+        k += 1
+    half = (evals[k + 1] - evals[k]) / 2
+    return evals[0] - half, evals[k] + half
+
+
+def _backward_errors(a, b, shifts, factor, rhs):
+    """Normwise backward error η = ‖r - op y‖₁ / ((|z| ‖B‖₁ + ‖A‖₁) ‖y‖₁ +
+    ‖r‖₁), the largest over the columns, of each shift's solution y of
+    op y = r, for op = z B - A and its adjoint (Rigal & Gaches, J. ACM
+    14(3), 1967)."""
+    eye = np.eye(len(a)) if b is None else b
+    norm_a, norm_b = (np.abs(m).sum(axis=0).max() for m in (a, eye))
+    errors = []
+    for adjoint in (False, True):
+        y = factor.sweep(rhs, adjoint)
+        for s, z in enumerate(shifts):
+            op = z * eye - a
+            x = factor.pick(y, s, adjoint)
+            r = rhs - (op.conj().T if adjoint else op) @ x
+            scale = (abs(z) * norm_b + norm_a) * np.abs(x).sum(axis=0) + np.abs(rhs).sum(axis=0)
+            errors.append((np.abs(r).sum(axis=0) / scale).max())
+    return np.array(errors)
+
+
+def _backward_error_case(case, rng):
+    """(A, B, shifts) of one backward-error pencil."""
+    if case == "laplacian":
+        a, evals = _laplacian(20)
+        return a, None, build_contour(gauss_legendre(8), *_first_gap(evals)).z
+    if case == "narrow":
+        # Eigenvalues -100..100; an interval of width 0.04 about the middle
+        # one puts shifts within 1e-3 ‖A‖ of the real axis.
+        n = 160
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (q * np.linspace(-100, 100, n)) @ q.T
+        a = (a + a.T) / 2
+        shifts = build_contour(gauss_legendre(8), -0.02, 0.02).z
+        assert shifts.imag.min() / np.abs(a).sum(axis=0).max() <= 1e-3
+        return a, None, shifts
+    a = random_hermitian(150, rng)
+    b = random_spd(150, rng, complex_=True) if case == "hermitian-generalized" else None
+    return a, b, build_contour(gauss_legendre(8), -1.0, 1.0).z
+
+
+@pytest.mark.parametrize("case", ["laplacian", "narrow", "hermitian-standard",
+                                  "hermitian-generalized"])
+def test_every_shift_solves_with_a_small_backward_error(rng, case):
+    """η <= 1e-14 for every shift in each direction: the dense benchmark's
+    Laplacian over its interval, a narrow interval inside a wide spectrum,
+    and Hermitian standard and generalized pencils."""
+    a, b, shifts = _backward_error_case(case, rng)
+    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(list(shifts))
+    rhs = rng.normal(size=(len(a), 4)) + 1j * rng.normal(size=(len(a), 4))
+    assert _backward_errors(a, b, shifts, factor, rhs).max() <= 1e-14
+
+
+def test_a_reflector_left_out_of_w_shows_in_the_backward_error(rng, monkeypatch):
+    """A mutant factor whose W leaves out the second reflector of the first
+    panel (T keeps it) solves every shift of the Laplacian with η >= 1e-6,
+    though its solutions are finite."""
+    a, _, shifts = _backward_error_case("laplacian", rng)
+    block_reflector = dense._block_reflector
+
+    def mutant(vt, tau):
+        if vt.shape[1] == len(a) - 1:
+            tau = tau.copy()
+            tau[1] = 0
+        return block_reflector(vt, tau)
+
+    monkeypatch.setattr(dense, "_block_reflector", mutant)
+    factor = _DenseOps(a, None, shifts, hermitian=True)._factor(list(shifts))
+    rhs = rng.normal(size=(len(a), 4)) + 1j * rng.normal(size=(len(a), 4))
+    assert _backward_errors(a, None, shifts, factor, rhs).min() >= 1e-6
+
+
+def _fem_pencil(p):
+    """A = K (x) M + M (x) K and B = M (x) M of the 1-D linear-FEM pair
+    (K, M) on p interior nodes (the band-herm-gen benchmark's pencil, in
+    dense storage and without phases), and its eigenvalues, the sums of
+    two of (6/h^2) (1 - cos t) / (2 + cos t), t = k pi / (p + 1)."""
+    h = 1.0 / (p + 1)
+    k = (2 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)) / h
+    m = (4 * np.eye(p) + np.eye(p, k=1) + np.eye(p, k=-1)) * h / 6
+    t = np.arange(1, p + 1) * np.pi / (p + 1)
+    one = 6 / h**2 * (1 - np.cos(t)) / (2 + np.cos(t))
+    return np.kron(k, m) + np.kron(m, k), np.kron(m, m), np.sort((one[:, None] + one).ravel())
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+def test_generalized_fem_pencil_matches_the_closed_form(rng, driver):
+    """The 12 x 12 grid's FEM pencil through the Cholesky path: its 20
+    smallest eigenvalues (ties kept together) to 1e-10, through feast_sy
+    and, scaled D X Dᴴ by unit phases D, through feast_he."""
+    a, b, evals = _fem_pencil(12)
+    emin, emax = _first_gap(evals)
+    want = evals[(evals > emin) & (evals < emax)]
+    if driver is feast_he:
+        d = np.exp(1j * rng.uniform(0, 2 * np.pi, len(a)))
+        a, b = (d[:, None] * x * d.conj() for x in (a, b))
+    r = driver(a, emin, emax, 30, b=b)
+    assert (r.info, r.m) == (0, len(want))
+    assert (np.abs(r.e[:r.m] - want) / want).max() <= 1e-10
 
 
 def _backward_error(op, x, rhs):
@@ -319,7 +338,7 @@ def test_sweeps_keep_the_backward_error_of_partial_pivoting():
     with partial pivoting)."""
     import scipy.linalg as sla
 
-    n = 2 * NB + 3
+    n = 99
     rng = np.random.default_rng(17)
     g = rng.normal(size=(n, n))
     a = g + g.T
@@ -344,16 +363,15 @@ def test_sweeps_keep_the_backward_error_of_partial_pivoting():
 
 def test_adjoint_solve_matches_fresh_adjoint_factorization(rng):
     # Random z, A, B: solving (zB-A)^H x = y from the direct factorization
-    # agrees with factorizing the adjoint matrix explicitly.
+    # agrees with factorizing the adjoint matrix, conj(z) B - A, explicitly.
     for n in (3, 8, 20):
         a = random_symmetric(n, rng)
         g = rng.normal(size=(n, n))
         b = g @ g.T + n * np.eye(n)
         z = complex(rng.normal(), abs(rng.normal()) + 0.5)
-        shifted = z * b - a
         y = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        x1 = _factor(shifted).solve(y, adjoint=True)
-        x2 = _factor(shifted.conj().T).solve(y)
+        x1 = _solve(_one_shift(a, b, z), y, adjoint=True)
+        x2 = _solve(_one_shift(a, b, z.conjugate()), y)
         assert np.abs(x1 - x2).max() <= 1e-10 * np.abs(x2).max()
 
 

@@ -10,6 +10,7 @@ import pytest
 from feastlib import (
     CsrMatrix,
     HermitianRci,
+    RciTask,
     SolverOptions,
     SymmetricRci,
     feast_hb,
@@ -133,6 +134,41 @@ def test_pencil_at_subnormal_scale_returns_minus_two(driver, stem, dtype, code_a
         else:
             result = driver(CsrMatrix.from_dense(np.diag(d)), emin, emax, 5)
     assert result.info == -2
+
+
+def _single_precision_call(entry, emin, emax):
+    """info of one entry point on tridiag(-1, 2, -1) of order 6 in single
+    precision (uplo='L' band storage for the band drivers), M0=6."""
+    a = (2 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)).astype(np.float32)
+    if entry in ("SRCI", "HRCI"):
+        kernel = (SymmetricRci if entry == "SRCI" else HermitianRci)(
+            6, 6, emin, emax, dtype=np.float32)
+        assert kernel.step() == RciTask.DONE
+        return kernel.info
+    driver = {d[1]: d[0] for d in DRIVERS}[entry]
+    if entry in ("HE", "HB", "HCSR"):
+        a = a.astype(np.complex64)
+    if entry in ("SB", "HB"):
+        band = np.array([np.diagonal(a), np.r_[np.diagonal(a, -1), 0]])
+        return driver(band, 1, emin, emax, 6, uplo="L").info
+    if entry in ("SCSR", "HCSR"):
+        a = CsrMatrix.from_dense(a)
+    return driver(a, emin, emax, 6).info
+
+
+@pytest.mark.parametrize("emin,emax", [(-1e39, 4.5), (-1e300, 1e300), (-3e38, 3e38)],
+                         ids=["emin", "both", "width"])
+@pytest.mark.parametrize("entry", DRIVER_IDS + ["SRCI", "HRCI"])
+def test_interval_beyond_single_precision_is_info_200(entry, emin, emax):
+    """An interval that float64 holds but float32 does not (a bound, both,
+    or only the width Emax - Emin) is checked in the working precision: a
+    single-precision solve returns 200 before any task, with no warning.
+    The drivers once cast the contour shifts to complex64, printed 5-16
+    overflow warnings (an error under -W error) and returned -2."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _single_precision_call(entry, emin, emax) == 200
+        assert SymmetricRci(6, 6, emin, emax).info == 0
 
 
 @pytest.mark.parametrize("field,value", [

@@ -207,16 +207,18 @@ def test_srci_matches_dense_driver_bitwise():
     # A hand-written caller using the dense module's own factor/solve must
     # reproduce the driver's output bit for bit (same seed).
     from feastlib import feast_sy
-    from feastlib.dense import _DenseFactor
+    from feastlib.dense import _DenseOps
 
     kernel = SymmetricRci(2, 2, -5.0, 5.0)
-    factor = None
+    ops = factor = None
     task = kernel.step()
     while task != RciTask.DONE:
         if task == RciTask.FACTORIZE:
-            factor = _DenseFactor((kernel.ze * np.eye(2, dtype=complex) - HELLO)[np.newaxis])
+            # The dense backend's factor of this one shift.
+            ops = _DenseOps(HELLO, None, [kernel.ze], hermitian=False)
+            factor = ops.factorize(kernel.ze)
         elif task == RciTask.SOLVE:
-            kernel.work2[:, :kernel.m0] = factor.solve(kernel.work2[:, :kernel.m0])
+            kernel.work2[:, :kernel.m0] = ops.solve(factor, kernel.work2[:, :kernel.m0])
         elif task == RciTask.MULTIPLY_A:
             s = kernel.multiply_columns
             kernel.work1[:, s] = HELLO @ kernel.x[:, s]

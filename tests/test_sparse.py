@@ -15,9 +15,9 @@ from feastlib import (
     feastinit,
     info_description,
 )
-from feastlib._driver import SingularMatrixError, _BlockFactor
+from feastlib._driver import SingularMatrixError
 from feastlib.banded import band_csr
-from feastlib.dense import NB, _DenseFactor, _DenseOps
+from feastlib.dense import PANEL, _DenseOps
 from feastlib.params import ALLOWED_CONTOUR_POINTS
 from feastlib.quadrature import build_contour, gauss_legendre
 from feastlib import sparse
@@ -562,9 +562,9 @@ def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
     one group sweep of 4 of the 8 shifts each way: each adjoint request is
     served from the sweep of its group, bitwise the pick of the all-shift
     sweep, and the direct requests between do not touch it.  The same for
-    the multifrontal factor and the dense one (three NB-column blocks),
-    which share the sweep."""
-    n = 2 * NB + 3
+    the multifrontal factor and the dense one (four PANEL-column panels of
+    its reduction)."""
+    n = 3 * PANEL + 3
     a = _banded_csr(n, rng, hermitian=True)
     b = CsrMatrix.from_dense(np.eye(n) * 2 + np.eye(n, k=1) * 0.3 + np.eye(n, k=-1) * 0.3)
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z]
@@ -604,13 +604,13 @@ def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
     every request the held sweeps hold at most ceil(ne/2) shift-slices each
     way, as tracemalloc sees."""
     assert ne in ALLOWED_CONTOUR_POINTS
-    n, m, kl, group = 2 * NB + 3, 16, 3, -(-ne // 2)
+    n, m, kl, group = 3 * PANEL + 3, 16, 3, -(-ne // 2)
     dense = _banded_csr(n, rng, hermitian=True, width=kl if driver == "feast_hb" else 20
                         ).to_dense()
     shifts = [complex(z) for z in build_contour(gauss_legendre(ne), -1.0, 1.0).z]
     if driver == "feast_he":
         ops = _DenseOps(dense, None, shifts, hermitian=True)
-        alone = [_DenseFactor((z * np.eye(n) - dense)[np.newaxis]) for z in shifts]
+        alone = [_DenseOps(dense, None, [z], hermitian=True)._factor([z]) for z in shifts]
     else:
         if driver == "feast_hb":
             # Full band storage: entry A[j+s, j] at [kl+s, j].
@@ -623,17 +623,19 @@ def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
         ops = _SparseOps(full, None, shifts, hermitian=True)
         alone = [_SparseFactor(ops.symbolic, ops.pattern.shifted_data(z)) for z in shifts]
     r0, r1 = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(2))
-    want = {(e, k, adjoint): alone[e].solve(rhs, adjoint)
+    want = {(e, k, adjoint): alone[e].pick(alone[e].sweep(rhs, adjoint), 0, adjoint)
             for e in range(ne) for k, rhs in enumerate((r0, r1)) for adjoint in (False, True)}
     handles = [ops.factorize(z) for z in shifts]
     sweeps = []
-    sweep = _BlockFactor.sweep
+    # The multifrontal batch is a _BlockFactor, the dense one a _DenseFactor.
+    batch_class = type(ops._batch)
+    sweep = batch_class.sweep
 
     def counted(self, b, adjoint=False, shifts=slice(None)):
         sweeps.append((adjoint, tuple(range(self.ne)[shifts])))
         return sweep(self, b, adjoint, shifts)
 
-    monkeypatch.setattr(_BlockFactor, "sweep", counted)
+    monkeypatch.setattr(batch_class, "sweep", counted)
     requests = [(e, 0, adjoint) for e in range(ne) for adjoint in (False, True)]
     requests += [(0, 0, False), (1, 1, False), (1, 1, True), (ne - 1, 1, True)]
     tracemalloc.start()
