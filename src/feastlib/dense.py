@@ -145,8 +145,8 @@ class _DenseFactor:
     (n, ne), and multipliers ``l``, (n - 1, ne).  |Im d_i| >= Im z > 0, so
     no pivot vanishes in exact arithmetic.  A W, T, reciprocal pivot or
     multiplier that is not finite (an overflow, as pivots at the underflow
-    threshold give, or a NaN) raises SingularMatrixError, naming the shift,
-    with no floating-point warning.  An adjoint solve, of conj(z) B - A,
+    threshold give, or a NaN) raises SingularMatrixError, naming the first
+    such pivot's column and the shift, with no floating-point warning.  An adjoint solve, of conj(z) B - A,
     takes the conjugated LDLᵀ and the same W.
     """
 
@@ -169,8 +169,11 @@ class _DenseFactor:
             raise SingularMatrixError("non-finite entry of the reduction")
         ok = np.isfinite(self.dinv).all(axis=0) & np.isfinite(self.l).all(axis=0)
         if not ok.all():
-            raise SingularMatrixError("non-finite pivot" + (
-                f" (shift {np.argmin(ok)})" if self.ne > 1 else ""))
+            shift = int(np.argmin(ok))
+            bad = ~np.isfinite(self.dinv[:, shift])
+            bad[:-1] |= ~np.isfinite(self.l[:, shift])
+            raise SingularMatrixError(f"zero or non-finite pivot at column {np.argmax(bad)}" + (
+                f" (shift {shift})" if self.ne > 1 else ""))
 
     def sweep(self, b: np.ndarray, adjoint: bool = False,
               shifts: slice = slice(None)) -> np.ndarray:

@@ -38,8 +38,20 @@ PENCILS = ["real-standard", "real-generalized", "complex-standard", "complex-gen
 PANEL_EDGE_SIZES = (1, 2, PANEL + 1, 3 * PANEL + 3)
 
 
+def test_lu_solve_random_complex(rng):
+    """The one-shift factor, the LDLᵀ of z I - T behind W, solves
+    (z I - A) x = b for a random Hermitian A and a complex shift."""
+    z = 0.3 + 0.7j
+    for n in (1, 2, 5, 20):
+        a = random_hermitian(n, rng)
+        b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = _solve(_one_shift(a, None, z), b)
+        op = z * np.eye(n) - a
+        assert np.abs(op @ x - b).max() <= 1e-10 * max(1.0, np.abs(op).max())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
-def test_factor_keeps_the_working_precision(dtype):
+def test_lu_factor_keeps_inexact_dtype(dtype):
     """W keeps the operand's type, the pivots and solutions are complex in
     its precision, and the solve is accurate to that precision."""
     z = 1.5 + 0.5j
@@ -52,38 +64,49 @@ def test_factor_keeps_the_working_precision(dtype):
     assert np.abs(residual).max() <= 8 * np.finfo(dtype).eps
 
 
-@pytest.mark.parametrize("n", PANEL_EDGE_SIZES)
+@pytest.mark.parametrize("n", (1, 2, 8, 9, PANEL + 1, 48, 49, 3 * PANEL + 3))
 @pytest.mark.parametrize("g", (1, 3, 8))
-@pytest.mark.parametrize("kind", PENCILS)
-def test_stacked_factor_is_bitwise_the_one_shift_factor(rng, n, g, kind):
-    """The factor of g shifts holds, for each shift, bitwise the W, the
-    reciprocal pivots and the multipliers of its one-shift factor, and
-    (z B - A) W (z I - T)⁻¹ Wᴴ is the identity."""
-    a, b = _pencil(rng, n, kind)
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_lu_is_bitwise_the_one_shift_lu(rng, n, g, complex_):
+    """For a standard and a generalized pencil, the factor of g shifts
+    holds, for each shift, bitwise the W, the reciprocal pivots and the
+    multipliers of its one-shift factor (the LDLᵀ of z I - T), and
+    (z B - A) W (z I - T)⁻¹ Wᴴ is the identity.  The sizes take in the
+    reduction's panel edges (PANEL + 1, 3 PANEL + 3) and sizes between."""
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
-    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
-    assert (factor.ne, factor.n) == (g, n)
-    for s, z in enumerate(shifts):
-        one = _one_shift(a, b, z)
-        assert one.w.tobytes() == factor.w.tobytes()
-        assert one.dinv[:, 0].tobytes() == factor.dinv[:, s].tobytes()
-        assert one.l[:, 0].tobytes() == factor.l[:, s].tobytes()
-    op = shifts[-1] * (np.eye(n) if b is None else b) - a
-    inverse = _solve(_one_shift(a, b, shifts[-1]), np.eye(n, dtype=complex))
-    assert np.abs(op @ inverse - np.eye(n)).max() <= 1e-12 * np.abs(op).sum(axis=1).max() * (
-        np.abs(inverse).max())
+    for problem in ("standard", "generalized"):
+        a, b = _pencil(rng, n, f"{'complex' if complex_ else 'real'}-{problem}")
+        factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
+        assert (factor.ne, factor.n) == (g, n)
+        for s, z in enumerate(shifts):
+            one = _one_shift(a, b, z)
+            assert one.w.tobytes() == factor.w.tobytes()
+            assert one.dinv[:, 0].tobytes() == factor.dinv[:, s].tobytes()
+            assert one.l[:, 0].tobytes() == factor.l[:, s].tobytes()
+        op = shifts[-1] * (np.eye(n) if b is None else b) - a
+        inverse = _solve(_one_shift(a, b, shifts[-1]), np.eye(n, dtype=complex))
+        assert np.abs(op @ inverse - np.eye(n)).max() <= 1e-12 * np.abs(op).sum(axis=1).max() * (
+            np.abs(inverse).max())
 
 
-def test_non_finite_pivot_of_the_second_shift_names_it():
-    """z I - T is exactly singular at a real shift on an eigenvalue of T:
-    its reciprocal pivot is not finite, which raises SingularMatrixError
-    naming the shift, with no floating-point warning."""
+@pytest.mark.parametrize("column", (0, 8, 47, 49, 98))
+def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
+    """z I - T with e[column - 1] = 0 has a zero pivot at ``column`` for
+    the real shift z = d[column]: its reciprocal is not finite, which
+    raises SingularMatrixError naming the column and, in a stack, the
+    shift, with no floating-point warning."""
+    n = 99
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    if column:
+        e[column - 1] = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError) as err:
-            _DenseFactor(np.eye(2), np.array([2.0, 2.0]), np.array([1.0]), 1,
-                         [1j, 3.0, 2 + 1j])
-    assert str(err.value) == "non-finite pivot (shift 1)"
+            _DenseFactor(np.eye(n), d, e, 1, [1j, d[column], 2 + 1j])
+        assert str(err.value) == f"zero or non-finite pivot at column {column} (shift 1)"
+        with pytest.raises(SingularMatrixError) as err:
+            _DenseFactor(np.eye(n), d, e, 1, [d[column]])
+        assert str(err.value) == f"zero or non-finite pivot at column {column}"
 
 
 def test_b_that_is_not_definite(rng):
