@@ -5,7 +5,10 @@ operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
 reverse-communication kernel to completion against it, caching each
 shift's factorization.  A batch of factors is a ``_BlockFactor`` (the
-multifrontal LU of the CSR and band drivers) or a ``dense._DenseFactor``.
+multifrontal LU of the CSR and band drivers) or a ``dense._DenseFactor``
+(of the reduced pencil that the dense drivers' kernels run on, set up by
+the ops' ``_start`` hook; the dense driver maps the result back after
+``run_rci``).
 The ops object factorizes the contour shifts on their first request, in
 the calling thread, whatever ``SolverOptions.parallel_contour`` says (it
 has no effect; see there): an ops object serves one ``run_rci`` in one
@@ -239,7 +242,10 @@ class _Ops:
     ``_factor(shifts)``, one batch of factors of z*B - A for a list of
     contour shifts, and ``_multiply(matrix, x)``.  ``hermitian`` marks the
     ops of a Hermitian driver, whose kernel asks for an adjoint solve after
-    each direct one.
+    each direct one.  ``run_rci`` calls ``_start(kernel)`` once, after the
+    kernel's first step: a hook that does nothing here, and in which the
+    dense ops reduce the pencil and put the kernel on the reduced one
+    (overriding the multiplies in place of ``_multiply``).
 
     The first ``factorize`` factorizes all ``shifts`` in one ``_factor``
     call, in the calling thread; it returns the shift's (batch, i).  One ops
@@ -272,6 +278,11 @@ class _Ops:
         # Per direction: [right-hand side, group's first shift, its sweep,
         # requests served], or None.
         self._held = {False: None, True: None}
+
+    def _start(self, kernel):
+        """Once per solve, after the kernel's first step: a backend's
+        set-up on the kernel's state, which may end the solve
+        (``kernel.abort``).  The CSR and band backends have none."""
 
     def factorize(self, z):
         if self._batch is None:
@@ -312,11 +323,17 @@ class _Ops:
 
 def run_rci(kernel, ops):
     """Drive a kernel to completion against a backend ops object.  Adjoint
-    solves use the direct factor, so FACTORIZE_ADJOINT needs no action."""
+    solves use the direct factor, so FACTORIZE_ADJOINT needs no action.  A
+    SingularMatrixError or ArithmeticError of the ops, ``_start`` among
+    them, ends the solve with -2, a MemoryError with -1."""
     factors = {}
     current = None
     try:
         task = kernel.step()
+        if task != RciTask.DONE:
+            # After the first step, so that the fpm(1) header is printed.
+            ops._start(kernel)
+            task = kernel.task
         while task != RciTask.DONE:
             if task == RciTask.FACTORIZE:
                 z = complex(kernel.ze)

@@ -328,11 +328,16 @@ class _RciKernel:
         return self._done
 
     def abort(self, info: int) -> None:
-        """Terminate the solve from the caller side (inner-solver failure)."""
+        """Terminate the solve from the caller side: an inner-solver
+        failure, or info 1 when the caller has counted no eigenvalue in the
+        interval.  Under fpm(1)=1 a code that has a closing message prints
+        it and the trailer, as the kernel's own end would."""
         self.info = int(info)
         self._done = True
         self._gen = None
         self.task = RciTask.DONE
+        if self.info in _CLOSING and self.fpm.slot(1) == 1:
+            self._print_closing()
 
     @property
     def result(self) -> EigenResult:

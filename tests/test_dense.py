@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from feastlib import SingularMatrixError, SolverOptions, dense, feast_he, feast_sy, feastinit
-from feastlib.dense import PANEL, _DenseFactor, _DenseOps, expand_uplo
+from feastlib.dense import PANEL, _count, _DenseFactor, _DenseOps, expand_uplo
 from feastlib.quadrature import build_contour, gauss_legendre
 
 from conftest import gap_interval, random_hermitian, random_spd, random_symmetric
@@ -14,13 +14,28 @@ HELLO = np.array([[2.0, -1.0], [-1.0, 2.0]])
 
 
 def _one_shift(a, b, z):
-    """The dense backend's factor of the one shift ``z``."""
+    """The dense backend's factor of the one shift ``z``: the LDLᵀ of
+    s (z I - T) on the reduction of (A, B)."""
     return _DenseOps(a, b, [z], hermitian=True)._factor([z])
 
 
 def _solve(factor, rhs, adjoint=False):
-    """A one-shift factor's solution for ``rhs``."""
+    """A one-shift factor's solution for ``rhs``, in the reduced basis."""
     return factor.pick(factor.sweep(rhs, adjoint), 0, adjoint)
+
+
+def _reduced(a, b, shifts):
+    """The dense backend's ops on (A, B) and its factor of ``shifts``."""
+    ops = _DenseOps(a, b, shifts, hermitian=True)
+    return ops, ops._factor(list(shifts))
+
+
+def _solves(ops, factor, rhs, adjoint=False):
+    """Each shift's solution of (z B - A) y = rhs, or of its adjoint,
+    composed of the reduction's maps and the reduced sweep:
+    W (s (z I - T))⁻¹ Wᴴ rhs."""
+    y = factor.sweep(ops.to_reduced(rhs), adjoint)
+    return [ops.from_reduced(factor.pick(y, s, adjoint)) for s in range(factor.ne)]
 
 
 def _pencil(rng, n, kind):
@@ -39,26 +54,29 @@ PANEL_EDGE_SIZES = (1, 2, PANEL + 1, 3 * PANEL + 3)
 
 
 def test_lu_solve_random_complex(rng):
-    """The one-shift factor, the LDLᵀ of z I - T behind W, solves
-    (z I - A) x = b for a random Hermitian A and a complex shift."""
+    """The one-shift factor, the LDLᵀ of z I - T, between the maps Wᴴ and
+    W solves (z I - A) x = b for a random Hermitian A and a complex
+    shift."""
     z = 0.3 + 0.7j
     for n in (1, 2, 5, 20):
         a = random_hermitian(n, rng)
         b = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-        x = _solve(_one_shift(a, None, z), b)
+        x, = _solves(*_reduced(a, None, [z]), b)
         op = z * np.eye(n) - a
         assert np.abs(op @ x - b).max() <= 1e-10 * max(1.0, np.abs(op).max())
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64, np.complex128])
 def test_lu_factor_keeps_inexact_dtype(dtype):
-    """W keeps the operand's type, the pivots and solutions are complex in
-    its precision, and the solve is accurate to that precision."""
+    """The maps W and Wᴴ keep the operand's type, the pivots and solutions
+    are complex in its precision, and the solve is accurate to that
+    precision."""
     z = 1.5 + 0.5j
-    factor = _one_shift(HELLO.astype(dtype), None, z)
-    assert factor.w.dtype == dtype
+    ops, factor = _reduced(HELLO.astype(dtype), None, [z])
+    ones = np.ones((2, 1), dtype=dtype)
+    assert ops.to_reduced(ones).dtype == ops.from_reduced(ones).dtype == dtype
     assert factor.dinv.dtype == np.result_type(dtype, np.complex64)
-    x = _solve(factor, np.ones((2, 1), dtype=np.result_type(dtype, np.complex64)))
+    x, = _solves(ops, factor, np.ones((2, 1), dtype=np.result_type(dtype, np.complex64)))
     assert x.dtype == np.result_type(dtype, np.complex64)
     residual = (z * np.eye(2) - HELLO) @ x - 1
     assert np.abs(residual).max() <= 8 * np.finfo(dtype).eps
@@ -69,22 +87,24 @@ def test_lu_factor_keeps_inexact_dtype(dtype):
 @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
 def test_stacked_lu_is_bitwise_the_one_shift_lu(rng, n, g, complex_):
     """For a standard and a generalized pencil, the factor of g shifts
-    holds, for each shift, bitwise the W, the reciprocal pivots and the
-    multipliers of its one-shift factor (the LDLᵀ of z I - T), and
-    (z B - A) W (z I - T)⁻¹ Wᴴ is the identity.  The sizes take in the
-    reduction's panel edges (PANEL + 1, 3 PANEL + 3) and sizes between."""
+    holds, for each shift, bitwise the reciprocal pivots and the
+    multipliers of its one-shift factor (the LDLᵀ of z I - T), on a
+    reduction bitwise the one-shift ops' T, and (z B - A) W (z I - T)⁻¹ Wᴴ
+    is the identity.  The sizes take in the reduction's panel edges
+    (PANEL + 1, 3 PANEL + 3) and sizes between."""
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
     for problem in ("standard", "generalized"):
         a, b = _pencil(rng, n, f"{'complex' if complex_ else 'real'}-{problem}")
-        factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
+        ops, factor = _reduced(a, b, shifts)
         assert (factor.ne, factor.n) == (g, n)
         for s, z in enumerate(shifts):
-            one = _one_shift(a, b, z)
-            assert one.w.tobytes() == factor.w.tobytes()
+            alone = _DenseOps(a, b, [z], hermitian=True)
+            one = alone._factor([z])
+            assert (alone._d.tobytes(), alone._e.tobytes()) == (ops._d.tobytes(), ops._e.tobytes())
             assert one.dinv[:, 0].tobytes() == factor.dinv[:, s].tobytes()
             assert one.l[:, 0].tobytes() == factor.l[:, s].tobytes()
         op = shifts[-1] * (np.eye(n) if b is None else b) - a
-        inverse = _solve(_one_shift(a, b, shifts[-1]), np.eye(n, dtype=complex))
+        inverse, = _solves(*_reduced(a, b, shifts[-1:]), np.eye(n, dtype=complex))
         assert np.abs(op @ inverse - np.eye(n)).max() <= 1e-12 * np.abs(op).sum(axis=1).max() * (
             np.abs(inverse).max())
 
@@ -102,27 +122,28 @@ def test_stacked_lu_zero_pivot_in_second_shift_names_its_column(rng, column):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrixError) as err:
-            _DenseFactor(np.eye(n), d, e, 1, [1j, d[column], 2 + 1j])
+            _DenseFactor(d, e, 1, [1j, d[column], 2 + 1j])
         assert str(err.value) == f"zero or non-finite pivot at column {column} (shift 1)"
         with pytest.raises(SingularMatrixError) as err:
-            _DenseFactor(np.eye(n), d, e, 1, [d[column]])
+            _DenseFactor(d, e, 1, [d[column]])
         assert str(err.value) == f"zero or non-finite pivot at column {column}"
 
 
 def test_b_that_is_not_definite(rng):
-    """A negative definite B is reduced as the pencil (-A, -B), and the
-    solutions negated; an indefinite B raises SingularMatrixError."""
+    """A negative definite B is reduced as the pencil (-A, -B), s = -1,
+    and the composed solves are those of (z B - A); an indefinite B raises
+    SingularMatrixError."""
     n = 12
     a, b = random_symmetric(n, rng), random_spd(n, rng)
     shifts = [1 + 1j, -2 + 0.5j]
     rhs = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    factor = _DenseOps(a, -b, shifts, hermitian=True)._factor(shifts)
+    ops, factor = _reduced(a, -b, shifts)
+    assert ops._sign == -1
     for adjoint in (False, True):
-        y = factor.sweep(rhs, adjoint)
-        for s, z in enumerate(shifts):
+        for z, x in zip(shifts, _solves(ops, factor, rhs, adjoint)):
             op = z * -b - a
             want = np.linalg.solve(op.conj().T if adjoint else op, rhs)
-            assert np.abs(factor.pick(y, s, adjoint) - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
     indefinite = np.diag(np.r_[np.ones(n - 1), -1.0])
     with pytest.raises(SingularMatrixError, match="B is not definite"):
         _DenseOps(a, indefinite, shifts, hermitian=True)._factor(shifts)
@@ -132,20 +153,22 @@ def test_b_that_is_not_definite(rng):
 def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
     """Each shift's solution from the (n, shifts, m) sweep of all shifts is
     bitwise its one-shift factor's, and a sweep of one shift is bitwise its
-    slice of the sweep of all."""
+    slice of the sweep of all; mapped back by W, it solves (z B - A)."""
     n, g = 3 * PANEL + 3, 4
     a, b = _pencil(rng, n, "complex-generalized")
     shifts = [complex(z) for z in build_contour(gauss_legendre(8), -1.0, 1.0).z[:g]]
-    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(shifts)
+    ops, factor = _reduced(a, b, shifts)
     rhs = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
-    y = factor.sweep(rhs, adjoint)
+    reduced = ops.to_reduced(rhs)
+    y = factor.sweep(reduced, adjoint)
     assert y.shape == (n, g, 5)
     for s, z in enumerate(shifts):
-        own = factor.sweep(rhs, adjoint, slice(s, s + 1))
+        own = factor.sweep(reduced, adjoint, slice(s, s + 1))
         assert own.tobytes() == y[:, s:s + 1].tobytes()
         x = factor.pick(y, s, adjoint)
-        assert x.tobytes() == _solve(_one_shift(a, b, z), rhs, adjoint).tobytes()
+        assert x.tobytes() == _solve(_one_shift(a, b, z), reduced, adjoint).tobytes()
         assert np.array_equal(x, factor.pick(own, s, adjoint, first=s))
+        x = ops.from_reduced(x)
         op = (z * b - a).conj().T if adjoint else z * b - a
         assert np.abs(op @ x - rhs).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
 
@@ -206,9 +229,10 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
 
 
 def test_factor_holds_one_matrix_beside_its_pivots(rng):
-    """The factor of 8 shifts holds one n x n W, real for a real pencil,
-    beside O(n) values per shift.  The reduction's copy of A becomes W,
-    and its temporaries and reflectors peak at under two more n x n
+    """The reduction and the factor of 8 shifts hold at most one n x n
+    matrix, real for a real pencil (the reflectors, about half of one),
+    beside O(n) values per shift; no W is formed.  The reduction's copy of
+    A, its temporaries and its reflectors peak at under three n x n
     matrices."""
     n, g = 400, 8
     a = random_symmetric(n, rng)
@@ -221,7 +245,8 @@ def test_factor_holds_one_matrix_beside_its_pivots(rng):
     finally:
         tracemalloc.stop()
     matrix = n * n * 8
-    assert factor.w.nbytes == matrix
+    assert factor.dinv.shape == (n, g)
+    assert all(vt.dtype == t.dtype == a.dtype for _, vt, t in ops._panels)
     assert current < matrix + 4 * n * g * 16
     assert peak < 3 * matrix
 
@@ -244,19 +269,18 @@ def _first_gap(evals, wanted=20):
     return evals[0] - half, evals[k] + half
 
 
-def _backward_errors(a, b, shifts, factor, rhs):
+def _backward_errors(a, b, shifts, ops, factor, rhs):
     """Normwise backward error η = ‖r - op y‖₁ / ((|z| ‖B‖₁ + ‖A‖₁) ‖y‖₁ +
     ‖r‖₁), the largest over the columns, of each shift's solution y of
     op y = r, for op = z B - A and its adjoint (Rigal & Gaches, J. ACM
-    14(3), 1967)."""
+    14(3), 1967), composed of the reduction's maps and the reduced
+    sweep."""
     eye = np.eye(len(a)) if b is None else b
     norm_a, norm_b = (np.abs(m).sum(axis=0).max() for m in (a, eye))
     errors = []
     for adjoint in (False, True):
-        y = factor.sweep(rhs, adjoint)
-        for s, z in enumerate(shifts):
+        for z, x in zip(shifts, _solves(ops, factor, rhs, adjoint)):
             op = z * eye - a
-            x = factor.pick(y, s, adjoint)
             r = rhs - (op.conj().T if adjoint else op) @ x
             scale = (abs(z) * norm_b + norm_a) * np.abs(x).sum(axis=0) + np.abs(rhs).sum(axis=0)
             errors.append((np.abs(r).sum(axis=0) / scale).max())
@@ -290,16 +314,20 @@ def test_every_shift_solves_with_a_small_backward_error(rng, case):
     Laplacian over its interval, a narrow interval inside a wide spectrum,
     and Hermitian standard and generalized pencils."""
     a, b, shifts = _backward_error_case(case, rng)
-    factor = _DenseOps(a, b, shifts, hermitian=True)._factor(list(shifts))
+    ops, factor = _reduced(a, b, shifts)
     rhs = rng.normal(size=(len(a), 4)) + 1j * rng.normal(size=(len(a), 4))
-    assert _backward_errors(a, b, shifts, factor, rhs).max() <= 1e-14
+    assert _backward_errors(a, b, shifts, ops, factor, rhs).max() <= 1e-14
 
 
-def test_a_reflector_left_out_of_w_shows_in_the_backward_error(rng, monkeypatch):
-    """A mutant factor whose W leaves out the second reflector of the first
-    panel (T keeps it) solves every shift of the Laplacian with η >= 1e-6,
-    though its solutions are finite."""
-    a, _, shifts = _backward_error_case("laplacian", rng)
+def test_a_reflector_left_out_of_the_back_map_shows_in_res(monkeypatch):
+    """A mutant reduction whose kept block reflectors leave out the second
+    reflector of the first panel (T keeps it) maps the Ritz vectors back
+    wrongly.  The eigenvalues, which come from T alone, still pass the
+    benchmark's closed-form gate (info 0, the count, 1e-10 relative) on the
+    dense benchmark's Laplacian; the returned res shows the fault."""
+    a, evals = _laplacian(20)
+    emin, emax = _first_gap(evals)
+    want = evals[(evals > emin) & (evals < emax)]
     block_reflector = dense._block_reflector
 
     def mutant(vt, tau):
@@ -309,9 +337,139 @@ def test_a_reflector_left_out_of_w_shows_in_the_backward_error(rng, monkeypatch)
         return block_reflector(vt, tau)
 
     monkeypatch.setattr(dense, "_block_reflector", mutant)
-    factor = _DenseOps(a, None, shifts, hermitian=True)._factor(list(shifts))
-    rhs = rng.normal(size=(len(a), 4)) + 1j * rng.normal(size=(len(a), 4))
-    assert _backward_errors(a, None, shifts, factor, rhs).min() >= 1e-6
+    for driver in (feast_sy, feast_he):
+        r = driver(a, emin, emax, 30)
+        assert (r.info, r.m) == (0, len(want))
+        assert (np.abs(r.e[:r.m] - want) / want).max() <= 1e-10
+        assert r.res[:r.m].min() >= 1e-6
+
+
+def _band_pencil(n, seed, complex_):
+    """A dense Hermitian (real symmetric) band matrix, bandwidth 8, with
+    diagonal ±32 and standard normal band entries: its spectrum has no
+    eigenvalue in [-5, 5]."""
+    rng = np.random.default_rng(seed)
+    a = np.diag(32.0 * rng.choice([-1.0, 1.0], n)).astype(complex if complex_ else float)
+    for k in range(1, 9):
+        band = rng.normal(size=n - k)
+        if complex_:
+            band = band + 1j * rng.normal(size=n - k)
+        a += np.diag(band, -k) + np.diag(band.conj(), k)
+    return a
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+def test_empty_interval_returns_info_1(driver):
+    """The Sturm count of T finds no eigenvalue in [-5, 5], and the solve
+    ends with info 1 and m=0 before any contour pass.  The kernel's own
+    test returned 1-4 spurious pairs with info 2 on 17 (feast_he) and 20
+    (feast_sy) of these 20 pencils: its spurious-pair filter compares each
+    residual with the median of the in-interval ones, which are all
+    spurious here."""
+    for n in (100, 200):
+        for seed in range(10):
+            a = _band_pencil(n, seed, driver is feast_he)
+            evals = np.linalg.eigvalsh(a)
+            assert not ((evals >= -5) & (evals <= 5)).any()
+            r = driver(a, -5.0, 5.0, 20)
+            assert (r.info, r.m, r.loop) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+@pytest.mark.parametrize("emin,emax", [(2.0, 3.0), (1.0, 2.0)], ids=["at-emin", "at-emax"])
+def test_eigenvalue_at_an_end_of_the_interval_is_found(driver, emin, emax):
+    """An eigenvalue exactly at emin or at emax is counted (the count
+    widens the interval by a few ε ‖T‖₁), so the solve runs and finds it.
+    The 1 x 1 problem keeps the Ritz value exact, so that the kernel, too,
+    puts it inside."""
+    r = driver(np.array([[2.0]]), emin, emax, 1)
+    assert (r.info, r.m) == (0, 1) and r.e[0] == 2.0
+
+
+def test_count_takes_in_eigenvalues_at_the_ends():
+    """The Sturm count of T = diag(1..5), of tridiag(1, 2, 1)
+    (eigenvalues 1 and 3; 2 ± √2 and 2 for order 3) and of T = 0 on
+    intervals whose ends fall on eigenvalues, in double and single
+    precision."""
+    d, e = np.arange(1.0, 6.0), np.zeros(4)
+    for dtype in (np.float64, np.float32):
+        cases = [(d, e, 2.0, 4.0, 3), (d, e, 2.0, 2.5, 1), (d, e, 1.5, 2.0, 1),
+                 (d, e, 2.5, 2.9, 0), (d, e, 5.5, 1e300, 0), (d, e, -1e300, 0.5, 0),
+                 (np.full(2, 2.0), np.ones(1), 1.0, 1.0 + 1e-3, 1),
+                 (np.full(2, 2.0), np.ones(1), 3.0 - 1e-3, 3.0, 1),
+                 (np.full(3, 2.0), np.ones(2), 1.0, 2.0, 1),
+                 (np.zeros(3), np.zeros(2), 0.0, 1.0, 3), (np.zeros(3), np.zeros(2), 0.5, 1.0, 0)]
+        for dd, ee, lo, hi, want in cases:
+            assert _count(dd.astype(dtype), ee.astype(dtype), lo, hi) == want
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+def test_zero_matrix_is_mapped_back(driver):
+    """A = 0 reduces to T = 0, which the count takes whole: the solve runs,
+    and its Ritz vectors are mapped back to B-orthonormal ones."""
+    b = np.diag([2.0, 3.0, 4.0, 5.0])
+    r = driver(np.zeros((4, 4)), -1.0, 1.0, 4, b=b)
+    assert (r.info, r.m) == (0, 4) and not r.e.any()
+    assert np.abs(r.x.conj().T @ b @ r.x - np.eye(4)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("driver", [feast_sy, feast_he], ids=["SY", "HE"])
+@pytest.mark.parametrize("problem", ["standard", "generalized"])
+@pytest.mark.parametrize("uplo", ["F", "L", "U"])
+def test_result_is_the_original_pencils(rng, driver, problem, uplo):
+    """The Ritz vectors mapped back by W are B-orthonormal to 1e-12, and
+    each res the kernel filled equals ‖A x - λ B x‖₁ / ‖max(|emin|, |emax|)
+    B x‖₁ on the original pencil to 1e-12 relative, give or take 1e-14 for
+    a residual at the rounding level (the products' rounding may differ
+    with the arrays' memory layout: up to 1.3e-16 seen).  (The generalized
+    feast_he pencil of this seed stalls at info 2 with one spurious pair
+    held in the interval, as it did before the reduction; the mapping
+    holds all the same.)"""
+    n = 30
+    complex_ = driver is feast_he
+    a, b = _pencil(rng, n, f"{'complex' if complex_ else 'real'}-{problem}")
+    if b is not None:
+        # Exactly Hermitian, so that each uplo gives the driver this B.
+        b = (b + b.conj().T) / 2
+    evals = np.linalg.eigvals(np.linalg.solve(np.eye(n) if b is None else b, a)).real
+    emin, emax = gap_interval(evals, 8, 15)
+    stored = {"F": lambda m: m, "L": np.tril, "U": np.triu}[uplo]
+    r = driver(stored(a), emin, emax, 12, uplo=uplo, b=None if b is None else stored(b))
+    assert r.info in (0, 2) and r.m == 8
+    x = r.x[:, :r.m0]
+    bx = x if b is None else b @ x
+    assert np.abs(x.conj().T @ bx - np.eye(r.m0)).max() <= 1e-12
+    filled = r.res[:r.m0] != -1
+    x, bx = x[:, filled], bx[:, filled]
+    want = (np.abs(a @ x - r.e[:r.m0][filled] * bx).sum(axis=0)
+            / np.abs(max(abs(emin), abs(emax)) * bx).sum(axis=0))
+    assert (np.abs(r.res[:r.m0][filled] - want) <= 1e-12 * want + 1e-14).all()
+
+
+def test_hermitian_generalized_warm_start_takes_few_loops(rng):
+    """Acceptance criterion 9 through feast_he: the pencil D (A, B) Dᴴ with
+    unit phases D, perturbed, restarted from the unperturbed pencil's
+    eigenvectors (fpm(5)=1, mapped into the reduced basis by W⁻¹), takes
+    at most 2 loops and at least one fewer than a cold start."""
+    n, m = 200, 8
+    a = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    b = (4 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)) / 6
+    d = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    a, b = (d[:, None] * x * d.conj() for x in (a, b))
+    evals = np.linalg.eigvals(np.linalg.solve(b, a)).real
+    evals.sort()
+    emin, emax = evals[0] - 0.1, 0.5 * (evals[m - 1] + evals[m])
+    fpm = feastinit()
+    fpm.set_slot(6, 1)
+    fpm.set_slot(3, 10)
+    cold_ref = feast_he(a, emin, emax, 10, b=b, fpm=fpm)
+    g = np.diag(rng.normal(size=n)) + np.diag(rng.normal(size=n - 1), 1)
+    a2 = a + 1e-3 * d[:, None] * (g + g.T) * d.conj()
+    cold = feast_he(a2, emin, emax, 10, b=b, fpm=fpm)
+    fpm.set_slot(5, 1)
+    warm = feast_he(a2, emin, emax, 10, b=b, fpm=fpm, x0=cold_ref.x)
+    assert cold_ref.info == cold.info == warm.info == 0 and warm.m == cold.m == m
+    assert warm.loop <= min(cold.loop - 1, 2)
 
 
 def _fem_pencil(p):
@@ -374,13 +532,13 @@ def test_sweeps_keep_the_backward_error_of_partial_pivoting():
     shifts = build_contour(gauss_legendre(16), (ev[lo - 1] + ev[lo]) / 2,
                            (ev[lo + 4] + ev[lo + 5]) / 2).z
     rhs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    factor = _DenseOps(a, b, shifts, hermitian=False)._factor(list(shifts))
+    ops = _DenseOps(a, b, shifts, hermitian=False)
+    factor = ops._factor(list(shifts))
     worst = 0.0
     for adjoint in (False, True):
-        y = factor.sweep(rhs, adjoint)
-        for s, z in enumerate(shifts):
+        for z, x in zip(shifts, _solves(ops, factor, rhs, adjoint)):
             op = (z * b - a).conj().T if adjoint else z * b - a
-            worst = max(worst, _backward_error(op, factor.pick(y, s, adjoint), rhs))
+            worst = max(worst, _backward_error(op, x, rhs))
     assert worst <= 1e-14
 
 
@@ -393,8 +551,8 @@ def test_adjoint_solve_matches_fresh_adjoint_factorization(rng):
         b = g @ g.T + n * np.eye(n)
         z = complex(rng.normal(), abs(rng.normal()) + 0.5)
         y = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        x1 = _solve(_one_shift(a, b, z), y, adjoint=True)
-        x2 = _solve(_one_shift(a, b, z.conjugate()), y)
+        x1, = _solves(*_reduced(a, b, [z]), y, adjoint=True)
+        x2, = _solves(*_reduced(a, b, [z.conjugate()]), y)
         assert np.abs(x1 - x2).max() <= 1e-10 * np.abs(x2).max()
 
 
