@@ -4,11 +4,15 @@ A predefined driver is ``setup`` (kernel, argument checks, full-storage
 operands), a backend ops object (an ``_Ops`` subclass: factorize / solve /
 solve_adjoint / multiply_a / multiply_b) and ``run_rci``, which pumps the
 reverse-communication kernel to completion against it, caching each
-shift's factorization.  A batch of factors is a ``_BlockFactor`` (the
-multifrontal LU of the CSR and band drivers) or a ``dense._DenseFactor``
-(of the reduced pencil that the dense drivers' kernels run on, set up by
-the ops' ``_start`` hook; the dense driver maps the result back after
-``run_rci``).
+shift's factorization.  ``run_rci`` keys each solve by the kernel's pass
+(its count of MULTIPLY tasks, the only tasks after which the kernel's
+right-hand side can change), so the ops serve a pass's solves from held
+group sweeps without comparing right-hand sides, and each solution is
+gathered straight into the kernel's ``work2``.  A batch of factors is a
+``_BlockFactor`` (the multifrontal LU of the CSR and band drivers) or a
+``dense._DenseFactor`` (of the reduced pencil that the dense drivers'
+kernels run on, set up by the ops' ``_start`` hook before the first
+solve; the dense driver maps the result back after ``run_rci``).
 The ops object factorizes the contour shifts on their first request, in
 the calling thread, whatever ``SolverOptions.parallel_contour`` says (it
 has no effect; see there): an ops object serves one ``run_rci`` in one
@@ -183,9 +187,9 @@ class _BlockFactor:
     rows ``rows[j]`` (a slice or an index array), and ``blocks[j]`` is
     (inv, li, ui) = (F11⁻¹, F21 inv, inv F12), stacks of shape (ne, ·, ·),
     for its pivot block F11 once the blocks before it are eliminated.
-    ``orders[adjoint]`` is (into, out), (n, ne) index arrays: the rows of
-    a right-hand side gathered into F's order, and the rows of a sweep's
-    output that give the solution.
+    ``orders`` is (into, out), (n, ne) index arrays for either direction:
+    the rows of a right-hand side gathered into F's order, and the rows of
+    a sweep's output that give the solution.
     """
 
     def sweep(self, b: np.ndarray, adjoint: bool = False,
@@ -203,7 +207,7 @@ class _BlockFactor:
         transposed views.
         """
         blocks = [tuple(m[shifts] for m in block) for block in self.blocks]
-        into = self.orders[adjoint][0][:, shifts]
+        into = self.orders[0][:, shifts]
         dtype = np.result_type(self.dtype, b.dtype)
         y = np.empty(into.shape + b.shape[1:], dtype=dtype)
         # A gather straight into y: no temporary of y's size.
@@ -220,19 +224,22 @@ class _BlockFactor:
             y[cols] = (c - ui @ y[rows].swapaxes(0, 1) if ui.shape[2] else c).swapaxes(0, 1)
         return np.conjugate(y, out=y) if adjoint else y
 
-    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False,
-             first: int = 0) -> np.ndarray:
+    def pick(self, y: np.ndarray, shift: int, first: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Shift ``shift``'s (n, m) solution, in the original row order,
-        from the output of ``sweep`` in that direction over the slice of
-        shifts that begins at ``first``."""
-        return y[self.orders[adjoint][1][:, shift], shift - first]
+        from the output of ``sweep`` over the slice of shifts that begins
+        at ``first``; written into ``out`` when given.  One gather from the
+        contiguous (n·g, m) view of y, with no temporary."""
+        g = y.shape[1]
+        rows = self.orders[1][:, shift] * g + (shift - first)
+        return np.take(y.reshape(self.n * g, y.shape[2]), rows, axis=0, out=out, mode="clip")
 
     def solve(self, b: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """Solve with a one-shift factor; ``b`` is (n,) or (n, m)."""
         if self.ne != 1:
             raise ValueError("solve needs a one-shift factor; use sweep and pick")
         single = b.ndim == 1
-        out = self.pick(self.sweep(b[:, np.newaxis] if single else b, adjoint), 0, adjoint)
+        out = self.pick(self.sweep(b[:, np.newaxis] if single else b, adjoint), 0)
         return out[:, 0] if single else out
 
 
@@ -252,13 +259,20 @@ class _Ops:
     object serves one ``run_rci`` in one thread and is not shared between
     threads.
 
+    ``solve(factor, rhs, key, out)`` and ``solve_adjoint`` return the
+    solution, written into ``out`` when given (it may be ``rhs`` itself).
+    ``key`` names the right-hand side: requests with equal keys promise
+    equal right-hand sides, as ``run_rci``'s count of the kernel's MULTIPLY
+    tasks does (the kernel writes its solves' right-hand side, ``work1``,
+    only on those tasks).  A request without a key matches no other.
+
     A direct batch (a ``_BlockFactor`` or a ``dense._DenseFactor``, each
     with ``ne``, ``sweep`` and ``pick``) is swept in groups of g
     consecutive shifts: all ne of them for a real symmetric driver, which
     asks for no adjoint solves, and ceil(ne/2) for a Hermitian one.  Each
-    direction holds the sweep of its last group and right-hand side.  A
-    request of a shift in that group with an equal right-hand side is
-    served from it; any other runs the sweep of the shift's group.  A held
+    direction holds the sweep of its last group with its key.  A request
+    of a shift in that group with the same key is served from it, without
+    reading ``rhs``; any other runs the sweep of the shift's group.  A held
     sweep is dropped once it has served as many requests as its group has
     shifts.  So a Hermitian contour pass runs two sweeps each way, and the
     two held sweeps hold at most ne + 1 shift-slices together (holding an
@@ -275,8 +289,8 @@ class _Ops:
         self._shifts = [complex(z) for z in shifts]
         self.hermitian = hermitian
         self._batch = None
-        # Per direction: [right-hand side, group's first shift, its sweep,
-        # requests served], or None.
+        # Per direction: [key, group's first shift, its sweep, requests
+        # served], or None.
         self._held = {False: None, True: None}
 
     def _start(self, kernel):
@@ -289,28 +303,26 @@ class _Ops:
             self._batch = self._factor(self._shifts)
         return self._batch, self._shifts.index(z)
 
-    def _solve(self, factor, rhs, adjoint):
+    def _solve(self, factor, rhs, adjoint, key, out):
         batch, shift = factor
         group = -(-batch.ne // 2) if self.hermitian else batch.ne
         first = shift - shift % group
-        held, other = self._held[adjoint], self._held[not adjoint]
-        if held is None or held[1] != first or not np.array_equal(held[0], rhs):
+        held = self._held[adjoint]
+        if key is None or held is None or held[0] != key or held[1] != first:
             # Drop the old buffer before the sweep allocates the new one.
-            held = self._held[adjoint] = None
-            # The two directions share one copy of an equal right-hand side.
-            same = other is not None and np.array_equal(other[0], rhs)
+            self._held[adjoint] = None
             y = batch.sweep(rhs, adjoint, slice(first, first + group))
-            held = self._held[adjoint] = [other[0] if same else rhs.copy(), first, y, 0]
+            held = self._held[adjoint] = [key, first, y, 0]
         held[3] += 1
         if held[3] == held[2].shape[1]:
             self._held[adjoint] = None
-        return batch.pick(held[2], shift, adjoint, first)
+        return batch.pick(held[2], shift, first, out)
 
-    def solve(self, factor, rhs):
-        return self._solve(factor, rhs, False)
+    def solve(self, factor, rhs, key=None, out=None):
+        return self._solve(factor, rhs, False, key, out)
 
-    def solve_adjoint(self, factor, rhs):
-        return self._solve(factor, rhs, True)
+    def solve_adjoint(self, factor, rhs, key=None, out=None):
+        return self._solve(factor, rhs, True, key, out)
 
     def multiply_a(self, x):
         return self._multiply(self.a, x)
@@ -323,11 +335,15 @@ class _Ops:
 
 def run_rci(kernel, ops):
     """Drive a kernel to completion against a backend ops object.  Adjoint
-    solves use the direct factor, so FACTORIZE_ADJOINT needs no action.  A
-    SingularMatrixError or ArithmeticError of the ops, ``_start`` among
-    them, ends the solve with -2, a MemoryError with -1."""
+    solves use the direct factor, so FACTORIZE_ADJOINT needs no action.
+    Each solve is keyed by the number of MULTIPLY tasks so far, which
+    changes whenever the kernel may have changed its right-hand side, and
+    writes its solution straight into ``work2``.  A SingularMatrixError or
+    ArithmeticError of the ops, ``_start`` among them, ends the solve with
+    -2, a MemoryError with -1."""
     factors = {}
     current = None
+    multiplies = 0
     try:
         task = kernel.step()
         if task != RciTask.DONE:
@@ -340,18 +356,15 @@ def run_rci(kernel, ops):
                 if z not in factors:
                     factors[z] = ops.factorize(z)
                 current = factors[z]
-            elif task == RciTask.SOLVE:
-                m0 = kernel.m0
-                kernel.work2[:, :m0] = ops.solve(current, kernel.work2[:, :m0])
-            elif task == RciTask.SOLVE_ADJOINT:
-                m0 = kernel.m0
-                kernel.work2[:, :m0] = ops.solve_adjoint(current, kernel.work2[:, :m0])
-            elif task == RciTask.MULTIPLY_A:
+            elif task in (RciTask.SOLVE, RciTask.SOLVE_ADJOINT):
+                block = kernel.work2[:, :kernel.m0]
+                solve = ops.solve if task == RciTask.SOLVE else ops.solve_adjoint
+                solve(current, block, key=multiplies, out=block)
+            elif task in (RciTask.MULTIPLY_A, RciTask.MULTIPLY_B):
+                multiplies += 1
                 s = kernel.multiply_columns
-                kernel.work1[:, s] = ops.multiply_a(kernel.x[:, s])
-            elif task == RciTask.MULTIPLY_B:
-                s = kernel.multiply_columns
-                kernel.work1[:, s] = ops.multiply_b(kernel.x[:, s])
+                multiply = ops.multiply_a if task == RciTask.MULTIPLY_A else ops.multiply_b
+                kernel.work1[:, s] = multiply(kernel.x[:, s])
             task = kernel.step()
     except (SingularMatrixError, ArithmeticError):
         kernel.abort(-2)

@@ -246,12 +246,13 @@ class _DenseFactor:
             y[i] -= l[i, :, np.newaxis] * y[i + 1]
         return y
 
-    def pick(self, y: np.ndarray, shift: int, adjoint: bool = False,
-             first: int = 0) -> np.ndarray:
+    def pick(self, y: np.ndarray, shift: int, first: int = 0,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Shift ``shift``'s (n, m) solution from the output of ``sweep``
-        over the slice of shifts that begins at ``first``: a new array, as
-        a view would keep the whole sweep alive after ``_Ops`` drops it."""
-        return y[:, shift - first].copy()
+        over the slice of shifts that begins at ``first``, copied into
+        ``out`` when given, else into a new array: a view would keep the
+        whole sweep alive after ``_Ops`` drops it."""
+        return np.take(y, shift - first, axis=1, out=out, mode="clip")
 
 
 def _definite_cholesky(b):

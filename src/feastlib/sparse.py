@@ -278,61 +278,56 @@ def _nested_dissection(n, adj):
     with fewer than 3 levels, is a leaf.  Returns the tree's vertex sets,
     children before parents (a postorder), and each one's parent (-1 for a
     root: one per connected component of the graph).
+
+    A search relabels the vertices it reaches with a new part id, which
+    also marks them as reached.  The levels below a separator are one
+    component, and already its level structure from the same start (a
+    shortest path to a vertex of level i runs through lower levels only),
+    so only the levels above it are searched again for their components.
     """
     part_of = [0] * n   # id of the part a vertex is in; -1 once in a separator
-    seen = [0] * n      # id of the last search that reached a vertex
     ids = itertools.count(1)
 
     def levels(start, part):
-        tag = next(ids)
-        seen[start] = tag
+        """Level structure of ``start``'s component of ``part``, whose
+        vertices get a new id; returns (the id, the levels)."""
+        new = next(ids)
+        part_of[start] = new
         out = [[start]]
         while True:
             nxt = []
             for v in out[-1]:
                 for w in adj[v]:
-                    if part_of[w] == part and seen[w] != tag:
-                        seen[w] = tag
+                    if part_of[w] == part:
+                        part_of[w] = new
                         nxt.append(w)
             if not nxt:
-                return out
+                return new, out
             out.append(nxt)
 
-    def components(vertices):
-        """The connected components of ``vertices``, each as a new part id
-        and its level structure from its first vertex."""
-        part = next(ids)
-        for v in vertices:
-            part_of[v] = part
-        comps = []
-        for v in vertices:
-            if part_of[v] == part:
-                lv = levels(v, part)
-                new = next(ids)
-                for level in lv:
-                    for w in level:
-                        part_of[w] = new
-                comps.append((new, lv))
-        return comps
+    def components(vertices, part):
+        """The connected components of ``vertices``, all of ``part``, each
+        as its part id and its level structure from its first vertex."""
+        return [levels(v, part) for v in vertices if part_of[v] == part]
 
     nodes, parents = [], []
-    work = [(part, lv, -1) for part, lv in components(range(n))]
+    work = [(part, lv, -1) for part, lv in components(range(n), 0)]
     while work:
         part, lv, parent = work.pop()
         node = len(nodes)
         parents.append(parent)
         big = sum(map(len, lv)) > LEAF
         if big:
-            lv = levels(min(lv[-1], key=lambda v: len(adj[v])), part)
+            part, lv = levels(min(lv[-1], key=lambda v: len(adj[v])), part)
         if not big or len(lv) < 3:
             nodes.append([v for level in lv for v in level])
             continue
-        sep = lv[len(lv) // 2]
-        for v in sep:
+        middle = len(lv) // 2
+        for v in lv[middle]:
             part_of[v] = -1
-        nodes.append(sep)
-        rest = [v for level in lv for v in level if part_of[v] == part]
-        work.extend((p, sub, node) for p, sub in components(rest))
+        nodes.append(lv[middle])
+        upper = components((v for level in lv[middle + 1:] for v in level), part)
+        work.extend([(part, lv[:middle], node)] + [(p, sub, node) for p, sub in upper])
     # Nodes were made in a depth-first preorder, each after its parent, so
     # the reverse order is a postorder.
     last = len(nodes) - 1
@@ -383,7 +378,8 @@ class _SparseSymbolic:
     (i, j) going to the front of min(i, j), and ``scatter[s]`` gives the
     flat front positions of the entries in
     ``source[bounds[s]:bounds[s + 1]]``; ``extend[s]`` gives the positions
-    of ``rows[s]`` in the parent's front.
+    of ``rows[s]`` in the parent's front.  Both come from one search of
+    all fronts' rows.
     """
 
     def __init__(self, n, indptr, indices):
@@ -406,13 +402,24 @@ class _SparseSymbolic:
         owner = np.repeat(np.arange(len(fronts)), np.diff(self.start))[np.minimum(pi, pj)]
         self.source = np.argsort(owner, kind="stable")
         self.bounds = np.searchsorted(owner[self.source], np.arange(len(fronts) + 1))
-        self.scatter, self.extend = [], []
-        for s, front in enumerate(fronts):
-            e = self.source[self.bounds[s]:self.bounds[s + 1]]
-            self.scatter.append(np.searchsorted(front, pi[e]) * len(front)
-                                + np.searchsorted(front, pj[e]))
-            p = self.parent[s]
-            self.extend.append(None if p < 0 else np.searchsorted(fronts[p], self.rows[s]))
+        # Every front's rows as one sorted array of keys s * n + row, where
+        # one search places rows of any front.
+        sizes = np.array([len(front) for front in fronts], dtype=np.int64)
+        offset = np.concatenate([[0], np.cumsum(sizes)])
+        keys = np.repeat(np.arange(len(fronts)) * n, sizes) + np.concatenate(fronts)
+
+        def place(s, rows):
+            return np.searchsorted(keys, s * n + rows) - offset[s]
+
+        fronts_of = owner[self.source]
+        flat = (place(fronts_of, pi[self.source]) * sizes[fronts_of]
+                + place(fronts_of, pj[self.source]))
+        self.scatter = np.split(flat, self.bounds[1:-1])
+        # A root's front has no rows past its columns.
+        counts = [r.size for r in self.rows]
+        at = place(np.repeat(self.parent, counts), np.concatenate(self.rows))
+        self.extend = [None if p < 0 else a for p, a in
+                       zip(self.parent, np.split(at, np.cumsum(counts)[:-1]))]
 
     def _order(self, ar, ac, nodes, parent):
         """Take the supernodes ``nodes``, a postorder, and ``parent``; returns their fronts."""
@@ -515,9 +522,8 @@ class _SparseFactor(_BlockFactor):
         self.n, self.ne = symbolic.n, data.shape[0]
         self.dtype = data.dtype
         self.columns, self.rows = symbolic.columns, symbolic.rows
-        orders = tuple(np.broadcast_to(p[:, np.newaxis], (self.n, self.ne))
-                       for p in (symbolic.perm, symbolic.iperm))
-        self.orders = {False: orders, True: orders}
+        self.orders = tuple(np.broadcast_to(p[:, np.newaxis], (self.n, self.ne))
+                            for p in (symbolic.perm, symbolic.iperm))
         source, bounds = symbolic.source, symbolic.bounds
         self.blocks = []
         updates = {}
@@ -525,12 +531,13 @@ class _SparseFactor(_BlockFactor):
             k = cols.stop - cols.start
             f = k + rows.size
             front = np.zeros((self.ne, f, f), dtype=data.dtype)
-            owned = source[bounds[s]:bounds[s + 1]]
-            front.reshape(self.ne, f * f)[:, symbolic.scatter[s]] = data[:, owned]
+            flat = front.reshape(self.ne, f * f)
+            flat[:, symbolic.scatter[s]] = data[:, source[bounds[s]:bounds[s + 1]]]
             for c in symbolic.children[s]:
                 if c in updates:
                     at = symbolic.extend[c]
-                    front[:, at[:, np.newaxis], at] += updates.pop(c)
+                    flat[:, (at[:, np.newaxis] * f + at).ravel()] += (
+                        updates.pop(c).reshape(self.ne, -1))
             inv = _pivot_inverse(front[:, :k, :k], cols.start)
             li = front[:, k:, :k] @ inv
             ui = li.swapaxes(1, 2) if symmetric else inv @ front[:, :k, k:]
@@ -676,11 +683,12 @@ class _IterativeOps(_Ops):
         diag[diag == 0] = 1.0
         return data, diag
 
-    def _solve(self, factor, rhs, adjoint):
+    def _solve(self, factor, rhs, adjoint, key, out):
         batch, shift = factor
         data, diag = batch[shift][adjoint]
         matvec = functools.partial(_csr_block_matvec, self.pattern.n, self.classes, data)
-        out = np.empty_like(rhs)
+        out = np.empty_like(rhs) if out is None else out
+        # Column k is read (copied) before it is written: out may be rhs.
         for k in range(rhs.shape[1]):
             out[:, k] = _bicgstab(matvec, diag, rhs[:, k].astype(data.dtype), self.tol)
         return out

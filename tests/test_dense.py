@@ -21,7 +21,7 @@ def _one_shift(a, b, z):
 
 def _solve(factor, rhs, adjoint=False):
     """A one-shift factor's solution for ``rhs``, in the reduced basis."""
-    return factor.pick(factor.sweep(rhs, adjoint), 0, adjoint)
+    return factor.pick(factor.sweep(rhs, adjoint), 0)
 
 
 def _reduced(a, b, shifts):
@@ -35,7 +35,7 @@ def _solves(ops, factor, rhs, adjoint=False):
     composed of the reduction's maps and the reduced sweep:
     W (s (z I - T))⁻¹ Wᴴ rhs."""
     y = factor.sweep(ops.to_reduced(rhs), adjoint)
-    return [ops.from_reduced(factor.pick(y, s, adjoint)) for s in range(factor.ne)]
+    return [ops.from_reduced(factor.pick(y, s)) for s in range(factor.ne)]
 
 
 def _pencil(rng, n, kind):
@@ -165,9 +165,9 @@ def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
     for s, z in enumerate(shifts):
         own = factor.sweep(reduced, adjoint, slice(s, s + 1))
         assert own.tobytes() == y[:, s:s + 1].tobytes()
-        x = factor.pick(y, s, adjoint)
+        x = factor.pick(y, s)
         assert x.tobytes() == _solve(_one_shift(a, b, z), reduced, adjoint).tobytes()
-        assert np.array_equal(x, factor.pick(own, s, adjoint, first=s))
+        assert np.array_equal(x, factor.pick(own, s, first=s))
         x = ops.from_reduced(x)
         op = (z * b - a).conj().T if adjoint else z * b - a
         assert np.abs(op @ x - rhs).max() <= 1e-12 * np.abs(op).max() * np.abs(x).max() * n
@@ -176,9 +176,11 @@ def test_stacked_sweep_matches_one_shift_solves(rng, adjoint):
 def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatch):
     """Each direction holds the sweep of one group of shifts: all 8 for
     the ops of a real symmetric driver, 4 for a Hermitian one's.  A request
-    of a shift of that group with an equal right-hand side is served from
-    it; any other sweeps the request's group.  A held sweep is dropped once
-    it has served as many requests as its group has shifts."""
+    of a shift of that group with the same key, which promises an equal
+    right-hand side, is served from it; any other sweeps the request's
+    group, and so does a request without a key.  A held sweep is dropped
+    once it has served as many requests as its group has shifts.  Only the
+    key is held, no copy of the right-hand side."""
     n = 20
     a = random_symmetric(n, rng)
     shifts = build_contour(gauss_legendre(8), -1.0, 1.0).z
@@ -204,28 +206,34 @@ def test_held_sweep_serves_equal_right_hand_sides_and_is_dropped(rng, monkeypatc
         factors = [ops.factorize(z) for z in shifts]
         assert all(f[0] is factors[0][0] for f in factors)
         sweeps.clear()
+        # Key k names right-hand side k.
         for i, k, count in ((0, 0, 1), (1, 0, 1), (2, 1, 2), (3, 0, 3)):
-            check(ops.solve(factors[i], (rhs1, rhs2)[k]), i, k)
+            check(ops.solve(factors[i], (rhs1, rhs2)[k], key=k), i, k)
             assert len(sweeps) == count
         assert sweeps == [(False, tuple(range(group)))] * 3
         held = ops._held[False]
+        assert held[0] == 0 and held[1] == 0 and len(held) == 4
         # The sweep of rhs1 has served shift 3; group - 1 more requests of
-        # its group use it up.
+        # its group use it up.  The key alone decides: these pass rhs2.
         for i in range(group - 1):
             assert ops._held[False] is held
-            check(ops.solve(factors[i], rhs1), i, 0)
+            check(ops.solve(factors[i], rhs2, key=0), i, 0)
         assert len(sweeps) == 3 and ops._held[False] is None
         # Each direction sweeps the group of the last shift on its own; the
         # other group is swept anew, for the Hermitian ops.
         last = tuple(range(8 - group, 8))
-        check(ops.solve_adjoint(factors[7], rhs1), 7, 0, adjoint=True)
+        check(ops.solve_adjoint(factors[7], rhs1, key=0), 7, 0, adjoint=True)
         held = ops._held[True]
-        check(ops.solve(factors[7], rhs1), 7, 0)
+        check(ops.solve(factors[7], rhs1, key=0), 7, 0)
         assert sweeps[3:] == [(True, last), (False, last)] and ops._held[True] is held
-        check(ops.solve_adjoint(factors[0], rhs1), 0, 0, adjoint=True)
+        check(ops.solve_adjoint(factors[0], rhs1, key=0), 0, 0, adjoint=True)
         assert sweeps[5:] == ([(True, tuple(range(group)))] if hermitian else [])
-        # Both directions hold a sweep of rhs1 and share one copy of it.
-        assert ops._held[False][0] is ops._held[True][0]
+        # Both directions hold a sweep of key 0, and no right-hand side.
+        assert ops._held[False][0] == ops._held[True][0] == 0
+        # A request without a key sweeps, even for an equal right-hand side.
+        count = len(sweeps)
+        check(ops.solve(factors[7], rhs1), 7, 0)
+        assert sweeps[count:] == [(False, last)]
 
 
 def test_factor_holds_one_matrix_beside_its_pivots(rng):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from feastlib import (
     CsrMatrix,
     SolverOptions,
     csr_matvec,
+    feast_hb,
     feast_hcsr,
     feast_scsr,
     feast_sy,
@@ -279,7 +281,7 @@ def test_batched_factor_matches_one_shift_factors(rng, hermitian):
             assert all(g[e].tobytes() == w[0].tobytes() for g, w in zip(got, want))
         assert batch.pick(y, e).tobytes() == one.solve(rhs).tobytes()
         x_adj = np.linalg.solve(_shifted_dense(pattern, stack[e]).conj().T, rhs)
-        assert np.abs(batch.pick(y_adj, e, True) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
+        assert np.abs(batch.pick(y_adj, e) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
         assert np.abs(one.solve(rhs, adjoint=True) - x_adj).max() <= 1e-12 * np.abs(x_adj).max()
 
 
@@ -405,7 +407,7 @@ def test_factor_solves_awkward_patterns_like_dense(rng, name, symmetric):
     for e, z in enumerate(shifts):
         shifted = z * np.eye(n) - a
         for got, mat in ((batch.pick(y, e), shifted),
-                         (batch.pick(y_adj, e, True), shifted.conj().T)):
+                         (batch.pick(y_adj, e), shifted.conj().T)):
             want = np.linalg.solve(mat, rhs)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     one = _SparseFactor(sym, pattern.shifted_data(shifts[0]), symmetric)
@@ -556,6 +558,155 @@ def test_sparse_ops_build_one_analysis(rng, monkeypatch):
                    for g, w in zip(getattr(got, name), getattr(want, name), strict=True)), name
 
 
+# --- reference analysis ----------------------------------------------------
+# The nested dissection and the position loop of the analysis as they were
+# written before their searches were shared: each part searched in full
+# twice and relabelled in a separate loop, and three searches per supernode.
+# The analysis must give exactly their arrays.
+
+
+def _reference_dissection(n, adj):
+    part_of = [0] * n
+    seen = [0] * n
+    ids = itertools.count(1)
+
+    def levels(start, part):
+        tag = next(ids)
+        seen[start] = tag
+        out = [[start]]
+        while True:
+            nxt = []
+            for v in out[-1]:
+                for w in adj[v]:
+                    if part_of[w] == part and seen[w] != tag:
+                        seen[w] = tag
+                        nxt.append(w)
+            if not nxt:
+                return out
+            out.append(nxt)
+
+    def components(vertices):
+        part = next(ids)
+        for v in vertices:
+            part_of[v] = part
+        comps = []
+        for v in vertices:
+            if part_of[v] == part:
+                lv = levels(v, part)
+                new = next(ids)
+                for level in lv:
+                    for w in level:
+                        part_of[w] = new
+                comps.append((new, lv))
+        return comps
+
+    nodes, parents = [], []
+    work = [(part, lv, -1) for part, lv in components(range(n))]
+    while work:
+        part, lv, parent = work.pop()
+        node = len(nodes)
+        parents.append(parent)
+        big = sum(map(len, lv)) > LEAF
+        if big:
+            lv = levels(min(lv[-1], key=lambda v: len(adj[v])), part)
+        if not big or len(lv) < 3:
+            nodes.append([v for level in lv for v in level])
+            continue
+        sep = lv[len(lv) // 2]
+        for v in sep:
+            part_of[v] = -1
+        nodes.append(sep)
+        rest = [v for level in lv for v in level if part_of[v] == part]
+        work.extend((p, sub, node) for p, sub in components(rest))
+    last = len(nodes) - 1
+    return nodes[::-1], [-1 if p < 0 else last - p for p in parents[::-1]]
+
+
+def _reference_positions(sym, indptr, indices):
+    """(scatter, extend) of the analysis ``sym`` of the pattern, one
+    supernode at a time."""
+    er = np.repeat(np.arange(sym.n), np.diff(indptr))
+    pi, pj = sym.iperm[er], sym.iperm[np.asarray(indices)]
+    fronts = [np.concatenate([np.arange(c.start, c.stop), r]) for c, r in zip(sym.columns, sym.rows)]
+    scatter, extend = [], []
+    for s, front in enumerate(fronts):
+        e = sym.source[sym.bounds[s]:sym.bounds[s + 1]]
+        scatter.append(np.searchsorted(front, pi[e]) * len(front) + np.searchsorted(front, pj[e]))
+        p = sym.parent[s]
+        extend.append(None if p < 0 else np.searchsorted(fronts[p], sym.rows[s]))
+    return scatter, extend
+
+
+def _graph(pattern):
+    """Each vertex's neighbours, as ``_SparseSymbolic`` gives them to
+    ``_nested_dissection``: ascending, no self loop."""
+    n, off = pattern.n, pattern.rows != pattern.cols
+    keys = np.unique(np.concatenate([pattern.rows[off] * n + pattern.cols[off],
+                                     pattern.cols[off] * n + pattern.rows[off]]))
+    ar, ac = np.divmod(keys, n)
+    ptr = np.searchsorted(ar, np.arange(n + 1))
+    return [ac[ptr[v]:ptr[v + 1]].tolist() for v in range(n)]
+
+
+def _assert_reference_analysis(csr, monkeypatch):
+    pattern = _ShiftedPattern(csr, None)
+    n, adj = pattern.n, _graph(pattern)
+    tree = _nested_dissection(n, adj)
+    assert tree == _reference_dissection(n, adj)
+    got = _SparseSymbolic(n, pattern.indptr, pattern.indices)
+    with monkeypatch.context() as m:
+        m.setattr(sparse, "_nested_dissection", _reference_dissection)
+        want = _SparseSymbolic(n, pattern.indptr, pattern.indices)
+    assert got.parent == want.parent and np.array_equal(got.perm, want.perm)
+    scatter, extend = _reference_positions(want, pattern.indptr, pattern.indices)
+    for name, ref in (("rows", want.rows), ("scatter", scatter), ("extend", extend)):
+        assert all(g is w is None or g.shape == w.shape and np.array_equal(g, w)
+                   for g, w in zip(getattr(got, name), ref, strict=True)), name
+    return got, tree
+
+
+@pytest.mark.parametrize("name", ["grid 40 x 40", "fem 30 x 30", "full band"])
+def test_analysis_matches_the_reference_on_the_benchmark_patterns(rng, monkeypatch, name):
+    """csr-direct's 5-point grid, band-herm-gen's 9-point FEM pattern, and
+    a full band, where the chain wins."""
+    sym, _ = _assert_reference_analysis(_order_cases(rng)[name][0], monkeypatch)
+    assert (sym.perm.tolist() == list(range(sym.n))) == (name == "full band")
+
+
+@pytest.mark.parametrize("p", range(7, 61))
+def test_analysis_matches_the_reference_on_grids(rng, monkeypatch, p):
+    _assert_reference_analysis(_stencil_csr(p, [(0, 1), (1, 0)], rng), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_analysis_matches_the_reference_on_random_patterns(monkeypatch, seed):
+    """Random sparse graphs in a few blocks, with isolated vertices, in a
+    random order: several components of uneven sizes."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 80, size=4).tolist() + [1] * 5
+    rows, cols = [np.arange(sum(sizes))], [np.arange(sum(sizes))]
+    first = 0
+    for size in sizes:
+        u, v = rng.integers(first, first + size, size=(2, int(size * rng.uniform(0.5, 3))))
+        rows += [u, v]
+        cols += [v, u]
+        first += size
+    order = rng.permutation(first)
+    r, c = order[np.concatenate(rows)], order[np.concatenate(cols)]
+    csr = CsrMatrix.from_coo(first, r + 1, c + 1, np.ones(len(r)))
+    _, (_, parents) = _assert_reference_analysis(csr, monkeypatch)
+    assert parents.count(-1) >= 5
+
+
+@pytest.mark.parametrize("name", ["path", "star"])
+def test_analysis_matches_the_reference_on_a_path_and_a_star(rng, monkeypatch, name):
+    if name == "path":
+        csr = _banded_csr(200, rng, hermitian=False, width=1)
+    else:
+        csr = CsrMatrix.from_dense(_patterns(rng)["star"])
+    _assert_reference_analysis(csr, monkeypatch)
+
+
 def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
     """A sweep of a slice of shifts, one shift or a group, is bitwise that
     slice of the sweep of all, in each direction.  The Hermitian ops hold
@@ -582,8 +733,8 @@ def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
             for part in (slice(3, 4), slice(0, 4), slice(4, 8)):
                 assert batch.sweep(r, adjoint, part).tobytes() == y[:, part].tobytes()
         for e, handle in enumerate(handles):
-            x = ops.solve_adjoint(handle, r)
-            assert x.tobytes() == batch.pick(every[True], e, True).tobytes()
+            x = ops.solve_adjoint(handle, r, key=0)
+            assert x.tobytes() == batch.pick(every[True], e).tobytes()
             if reduced:
                 x = ops.from_reduced(x)
             want = np.linalg.solve((shifts[e] * b.to_dense() - a.to_dense()).conj().T, rhs)
@@ -593,7 +744,7 @@ def test_adjoint_sweep_of_one_shift_is_its_slice_of_all(rng):
                 assert held is None
             else:
                 assert held[1] == e - e % 4 and held[2].shape == (n, 4, 4)
-            ops.solve(handle, r)
+            ops.solve(handle, r, key=0)
             assert ops._held[True] is held
 
 
@@ -604,11 +755,12 @@ def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
     (odd ``ne`` gives a short last group), in the kernel's order: a direct
     and an adjoint solve at each shift, then a direct right-hand side that
     changes inside the first group, and an adjoint request of the last
-    shift before the first group is used up.  Every solution is bitwise the
-    one-shift factor's; each direction sweeps each group once a pass, and
-    anew for the changed right-hand side or the other group; and after
-    every request the held sweeps hold at most ceil(ne/2) shift-slices each
-    way, as tracemalloc sees."""
+    shift before the first group is used up; each right-hand side has its
+    key.  Every solution is bitwise the one-shift factor's; each direction
+    sweeps each group once a pass, and anew for the changed key or the
+    other group; and after every request the held sweeps hold at most
+    ceil(ne/2) shift-slices each way and no copy of a right-hand side, as
+    tracemalloc sees."""
     assert ne in ALLOWED_CONTOUR_POINTS
     n, m, kl, group = 3 * PANEL + 3, 16, 3, -(-ne // 2)
     dense = _banded_csr(n, rng, hermitian=True, width=kl if driver == "feast_hb" else 20
@@ -629,7 +781,7 @@ def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
         ops = _SparseOps(full, None, shifts, hermitian=True)
         alone = [_SparseFactor(ops.symbolic, ops.pattern.shifted_data(z)) for z in shifts]
     r0, r1 = (rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)) for _ in range(2))
-    want = {(e, k, adjoint): alone[e].pick(alone[e].sweep(rhs, adjoint), 0, adjoint)
+    want = {(e, k, adjoint): alone[e].pick(alone[e].sweep(rhs, adjoint), 0)
             for e in range(ne) for k, rhs in enumerate((r0, r1)) for adjoint in (False, True)}
     handles = [ops.factorize(z) for z in shifts]
     sweeps = []
@@ -648,17 +800,15 @@ def test_group_sweeps_serve_each_shift_bitwise(rng, monkeypatch, driver, ne):
     try:
         base = tracemalloc.get_traced_memory()[0]
         for e, k, adjoint in requests:
-            x = (ops.solve_adjoint if adjoint else ops.solve)(handles[e], (r0, r1)[k])
+            x = (ops.solve_adjoint if adjoint else ops.solve)(handles[e], (r0, r1)[k], key=k)
             assert x.tobytes() == want[e, k, adjoint].tobytes()
             held = [h for h in ops._held.values() if h is not None]
             widths = [h[2].shape[1] for h in held]
             assert max(widths, default=0) <= group and sum(widths) <= ne + 1
-            # Beyond x: the held sweeps, their one copy of the right-hand
-            # side, and under a third of a slice (8 KB) of Python objects,
-            # the sweep records above among them.
-            slices = sum(widths) + len({id(h[0]) for h in held})
+            # Beyond x: the held sweeps and under a third of a slice (8 KB)
+            # of Python objects, the sweep records above among them.
             extra = tracemalloc.get_traced_memory()[0] - base - x.nbytes
-            assert extra <= slices * n * m * 16 + 8192
+            assert extra <= sum(widths) * n * m * 16 + 8192
             del x
     finally:
         tracemalloc.stop()
@@ -794,6 +944,44 @@ def test_sparse_ops_serve_each_shift_its_own_rhs(rng):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             if not adjoint:
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("driver", ["feast_scsr", "feast_hcsr", "feast_hb"])
+def test_a_solve_sweeps_each_group_once_a_pass(monkeypatch, driver):
+    """``run_rci`` keys each solve by the kernel's pass, so a contour pass
+    of 8 shifts sweeps all shifts once for a real symmetric driver, and
+    each half of them once each way for a Hermitian one: 3 and 12 sweeps
+    for a solve of 3 passes (2 refinement loops).  Each solution is
+    written into ``work2``: ``out`` is the right-hand side's block."""
+    p = 12
+    t = 2 * np.eye(p) - np.eye(p, k=1) - np.eye(p, k=-1)
+    a = np.kron(t, np.eye(p)) + np.kron(np.eye(p), t)
+    emin, emax = gap_interval(np.linalg.eigvalsh(a), 0, 9)
+    sweeps, outs = [], []
+    sweep, pick = _SparseFactor.sweep, _SparseFactor.pick
+
+    def counted(self, b, adjoint=False, shifts=slice(None)):
+        sweeps.append((adjoint, tuple(range(self.ne)[shifts])))
+        return sweep(self, b, adjoint, shifts)
+
+    def picked(self, y, shift, first=0, out=None):
+        outs.append(out)
+        return pick(self, y, shift, first, out)
+
+    monkeypatch.setattr(_SparseFactor, "sweep", counted)
+    monkeypatch.setattr(_SparseFactor, "pick", picked)
+    if driver == "feast_hb":
+        ab = np.array([np.append(np.diagonal(a, -s), np.zeros(s)) for s in range(p + 1)])
+        result = feast_hb(ab.astype(complex), p, emin, emax, 16, uplo="L")
+    else:
+        call = feast_scsr if driver == "feast_scsr" else feast_hcsr
+        result = call(CsrMatrix.from_dense(a if call is feast_scsr else a + 0j), emin, emax, 16)
+    assert result.info == 0 and result.m == 10 and result.loop == 2
+    groups = [tuple(range(8))] if driver == "feast_scsr" else [(0, 1, 2, 3), (4, 5, 6, 7)]
+    directions = (False,) if driver == "feast_scsr" else (False, True)
+    assert sweeps == [(adjoint, g) for g in groups for adjoint in directions] * 3
+    assert len(outs) == 8 * len(directions) * 3
+    assert all(out is not None and out.shape == (p * p, 16) for out in outs)
 
 
 def test_helloworld_csr():
